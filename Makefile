@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
+.PHONY: all check fmt vet build test race bench chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
 
 all: check
 
@@ -9,9 +9,10 @@ all: check
 # (fault-injection) suite, a fuzz smoke pass over the fault-plan parser,
 # the simulator conformance suite, the emu-coverage guard, the sweep,
 # profiler, job-server and fused-kernel throughput measurements, the
-# benchmark regression diff against the committed baselines, and the
-# sarserve end-to-end and request-tracing smoke tests.
-check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff servesmoke tracesmoke
+# benchmark regression diff against the committed baselines, the
+# repository benchmark's own test suite, and the sarserve end-to-end and
+# request-tracing smoke tests.
+check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke servesmoke tracesmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -95,6 +96,16 @@ kernelbench:
 # suites, and -race would multiply the 1024-core run's wall-clock.
 scalebench:
 	SCALEBENCH_OUT=$(CURDIR)/out $(GO) test -run TestScaleBench -count=1 ./internal/bench
+
+# perfsmoke runs the repository benchmark's test suite (perfbench is its
+# own module, so ./... at the root does not reach it): the metric and
+# scheduling unit tests, TestWorkloadsSmoke (every workload once, with
+# af-stream scores, repeat counts and serve envelopes checked) and the
+# BENCHMARK.json consistency check. It runs without the race detector:
+# the workloads are the same simulations the race suite already covers,
+# and -race would multiply their wall-clock.
+perfsmoke:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # servesmoke is the sarserve end-to-end contract: build the daemon,
 # submit a real job over HTTP (must answer 200 done), assert the run

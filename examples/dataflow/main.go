@@ -81,7 +81,7 @@ func main() {
 	for _, c := range ch.Cores[:3] {
 		fmt.Printf("%8d %14.0f %14.0f %14.0f\n", c.ID, c.Cycles(), c.Stats.ComputeCycles, c.Stats.StallCycles)
 	}
-	fmt.Println("\nThe same graph API expresses the paper's full 13-core autofocus")
-	fmt.Println("pipeline (kernels.FlowAutofocus) with scores bit-identical to the")
-	fmt.Println("hand-mapped implementation — synchronization generated, not written.")
+	fmt.Println("\nThe same graph API carries the paper's full 13-core autofocus")
+	fmt.Println("pipeline: kernels.ParAutofocus and ParAutofocusMulti build one graph")
+	fmt.Println("of 13 nodes per replica — synchronization generated, not written.")
 }

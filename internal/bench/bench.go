@@ -1,7 +1,8 @@
 // Package bench contains the experiment drivers behind cmd/benchtab and
-// the top-level benchmark suite: each function reruns one paper artifact
-// (Table I, Fig. 7, or one of the DESIGN.md ablations) and writes a
-// human-readable result table.
+// the top-level benchmark suite: each Run* function reruns one paper
+// artifact (Table I, Fig. 7, or one of the DESIGN.md ablations), and
+// Experiment runs one by its selector key and prints its human-readable
+// result table.
 //
 // Every Run* entry point takes a context.Context and checks it between
 // simulation units (machine runs, sweep points), so a sweep-engine
@@ -35,16 +36,6 @@ import (
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
 )
-
-// Table1 reruns the paper's Table I and the Sec. VI-A energy ratios.
-func Table1(ctx context.Context, w io.Writer, cfg report.Config) error {
-	t, err := report.RunTable1(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, t.String())
-	return err
-}
 
 // Fig7Result carries the quality metrics of the Fig. 7 comparison.
 type Fig7Result struct {
@@ -180,16 +171,6 @@ func RunScaling(ctx context.Context, cfg report.Config, coreCounts []int) ([]Sca
 	return out, nil
 }
 
-// Scaling runs RunScaling over 1..64 cores and prints the series.
-func Scaling(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunScaling(ctx, cfg, []int{1, 2, 4, 8, 16, 32, 64})
-	if err != nil {
-		return err
-	}
-	printScaling(w, points)
-	return nil
-}
-
 func printScaling(w io.Writer, points []ScalingPoint) {
 	fmt.Fprintf(w, "%6s %12s %9s\n", "cores", "time (ms)", "speedup")
 	for _, pt := range points {
@@ -237,16 +218,6 @@ func RunBandwidth(ctx context.Context, cfg report.Config, factors []float64) ([]
 	return out, nil
 }
 
-// Bandwidth runs RunBandwidth over a 16x range and prints the series.
-func Bandwidth(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunBandwidth(ctx, cfg, []float64{0.25, 0.5, 1, 2, 4})
-	if err != nil {
-		return err
-	}
-	printBandwidth(w, points)
-	return nil
-}
-
 func printBandwidth(w io.Writer, points []BandwidthPoint) {
 	fmt.Fprintf(w, "%14s %14s %14s\n", "bytes/cycle", "FFBP (ms)", "autofocus (ms)")
 	for _, pt := range points {
@@ -288,16 +259,6 @@ func RunPipelines(ctx context.Context, cfg report.Config, counts []int) ([]Pipel
 	return out, nil
 }
 
-// Pipelines runs RunPipelines over 1..4 replicas and prints the series.
-func Pipelines(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunPipelines(ctx, cfg, []int{1, 2, 3, 4})
-	if err != nil {
-		return err
-	}
-	printPipelines(w, points)
-	return nil
-}
-
 func printPipelines(w io.Writer, points []PipelinePoint) {
 	fmt.Fprintf(w, "%10s %12s %9s\n", "pipelines", "time (ms)", "speedup")
 	for _, pt := range points {
@@ -331,16 +292,6 @@ func RunGBPvsFFBP(ctx context.Context, cfg report.Config) (float64, float64, err
 	return cpuG.Seconds(), cpuF.Seconds(), nil
 }
 
-// GBPvsFFBP runs RunGBPvsFFBP and prints the comparison.
-func GBPvsFFBP(ctx context.Context, w io.Writer, cfg report.Config) error {
-	g, f, err := RunGBPvsFFBP(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	printGBPvsFFBP(w, g, f)
-	return nil
-}
-
 func printGBPvsFFBP(w io.Writer, g, f float64) {
 	fmt.Fprintf(w, "GBP  (exact):      %10.1f ms\n", g*1e3)
 	fmt.Fprintf(w, "FFBP (factorized): %10.1f ms  -> %.1fx faster\n", f*1e3, g/f)
@@ -358,15 +309,26 @@ type BasePoint struct {
 // RunBases compares factorization bases (with nearest-neighbour
 // interpolation, the paper's choice): higher bases do fewer merge levels,
 // so the simplified interpolation's noise accumulates less — at the price
-// of more child lookups per level. Requires cfg.Params.NumPulses to be a
-// power of every base given.
+// of more child lookups per level. cfg.Params.NumPulses must be a power
+// of every base given; that is checked before any simulation runs.
 func RunBases(ctx context.Context, cfg report.Config, bases []int) ([]BasePoint, error) {
+	levels := make([]int, len(bases))
+	for i, k := range bases {
+		n := cfg.Params.NumPulses
+		for k >= 2 && n > 1 && n%k == 0 {
+			n /= k
+			levels[i]++
+		}
+		if k < 2 || n != 1 {
+			return nil, fmt.Errorf("bench: base %d: %d pulses is not a power of %d", k, cfg.Params.NumPulses, k)
+		}
+	}
 	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
 	full := geom.Aperture{Center: 0, Length: cfg.Params.ApertureLength()}
 	grid := cfg.Box.GridFor(full, cfg.Params.NumPulses, cfg.Params.NumBins, cfg.Params.R0, cfg.Params.DR)
 	ref := quality.Mag(gbp.Image(data, cfg.Params, grid, gbp.Config{Interp: interp.Linear}))
 	var out []BasePoint
-	for _, k := range bases {
+	for i, k := range bases {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -377,28 +339,14 @@ func RunBases(ctx context.Context, cfg report.Config, bases []int) ([]BasePoint,
 		}
 		ms := float64(time.Since(start).Milliseconds())
 		m := quality.Mag(img)
-		levels := 0
-		for n := cfg.Params.NumPulses; n > 1; n /= k {
-			levels++
-		}
 		out = append(out, BasePoint{
-			Base: k, Levels: levels,
+			Base: k, Levels: levels[i],
 			Sharpness: quality.Sharpness(m),
 			GBPCorr:   quality.NormCorr(ref, m),
 			HostMS:    ms,
 		})
 	}
 	return out, nil
-}
-
-// Bases runs RunBases over bases 2 and 4 and prints the series.
-func Bases(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunBases(ctx, cfg, []int{2, 4})
-	if err != nil {
-		return err
-	}
-	printBases(w, points)
-	return nil
 }
 
 func printBases(w io.Writer, points []BasePoint) {
@@ -492,16 +440,6 @@ func RunMotivation(ctx context.Context, cfg report.Config) (MotivationResult, er
 	}, nil
 }
 
-// Motivation runs RunMotivation and prints the comparison.
-func Motivation(ctx context.Context, w io.Writer, cfg report.Config) error {
-	r, err := RunMotivation(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	printMotivation(w, r)
-	return nil
-}
-
 func printMotivation(w io.Writer, r MotivationResult) {
 	fmt.Fprintf(w, "coherent gain kept under a non-linear flight path:\n")
 	fmt.Fprintf(w, "  RDA (straight-track reference):   %5.2f\n", r.RDAKept)
@@ -587,31 +525,11 @@ func RunUpsample(ctx context.Context, cfg report.Config, factors []int) ([]Upsam
 	return out, nil
 }
 
-// Upsample runs RunUpsample over factors 1, 2, 4 and prints the series.
-func Upsample(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunUpsample(ctx, cfg, []int{1, 2, 4})
-	if err != nil {
-		return err
-	}
-	printUpsample(w, points)
-	return nil
-}
-
 func printUpsample(w io.Writer, points []UpsamplePoint) {
 	fmt.Fprintf(w, "%8s %12s %12s\n", "factor", "sharpness", "peak gain")
 	for _, pt := range points {
 		fmt.Fprintf(w, "%8d %12.1f %12.2f\n", pt.Factor, pt.Sharpness, pt.PeakGain)
 	}
-}
-
-// Interp runs RunInterp and prints the series.
-func Interp(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunInterp(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	printInterp(w, points)
-	return nil
 }
 
 func printInterp(w io.Writer, points []InterpPoint) {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,16 +11,6 @@ import (
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
 )
-
-func TestTable1Writes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table1(context.Background(), &buf, report.Small()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "FFBP Implementations") {
-		t.Errorf("output missing table header: %q", buf.String())
-	}
-}
 
 func TestRunFigure7Relations(t *testing.T) {
 	res, imgs, err := RunFigure7(context.Background(), report.Small())
@@ -174,6 +165,18 @@ func TestRunBases(t *testing.T) {
 	}
 }
 
+func TestBasesRejectsNonPowerBeforeSimulating(t *testing.T) {
+	// The small config's 128 pulses are not a power of 4. The context is
+	// already cancelled, so an experiment that simulated first would stop
+	// at its first context check with context.Canceled instead.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Compute(ctx, "base", report.Small(), "")
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "base 4") {
+		t.Fatalf("err %v, want the base-4 power check", err)
+	}
+}
+
 func TestRunMotivationShape(t *testing.T) {
 	cfg := report.Small()
 	cfg.Params.NumPulses = 256
@@ -197,40 +200,22 @@ func TestRunMotivationShape(t *testing.T) {
 }
 
 func TestTextDrivers(t *testing.T) {
-	cfg := report.Small()
-	var buf bytes.Buffer
-	if err := Scaling(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cores") {
-		t.Error("Scaling output missing header")
-	}
-	buf.Reset()
-	if err := Bandwidth(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "bytes/cycle") {
-		t.Error("Bandwidth output missing header")
-	}
-	buf.Reset()
-	if err := Interp(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "kernel") {
-		t.Error("Interp output missing header")
-	}
-	buf.Reset()
-	if err := Pipelines(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pipelines") {
-		t.Error("Pipelines output missing header")
-	}
-	buf.Reset()
-	if err := GBPvsFFBP(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "faster") {
-		t.Error("GBPvsFFBP output missing comparison")
+	for _, tc := range []struct{ key, want string }{
+		{"t1", "FFBP Implementations"},
+		{"scaling", "cores"},
+		{"bw", "bytes/cycle"},
+		{"interp", "kernel"},
+		{"pipes", "pipelines"},
+		{"gbp", "faster"},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Experiment(context.Background(), tc.key, &buf, report.Small(), "", ""); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), tc.want) {
+				t.Errorf("output missing %q: %q", tc.want, buf.String())
+			}
+		})
 	}
 }

@@ -184,13 +184,3 @@ func printKernels(w io.Writer, res KernelsResult) {
 			m.FusedPixelsPerSec/1e6, m.Speedup, m.BitIdentical)
 	}
 }
-
-// Kernels runs RunKernels and prints the throughput table.
-func Kernels(ctx context.Context, w io.Writer, cfg report.Config) error {
-	res, err := RunKernels(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	printKernels(w, res)
-	return nil
-}

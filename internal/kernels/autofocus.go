@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"errors"
 	"fmt"
 
 	"sarmany/internal/autofocus"
 	"sarmany/internal/emu"
+	"sarmany/internal/flow"
 	"sarmany/internal/machine"
 	"sarmany/internal/mat"
 )
@@ -131,180 +133,145 @@ func SeqAutofocus(m machine.Machine, mem machine.Alloc, pairs []BlockPair, shift
 	return scores, nil
 }
 
-// afPipeline wires one 13-core streaming pipeline (paper Fig. 9) on the
-// 13 cores listed in cores (role r runs on cores[r]): range interpolators
-// 0-2 (minus block) and 6-8 (plus block), beam interpolators 3-5 and
-// 9-11, correlation core 12. The fault-free placement is contiguous
-// ascending IDs; under a fault plan, halted entries are replaced by
-// Chip.RemapPlacement before the pipeline is wired.
-type afPipeline struct {
-	cores     []int // role -> core ID, 13 entries
-	pairLo    int   // global index of the pipeline's first pair
-	pairs     []BlockPair
-	shifts    []autofocus.Shift
-	buf       *machine.BufC
-	scores    [][]float64 // rows pairLo.. filled by the correlation core
-	fwdM      []*emu.Link
-	fwdP      []*emu.Link
-	r2b       [6]*emu.Link
-	b2c       [6]*emu.Link
-	resultBuf *machine.BufF
+// afReplica is one copy of the 13-core pipeline as flow processes, scoring
+// pairs (global indices lo..). Block blk (0 minus, 1 plus) is interpolated
+// under shifts[blk]; shifts[0] is all zero, because the minus block is
+// always interpolated at the nominal compensation.
+type afReplica struct {
+	buf    *machine.BufC // packed input pairs of the whole stream
+	lo     int
+	pairs  []BlockPair
+	shifts [2][]autofocus.Shift
+	scores [][]float64
+	res    *machine.BufF
 }
 
-// Pipeline-local core roles.
-const (
-	roleRangeMinus0 = 0
-	roleBeamMinus0  = 3
-	roleRangePlus0  = 6
-	roleBeamPlus0   = 9
-	roleCorr        = 12
-)
-
-func newAFPipeline(ch *emu.Chip, cores []int, pairLo int, pairs []BlockPair, shifts []autofocus.Shift,
-	buf *machine.BufC, scores [][]float64) (*afPipeline, error) {
-	pl := &afPipeline{
-		cores: cores, pairLo: pairLo, pairs: pairs, shifts: shifts,
-		buf: buf, scores: scores,
+// addTo adds the replica's 13 nodes to g in slot order (range 0-2 and
+// beam 3-5 for the minus block, 6-11 for the plus block, correlation 12),
+// then its 16 edges: the block-forwarding chains, then per window
+// range->beam and beam->correlation. The edge order is the order of
+// Chip.LinkStats.
+func (r *afReplica) addTo(g *flow.Graph, id int) error {
+	name := func(stage string, blk, w int) string {
+		return fmt.Sprintf("af%d.%s-%s-%d", id, stage, [2]string{"minus", "plus"}[blk], w)
 	}
-	pl.fwdM = []*emu.Link{ch.Connect(cores[0], cores[1], 2), ch.Connect(cores[1], cores[2], 2)}
-	pl.fwdP = []*emu.Link{ch.Connect(cores[6], cores[7], 2), ch.Connect(cores[7], cores[8], 2)}
-	for w := 0; w < 3; w++ {
-		pl.r2b[w] = ch.Connect(cores[roleRangeMinus0+w], cores[roleBeamMinus0+w], 4)
-		pl.r2b[3+w] = ch.Connect(cores[roleRangePlus0+w], cores[roleBeamPlus0+w], 4)
-		pl.b2c[w] = ch.Connect(cores[roleBeamMinus0+w], cores[roleCorr], 4)
-		pl.b2c[3+w] = ch.Connect(cores[roleBeamPlus0+w], cores[roleCorr], 4)
+	corr := fmt.Sprintf("af%d.corr", id)
+	var errs []error
+	for blk := 0; blk < 2; blk++ {
+		for w := 0; w < interpN; w++ {
+			errs = append(errs, g.Node(name("range", blk, w), r.rangeProc(blk, w)))
+		}
+		for w := 0; w < interpN; w++ {
+			errs = append(errs, g.Node(name("beam", blk, w), r.beamProc(blk)))
+		}
 	}
-	var err error
-	pl.resultBuf, err = machine.NewBufF(ch.Ext(), max(1, len(pairs)*len(shifts)))
-	return pl, err
+	errs = append(errs, g.Node(corr, r.corrProc))
+	for blk := 0; blk < 2; blk++ {
+		for w := 0; w < interpN-1; w++ {
+			errs = append(errs, g.Connect(name("range", blk, w), "fwd", name("range", blk, w+1), "blk", 2))
+		}
+	}
+	for w := 0; w < interpN; w++ {
+		for blk := 0; blk < 2; blk++ {
+			errs = append(errs, g.Connect(name("range", blk, w), "rng", name("beam", blk, w), "rng", 4))
+		}
+		for blk := 0; blk < 2; blk++ {
+			errs = append(errs, g.Connect(name("beam", blk, w), "beam", corr, fmt.Sprint(blk*interpN+w), 4))
+		}
+	}
+	return errors.Join(errs...)
 }
 
-// run executes the pipeline role of core c (pipeline-local id role).
-func (pl *afPipeline) run(c *emu.Core, role int) {
-	switch {
-	case role == roleRangeMinus0 || role == roleRangePlus0:
-		isMinus := role == roleRangeMinus0
-		blockSel := 0
-		fwd := pl.fwdM[0]
-		link := pl.r2b[0]
-		if !isMinus {
-			blockSel = 1
-			fwd = pl.fwdP[0]
-			link = pl.r2b[3]
-		}
-		local, err := machine.NewBufC(c.Bank(2), blockPx)
-		if err != nil {
-			panic(err)
-		}
-		for i := range pl.pairs {
-			d := c.DMACopyC(local, 0, pl.buf, (2*(pl.pairLo+i)+blockSel)*blockPx, blockPx)
-			c.DMAWait(d)
-			fwd.Send(c, local.Data)
-			blk := loadBlock(c, local, 0)
-			pl.rangeCoreWork(c, &blk, 0, isMinus, link)
-		}
-	case role == roleRangeMinus0+1 || role == roleRangeMinus0+2 ||
-		role == roleRangePlus0+1 || role == roleRangePlus0+2:
-		isMinus := role < roleRangePlus0
-		var in, out *emu.Link
-		var w int
-		if isMinus {
-			w = role - roleRangeMinus0
-			in = pl.fwdM[w-1]
-			if w == 1 {
-				out = pl.fwdM[1]
+// rangeProc is range interpolator w of block blk: per shift, it
+// interpolates the 4-column window starting at column w across all six
+// rows. The chain head (w == 0) DMAs each block from external memory;
+// every core but the last forwards the block down the chain.
+func (r *afReplica) rangeProc(blk, w int) flow.Proc {
+	return func(c *flow.Ctx) {
+		var local *machine.BufC
+		var in *flow.InPort
+		var fwd *flow.OutPort
+		if w == 0 {
+			var err error
+			if local, err = machine.NewBufC(c.Core.Bank(2), blockPx); err != nil {
+				panic(err)
 			}
 		} else {
-			w = role - roleRangePlus0
-			in = pl.fwdP[w-1]
-			if w == 1 {
-				out = pl.fwdP[1]
-			}
+			in = c.In("blk")
 		}
-		link := pl.r2b[w]
-		if !isMinus {
-			link = pl.r2b[3+w]
+		if w < interpN-1 {
+			fwd = c.Out("fwd")
 		}
-		for range pl.pairs {
-			vals := in.Recv(c)
-			if out != nil {
-				out.Send(c, vals)
-			}
-			var blk autofocus.Block
-			for r := 0; r < autofocus.BlockSize; r++ {
-				copy(blk[r][:], vals[r*autofocus.BlockSize:(r+1)*autofocus.BlockSize])
-			}
-			pl.rangeCoreWork(c, &blk, w, isMinus, link)
-		}
-	case (role >= roleBeamMinus0 && role < roleBeamMinus0+3) ||
-		(role >= roleBeamPlus0 && role < roleBeamPlus0+3):
-		isMinus := role < roleBeamPlus0
-		w := role - roleBeamMinus0
-		if !isMinus {
-			w = role - roleBeamPlus0
-		}
-		var in, out *emu.Link
-		if isMinus {
-			in, out = pl.r2b[w], pl.b2c[w]
-		} else {
-			in, out = pl.r2b[3+w], pl.b2c[3+w]
-		}
-		for range pl.pairs {
-			for si := range pl.shifts {
-				vals := in.Recv(c)
-				s := autofocus.Shift{}
-				if !isMinus {
-					s = pl.shifts[si]
+		out := c.Out("rng")
+		for i := range r.pairs {
+			var b []complex64
+			if w == 0 {
+				c.Core.DMAWait(c.Core.DMACopyC(local, 0, r.buf, (2*(r.lo+i)+blk)*blockPx, blockPx))
+				fwd.Send(local.Data)
+				loadBlock(c.Core, local, 0) // charge reading the block from local memory
+				b = local.Data
+			} else {
+				b = in.Recv()
+				if fwd != nil {
+					fwd.Send(b)
 				}
-				var col [3]complex64
-				for i := 0; i < interpN; i++ {
+			}
+			for _, s := range r.shifts[blk] {
+				var vals [autofocus.BlockSize]complex64
+				for row := range vals {
+					c.Core.FMA(1)
+					off := s.DRange + s.Tilt*float64(row)
+					var taps [4]complex64
+					copy(taps[:], b[row*autofocus.BlockSize+w:])
+					c.Core.IOp(2)
+					vals[row] = neville4(c.Core, taps, float32(1.5+off))
+				}
+				out.Send(vals[:])
+			}
+		}
+	}
+}
+
+// beamProc is a beam interpolator of block blk: it turns each column of
+// range-interpolated values into three beam-interpolated ones.
+func (r *afReplica) beamProc(blk int) flow.Proc {
+	return func(c *flow.Ctx) {
+		in, out := c.In("rng"), c.Out("beam")
+		for range r.pairs {
+			for _, s := range r.shifts[blk] {
+				vals := in.Recv()
+				var col [interpN]complex64
+				for i := range col {
 					taps := [4]complex64{vals[i], vals[i+1], vals[i+2], vals[i+3]}
-					c.IOp(2)
-					col[i] = neville4(c, taps, float32(1.5+s.DBeam))
+					c.Core.IOp(2)
+					col[i] = neville4(c.Core, taps, float32(1.5+s.DBeam))
 				}
-				out.Send(c, col[:])
-			}
-		}
-	case role == roleCorr:
-		for i := range pl.pairs {
-			for si := range pl.shifts {
-				var a, b autofocus.Interpolated
-				for w := 0; w < 3; w++ {
-					av := pl.b2c[w].Recv(c)
-					bv := pl.b2c[3+w].Recv(c)
-					for r := 0; r < interpN; r++ {
-						a[r][w] = av[r]
-						b[r][w] = bv[r]
-					}
-				}
-				sum := correlate(c, &a, &b)
-				pl.scores[pl.pairLo+i][si] = sum
-				pl.resultBuf.Store(c, i*len(pl.shifts)+si, float32(sum))
+				out.Send(col[:])
 			}
 		}
 	}
 }
 
-// rangeCoreWork runs one range core's per-pair inner loop: for every
-// candidate shift, interpolate the core's 4-column window across all six
-// rows and stream the six results to the paired beam interpolator. Minus-
-// block cores always interpolate at the nominal (zero) compensation;
-// plus-block cores apply the candidate.
-func (pl *afPipeline) rangeCoreWork(c *emu.Core, blk *autofocus.Block, w int, isMinus bool, out *emu.Link) {
-	for _, s := range pl.shifts {
-		if isMinus {
-			s = autofocus.Shift{}
+// corrProc is the correlation node: it assembles both interpolated
+// subimages from input ports blk*3+w and stores each criterion.
+func (r *afReplica) corrProc(c *flow.Ctx) {
+	var ins [2 * interpN]*flow.InPort
+	for k := range ins {
+		ins[k] = c.In(fmt.Sprint(k))
+	}
+	for i := range r.pairs {
+		for si := range r.shifts[1] {
+			var a, b autofocus.Interpolated
+			for w := 0; w < interpN; w++ {
+				av, bv := ins[w].Recv(), ins[interpN+w].Recv()
+				for row := 0; row < interpN; row++ {
+					a[row][w], b[row][w] = av[row], bv[row]
+				}
+			}
+			sum := correlate(c.Core, &a, &b)
+			r.scores[r.lo+i][si] = sum
+			r.res.Store(c.Core, i*len(r.shifts[1])+si, float32(sum))
 		}
-		var vals [autofocus.BlockSize]complex64
-		for r := 0; r < autofocus.BlockSize; r++ {
-			c.FMA(1)
-			off := s.DRange + s.Tilt*float64(r)
-			var taps [4]complex64
-			copy(taps[:], blk[r][w:w+4])
-			c.IOp(2)
-			vals[r] = neville4(c, taps, float32(1.5+off))
-		}
-		out.Send(c, vals[:])
 	}
 }
 
@@ -328,6 +295,8 @@ func ParAutofocus(ch *emu.Chip, pairs []BlockPair, shifts []autofocus.Shift) ([]
 // conclusions mention), splitting the block-pair stream across replicas.
 // Unlike FFBP, the pipeline's traffic stays on-chip, so throughput scales
 // with replicas until the input stream saturates the off-chip channel.
+// All replicas form one flow.Graph whose node i runs on core i, or on the
+// nearest free live core when a fault plan halted core i.
 func ParAutofocusMulti(ch *emu.Chip, n int, pairs []BlockPair, shifts []autofocus.Shift) ([][]float64, error) {
 	if len(pairs) == 0 || len(shifts) == 0 {
 		return nil, fmt.Errorf("kernels: autofocus needs at least one pair and one shift")
@@ -335,20 +304,8 @@ func ParAutofocusMulti(ch *emu.Chip, n int, pairs []BlockPair, shifts []autofocu
 	if n < 1 {
 		return nil, fmt.Errorf("kernels: need at least one pipeline")
 	}
-	need := n * PipelineCores
-	if len(ch.Cores) < need {
+	if need := n * PipelineCores; len(ch.Cores) < need {
 		return nil, fmt.Errorf("kernels: %d pipelines need %d cores, chip has %d", n, need, len(ch.Cores))
-	}
-	// The fault-free placement puts pipeline slot s on core s; a fault
-	// plan with halted cores moves those slots to the nearest free live
-	// cores, keeping every slot on its own core (the pipeline is MPMD).
-	place := make([]int, need)
-	for i := range place {
-		place[i] = i
-	}
-	place, err := ch.RemapPlacement(place)
-	if err != nil {
-		return nil, fmt.Errorf("kernels: autofocus cannot degrade: %w", err)
 	}
 	buf, err := packPairs(ch.Ext(), pairs)
 	if err != nil {
@@ -358,29 +315,19 @@ func ParAutofocusMulti(ch *emu.Chip, n int, pairs []BlockPair, shifts []autofocu
 	for i := range scores {
 		scores[i] = make([]float64, len(shifts))
 	}
-	slices := mat.Partition(len(pairs), n)
-	pls := make([]*afPipeline, n)
-	for p := 0; p < n; p++ {
-		pls[p], err = newAFPipeline(ch, place[p*PipelineCores:(p+1)*PipelineCores], slices[p].Lo,
-			pairs[slices[p].Lo:slices[p].Hi], shifts, buf, scores)
-		if err != nil {
+	blockShifts := [2][]autofocus.Shift{make([]autofocus.Shift, len(shifts)), shifts}
+	g := flow.NewGraph()
+	for p, sl := range mat.Partition(len(pairs), n) {
+		r := &afReplica{buf: buf, lo: sl.Lo, pairs: pairs[sl.Lo:sl.Hi], shifts: blockShifts, scores: scores}
+		if r.res, err = machine.NewBufF(ch.Ext(), max(1, len(r.pairs)*len(shifts))); err != nil {
+			return nil, err
+		}
+		if err := r.addTo(g, p); err != nil {
 			return nil, err
 		}
 	}
-	slotOf := make(map[int]int, need)
-	maxCore := 0
-	for s, core := range place {
-		slotOf[core] = s
-		if core > maxCore {
-			maxCore = core
-		}
+	if err := g.Run(ch, nil); err != nil {
+		return nil, fmt.Errorf("kernels: autofocus: %w", err)
 	}
-	ch.Run(maxCore+1, func(c *emu.Core) {
-		s, ok := slotOf[c.ID]
-		if !ok {
-			return // core hosts no pipeline slot (freed by a remap)
-		}
-		pls[s/PipelineCores].run(c, s%PipelineCores)
-	})
 	return scores, nil
 }
