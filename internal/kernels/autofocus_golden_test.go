@@ -81,3 +81,49 @@ func TestParAutofocusGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestFlowAutofocusValidation checks that the flow-built pipeline rejects
+// inputs it cannot map before any node runs: a rejected graph leaves the
+// chip's clock at zero.
+func TestFlowAutofocusValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      emu.Params
+		pairs  []BlockPair
+		shifts []autofocus.Shift
+	}{
+		{"too-small-chip", emu.E16G3().WithMesh(2, 2), testPairs(1), autofocus.RangeSweep(-1, 1, 3)},
+		{"empty-pairs", emu.E16G3(), nil, autofocus.RangeSweep(-1, 1, 3)},
+		{"empty-shifts", emu.E16G3(), testPairs(1), nil},
+	} {
+		ch := emu.New(tc.p)
+		if _, err := ParAutofocus(ch, tc.pairs, tc.shifts); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if got := ch.MaxCycles(); got != 0 {
+			t.Errorf("%s: rejected graph ran for %v cycles", tc.name, got)
+		}
+	}
+}
+
+// TestFlowAutofocusDeterministic reruns the flow-built pipeline and checks
+// that scores, finish time, core statistics and link occupancy all repeat
+// exactly.
+func TestFlowAutofocusDeterministic(t *testing.T) {
+	pairs := testPairs(3)
+	shifts := autofocus.RangeSweep(-1, 1, 5)
+	run := func() string {
+		ch := emu.New(emu.E16G3())
+		scores, err := ParAutofocus(ch, pairs, shifts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v|%v|%+v|%+v", scores, ch.MaxCycles(), ch.TotalStats(), ch.LinkStats())
+	}
+	first := run()
+	for i := 0; i < 5; i++ {
+		if got := run(); got != first {
+			t.Fatalf("run %d differs:\n got %s\nfirst %s", i, got, first)
+		}
+	}
+}
