@@ -120,45 +120,22 @@ servesmoke:
 tracesmoke:
 	./scripts/tracesmoke.sh
 
-# benchdiff gates the envelopes recorded by sweepbench/profbench against
-# the committed baselines. Modeled simulator output (cycles, span and
-# segment counts, job counts) must stay within the tolerance; wall-clock
-# and host-shape fields legitimately vary between machines and are
-# advisory — printed when they move, never a failure.
-BENCHDIFF_ADVISORY := data.seconds*,data.speedup,data.*_per_sec,data.host_cpus,data.analyze_seconds
-
-# The serve envelope additionally treats wall-clock latency quantiles
-# as advisory; its job accounting (completed/executed/cache-hit counts
-# and ratios) is deterministic and gates.
-SERVEDIFF_ADVISORY := $(BENCHDIFF_ADVISORY),data.*p50_seconds,data.*p99_seconds,data.*jobs_per_sec
-
-# The kernels envelope is wall-clock throughput end to end, so every
-# seconds/speedup leaf (including the nested per-merge-stage ones) is
-# advisory; its deterministic leaves — gbp_equiv_ok, bit_identical and
-# the shape counts — gate.
-KERNELDIFF_ADVISORY := $(BENCHDIFF_ADVISORY),data.*seconds*,data.*speedup*
-
+# benchdiff gates every envelope the *bench targets recorded in out/
+# against its committed BENCH_*.json baseline. Modeled simulator output
+# (cycles, span and segment counts, job counts) must stay within the
+# tolerance; the leaves bench.Advisory lists for the envelope —
+# wall-clock and host shape, which legitimately vary between machines —
+# are advisory: printed when they move, never a failure.
 benchdiff:
-	$(GO) run ./scripts/benchdiff.go -tol 0.02 -advisory '$(BENCHDIFF_ADVISORY)' \
-		BENCH_sweep.json out/BENCH_sweep.json
-	$(GO) run ./scripts/benchdiff.go -tol 0.02 -advisory '$(BENCHDIFF_ADVISORY)' \
-		BENCH_profile.json out/BENCH_profile.json
-	$(GO) run ./scripts/benchdiff.go -tol 0.02 -advisory '$(SERVEDIFF_ADVISORY)' \
-		BENCH_serve.json out/BENCH_serve.json
-	$(GO) run ./scripts/benchdiff.go -tol 0.02 -advisory '$(KERNELDIFF_ADVISORY)' \
-		BENCH_kernels.json out/BENCH_kernels.json
-	$(GO) run ./scripts/benchdiff.go -tol 0.02 -advisory '$(BENCHDIFF_ADVISORY)' \
-		BENCH_scale.json out/BENCH_scale.json
+	for f in BENCH_*.json; do \
+		$(GO) run ./scripts/benchdiff.go -tol 0.02 $$f out/$$f || exit 1; \
+	done
 
 # baseline refreshes the committed envelopes from freshly recorded runs.
 # Use after an intentional change to modeled results, then commit the
 # updated BENCH_*.json files.
 baseline: sweepbench profbench servebench kernelbench scalebench
-	cp out/BENCH_sweep.json BENCH_sweep.json
-	cp out/BENCH_profile.json BENCH_profile.json
-	cp out/BENCH_serve.json BENCH_serve.json
-	cp out/BENCH_kernels.json BENCH_kernels.json
-	cp out/BENCH_scale.json BENCH_scale.json
+	for f in BENCH_*.json; do cp out/$$f $$f || exit 1; done
 
 # docscheck fails when any package (cmd/ binaries included) lacks a doc
 # comment, or when the serving layer exports an undocumented identifier.
@@ -168,7 +145,10 @@ docscheck:
 # ledgersmoke is the determinism contract of the run ledger end to end:
 # two identical epirun invocations must record manifests whose every
 # cycle and energy leaf agrees exactly (sarlog diff -gate exits 0), with
-# the advisory id/start rows proving the delta table was not empty.
+# the advisory id/start rows proving the delta table was not empty. Two
+# identical benchtab kernels runs must pass the same gate: their
+# envelope is wall-clock throughput, and only the leaves bench.Advisory
+# lists for it may move.
 ledgersmoke:
 	rm -rf out/ledgersmoke
 	$(GO) run ./cmd/epirun -kernel ffbp-par -small -ledger out/ledgersmoke
@@ -179,6 +159,9 @@ ledgersmoke:
 		{ echo "ledgersmoke: delta table empty"; exit 1; }
 	@grep -q ' 0 regressions' out/ledgersmoke.diff || \
 		{ echo "ledgersmoke: non-advisory divergence between identical runs"; exit 1; }
+	$(GO) run ./cmd/benchtab -exp kernels -small -ledger out/ledgersmoke
+	$(GO) run ./cmd/benchtab -exp kernels -small -ledger out/ledgersmoke
+	$(GO) run ./cmd/sarlog diff -dir out/ledgersmoke -gate @-2 @-1
 
 clean:
 	rm -rf out

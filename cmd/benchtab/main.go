@@ -25,6 +25,8 @@
 //	benchtab -exp all -timeout 10m   # bound each experiment's run time
 //	benchtab -exp all -metrics m.json          # sweep progress counters
 //
+// benchtab -h lists every -exp key.
+//
 // With -json, each experiment additionally writes a machine-readable
 // BENCH_<name>.json envelope into -jsondir (default "."). Cached and
 // fresh runs write byte-identical envelopes.
@@ -35,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"sarmany/internal/bench"
@@ -45,25 +48,8 @@ import (
 	"sarmany/internal/telemetry"
 )
 
-// experiments maps -exp keys to display titles, in -exp all order.
-var experiments = []struct{ key, title string }{
-	{"t1", "Table I"},
-	{"fig7", "Figure 7"},
-	{"scaling", "Core scaling"},
-	{"bw", "Bandwidth sweep"},
-	{"interp", "Interpolation ablation"},
-	{"pipes", "Pipeline replication"},
-	{"gbp", "GBP vs FFBP"},
-	{"base", "Factorization base"},
-	{"rda", "Frequency vs time domain"},
-	{"upsample", "Range oversampling"},
-	{"chaos", "Fault-severity degradation"},
-	{"kernels", "Fused kernel throughput"},
-	{"scale", "Manycore scale-up sweep"},
-}
-
 func main() {
-	exp := flag.String("exp", "t1", "experiment: t1, fig7, scaling, bw, interp, pipes, gbp, base, rda, upsample, chaos, kernels, scale, all")
+	exp := flag.String("exp", "t1", "experiment: "+strings.Join(bench.Keys(), ", ")+", all")
 	small := flag.Bool("small", false, "run at reduced scale")
 	out := flag.String("out", "out", "output directory for images")
 	jsonOut := flag.Bool("json", false, "also write machine-readable BENCH_<name>.json results")
@@ -84,23 +70,19 @@ func main() {
 		cfg = report.Small()
 	}
 
-	selected := experiments
+	keys := bench.Keys()
 	if *exp != "all" {
-		selected = nil
-		for _, e := range experiments {
-			if e.key == *exp {
-				selected = []struct{ key, title string }{e}
-			}
-		}
-		if selected == nil {
+		if _, ok := bench.Title(*exp); !ok {
 			lg.Error("unknown experiment", "exp", *exp)
 			os.Exit(2)
 		}
+		keys = []string{*exp}
 	}
 
-	sweepJobs := make([]sweep.Job, len(selected))
-	for i, e := range selected {
-		sweepJobs[i] = sweep.Job{Name: e.title, Exp: e.key, Config: cfg}
+	sweepJobs := make([]sweep.Job, len(keys))
+	for i, key := range keys {
+		title, _ := bench.Title(key)
+		sweepJobs[i] = sweep.Job{Name: title, Exp: key, Config: cfg}
 	}
 
 	reg := obs.NewRegistry()

@@ -51,23 +51,10 @@ type Fig7Result struct {
 	IntelEpiphanyCorr float64 `json:"intel_epiphany_corr"`
 }
 
-// Figure7 regenerates the paper's Fig. 7 image set into dir: (a) the
+// saveFig7 writes the paper's Fig. 7 image set into dir: (a) the
 // pulse-compressed raw data, (b) the GBP image, (c) the FFBP image from
 // the Intel-reference implementation, and (d) the FFBP image from the
-// parallel Epiphany implementation, plus quality metrics.
-func Figure7(ctx context.Context, w io.Writer, cfg report.Config, dir string) (err error) {
-	res, imgs, err := RunFigure7(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	if err := saveFig7(imgs, dir); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", dir)
-	printFig7(w, res)
-	return nil
-}
-
+// parallel Epiphany implementation.
 func saveFig7(imgs [4]*mat.C, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -292,9 +279,9 @@ func RunGBPvsFFBP(ctx context.Context, cfg report.Config) (float64, float64, err
 	return cpuG.Seconds(), cpuF.Seconds(), nil
 }
 
-func printGBPvsFFBP(w io.Writer, g, f float64) {
-	fmt.Fprintf(w, "GBP  (exact):      %10.1f ms\n", g*1e3)
-	fmt.Fprintf(w, "FFBP (factorized): %10.1f ms  -> %.1fx faster\n", f*1e3, g/f)
+func printGBPvsFFBP(w io.Writer, r GBPFFBPResult) {
+	fmt.Fprintf(w, "GBP  (exact):      %10.1f ms\n", r.GBPSeconds*1e3)
+	fmt.Fprintf(w, "FFBP (factorized): %10.1f ms  -> %.1fx faster\n", r.FFBPSeconds*1e3, r.Speedup)
 }
 
 // BasePoint is one factorization-base measurement.

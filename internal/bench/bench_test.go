@@ -3,7 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,12 +42,17 @@ func TestRunFigure7Relations(t *testing.T) {
 func TestFigure7WritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := Figure7(context.Background(), &buf, report.Small(), dir); err != nil {
+	if err := Experiment(context.Background(), "fig7", &buf, report.Small(), "", dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sharpness", "correlation"} {
+	for _, want := range []string{"wrote " + dir, "sharpness", "correlation"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+	for _, name := range []string{"fig7a_raw.png", "fig7b_gbp.png", "fig7c_ffbp_intel.png", "fig7d_ffbp_epiphany.png"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("missing %s: %v", name, err)
 		}
 	}
 }
@@ -199,22 +208,73 @@ func TestRunMotivationShape(t *testing.T) {
 	}
 }
 
+// TestTextDrivers runs every experiment once at reduced scale (base on
+// the 256-pulse config TestRunBases uses, since 128 is not a power of
+// 4) and pins what the experiment table promises for each key: the
+// envelope's name, title and scale, a printed table, a replay from the
+// marshaled envelope that prints the same text, and a decoder that
+// restores the fresh run's data type.
 func TestTextDrivers(t *testing.T) {
-	for _, tc := range []struct{ key, want string }{
-		{"t1", "FFBP Implementations"},
-		{"scaling", "cores"},
-		{"bw", "bytes/cycle"},
-		{"interp", "kernel"},
-		{"pipes", "pipelines"},
-		{"gbp", "faster"},
+	base := report.Small()
+	base.Params.NumPulses = 256
+	base.Box = report.DefaultBox(base.Params)
+	for _, tc := range []struct {
+		key, name, title, want string
+		cfg                    report.Config
+		pulses, bins           int
+	}{
+		{"t1", "table1", "Table I and energy ratios", "FFBP Implementations", report.Small(), 128, 251},
+		{"fig7", "fig7", "Figure 7 quality metrics", "sharpness", report.Small(), 128, 251},
+		{"scaling", "scaling", "FFBP speedup vs core count", "cores", report.Small(), 128, 251},
+		{"bw", "bandwidth", "Off-chip bandwidth sweep", "bytes/cycle", report.Small(), 128, 251},
+		{"interp", "interp", "FFBP quality vs interpolation kernel", "kernel", report.Small(), 128, 251},
+		{"pipes", "pipelines", "Autofocus pipeline replication", "pipelines", report.Small(), 128, 251},
+		{"gbp", "gbp_vs_ffbp", "GBP vs FFBP complexity", "faster", report.Small(), 128, 251},
+		{"base", "bases", "Factorization base ablation", "levels", base, 256, 251},
+		{"rda", "motivation", "Frequency vs time domain", "coherent gain", report.Small(), 128, 251},
+		{"upsample", "upsample", "Range oversampling ablation", "peak gain", report.Small(), 128, 251},
+		{"chaos", "chaos", "Fault-severity degradation sweep", "severity", report.Small(), 128, 251},
+		{"kernels", "kernels", "Fused kernel throughput", "fused Mpx/s", report.Small(), 128, 251},
+		{"scale", "scale", "Manycore scale-up sweep", "conform", report.Small(), 1024, 251},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := Experiment(context.Background(), tc.key, &buf, report.Small(), "", ""); err != nil {
+			res, err := Compute(context.Background(), tc.key, tc.cfg, "")
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(buf.String(), tc.want) {
-				t.Errorf("output missing %q: %q", tc.want, buf.String())
+			if res.Name != tc.name || res.Title != tc.title || res.Pulses != tc.pulses || res.Bins != tc.bins {
+				t.Errorf("envelope %q %q %dx%d, want %q %q %dx%d",
+					res.Name, res.Title, res.Pulses, res.Bins, tc.name, tc.title, tc.pulses, tc.bins)
+			}
+			var fresh bytes.Buffer
+			if err := PrintResult(&fresh, res); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(fresh.String(), tc.want) {
+				t.Errorf("output missing %q: %q", tc.want, fresh.String())
+			}
+
+			b, err := Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rr RawResult
+			if err := json.Unmarshal(b, &rr); err != nil {
+				t.Fatal(err)
+			}
+			var replay bytes.Buffer
+			if err := PrintResult(&replay, Result{Name: rr.Name, Title: rr.Title, Data: rr.Data}); err != nil {
+				t.Fatal(err)
+			}
+			if replay.String() != fresh.String() {
+				t.Errorf("replay prints\n%s\nfresh run prints\n%s", replay.String(), fresh.String())
+			}
+			v, err := DecodeData(rr.Name, rr.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := reflect.TypeOf(v), reflect.TypeOf(res.Data); got != want {
+				t.Errorf("replay decodes to %v, fresh run holds %v", got, want)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ import (
 // written as BENCH_<name>.json next to the human-readable table. Data
 // holds the experiment's point slice or result struct (every point type
 // in this package carries JSON tags); after a round trip through
-// Marshal/ReadResult it is a json.RawMessage instead, which DecodeData
+// Marshal and RawResult it is a json.RawMessage instead, which DecodeData
 // turns back into the concrete type.
 type Result struct {
 	Name  string `json:"name"`
@@ -90,16 +90,6 @@ func WriteFileRaw(dir, name string, b []byte) (string, error) {
 	return path, nil
 }
 
-// ReadResult reads an envelope written by WriteFile.
-func ReadResult(path string) (RawResult, error) {
-	var r RawResult
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	return r, json.Unmarshal(b, &r)
-}
-
 // GBPFFBPResult is the JSON form of the GBP-vs-FFBP comparison.
 type GBPFFBPResult struct {
 	GBPSeconds  float64 `json:"gbp_seconds"`
@@ -107,10 +97,179 @@ type GBPFFBPResult struct {
 	Speedup     float64 `json:"speedup"`
 }
 
+// experiment is one row of the experiment table: everything Compute,
+// DecodeData, PrintResult, cmd/benchtab, serve admission and the
+// benchdiff gate know about one experiment.
+type experiment struct {
+	// key selects the experiment (benchtab -exp, serve's JobSpec.Exp);
+	// name names its envelope (BENCH_<name>.json). Both are public
+	// identifiers, so they stay two columns where they differ.
+	key, name, title string
+	// pulses and bins, when set, are the workload scale the experiment
+	// pins for itself (scale's 1024x251); the envelope records them
+	// instead of the config's.
+	pulses, bins int
+	// advisory lists path.Match patterns of the envelope's leaves that
+	// vary between runs and hosts (wall-clock, host shape): diffs report
+	// them but never gate on them.
+	advisory []string
+	// run computes the envelope data; imgDir receives any image files.
+	run    func(ctx context.Context, cfg report.Config, imgDir string) (any, error)
+	print  func(w io.Writer, data any) error
+	decode func(raw json.RawMessage) (any, error)
+}
+
+// row completes e with its run function and printer. The decoder is
+// derived from the run function's result type, so a replayed envelope
+// decodes to the same Go type a fresh run holds.
+func row[T any](e experiment, run func(context.Context, report.Config, string) (T, error), print func(io.Writer, T)) experiment {
+	e.run = func(ctx context.Context, cfg report.Config, imgDir string) (any, error) {
+		return run(ctx, cfg, imgDir)
+	}
+	e.print = func(w io.Writer, data any) error {
+		v, ok := data.(T)
+		if !ok {
+			return fmt.Errorf("print %s envelope: unhandled data type %T", e.name, data)
+		}
+		print(w, v)
+		return nil
+	}
+	e.decode = func(raw json.RawMessage) (any, error) {
+		var v T
+		err := json.Unmarshal(raw, &v)
+		return v, err
+	}
+	return e
+}
+
+// experiments is the experiment table, in the canonical "-exp all"
+// order.
+var experiments = []experiment{
+	row(experiment{key: "t1", name: "table1", title: "Table I and energy ratios"},
+		func(ctx context.Context, cfg report.Config, _ string) (*report.Table1, error) {
+			return report.RunTable1(ctx, cfg)
+		},
+		func(w io.Writer, t *report.Table1) { io.WriteString(w, t.String()) }),
+	row(experiment{key: "fig7", name: "fig7", title: "Figure 7 quality metrics"},
+		func(ctx context.Context, cfg report.Config, imgDir string) (Fig7Result, error) {
+			r, imgs, err := RunFigure7(ctx, cfg)
+			if err == nil && imgDir != "" {
+				err = saveFig7(imgs, imgDir)
+			}
+			return r, err
+		}, printFig7),
+	row(experiment{key: "scaling", name: "scaling", title: "FFBP speedup vs core count"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]ScalingPoint, error) {
+			return RunScaling(ctx, cfg, []int{1, 2, 4, 8, 16, 32, 64})
+		}, printScaling),
+	row(experiment{key: "bw", name: "bandwidth", title: "Off-chip bandwidth sweep"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]BandwidthPoint, error) {
+			return RunBandwidth(ctx, cfg, []float64{0.25, 0.5, 1, 2, 4})
+		}, printBandwidth),
+	row(experiment{key: "interp", name: "interp", title: "FFBP quality vs interpolation kernel"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]InterpPoint, error) {
+			return RunInterp(ctx, cfg)
+		}, printInterp),
+	row(experiment{key: "pipes", name: "pipelines", title: "Autofocus pipeline replication"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]PipelinePoint, error) {
+			return RunPipelines(ctx, cfg, []int{1, 2, 3, 4})
+		}, printPipelines),
+	row(experiment{key: "gbp", name: "gbp_vs_ffbp", title: "GBP vs FFBP complexity"},
+		func(ctx context.Context, cfg report.Config, _ string) (GBPFFBPResult, error) {
+			g, f, err := RunGBPvsFFBP(ctx, cfg)
+			return GBPFFBPResult{GBPSeconds: g, FFBPSeconds: f, Speedup: g / f}, err
+		}, printGBPvsFFBP),
+	// host_ms times the host FFBP per base; array paths read
+	// "data[i].host_ms", and path.Match would take a '[' in the pattern
+	// for a character class.
+	row(experiment{key: "base", name: "bases", title: "Factorization base ablation", advisory: []string{"data*.host_ms"}},
+		func(ctx context.Context, cfg report.Config, _ string) ([]BasePoint, error) {
+			return RunBases(ctx, cfg, []int{2, 4})
+		}, printBases),
+	row(experiment{key: "rda", name: "motivation", title: "Frequency vs time domain"},
+		func(ctx context.Context, cfg report.Config, _ string) (MotivationResult, error) {
+			return RunMotivation(ctx, cfg)
+		}, printMotivation),
+	row(experiment{key: "upsample", name: "upsample", title: "Range oversampling ablation"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]UpsamplePoint, error) {
+			return RunUpsample(ctx, cfg, []int{1, 2, 4})
+		}, printUpsample),
+	row(experiment{key: "chaos", name: "chaos", title: "Fault-severity degradation sweep"},
+		func(ctx context.Context, cfg report.Config, _ string) ([]ChaosPoint, error) {
+			return RunChaos(ctx, cfg, []float64{0, 0.25, 0.5, 1})
+		}, printChaos),
+	// The kernels envelope is wall-clock throughput end to end: every
+	// seconds, speedup and pixels/sec leaf, the per-merge-stage ones
+	// included, is advisory; gbp_equiv_ok, bit_identical and the shape
+	// counts gate.
+	row(experiment{key: "kernels", name: "kernels", title: "Fused kernel throughput",
+		advisory: []string{"data.*seconds*", "data.*speedup*", "data.*_per_sec"}},
+		func(ctx context.Context, cfg report.Config, _ string) (KernelsResult, error) {
+			return RunKernels(ctx, cfg)
+		}, printKernels),
+	row(experiment{key: "scale", name: "scale", title: "Manycore scale-up sweep", pulses: scalePulses, bins: scaleBins},
+		func(ctx context.Context, cfg report.Config, _ string) ([]ScalePoint, error) {
+			return RunScale(ctx, cfg)
+		}, printScale),
+}
+
+// recordedAdvisory holds the advisory patterns of the envelopes that
+// tests record (make sweepbench, profbench and servebench) and no
+// experiment computes. The serve envelope's latency quantiles and rates
+// are wall-clock; its job accounting (completed, executed and cache-hit
+// counts and ratios) gates.
+var recordedAdvisory = map[string][]string{
+	"sweep":   {"data.seconds*", "data.speedup", "data.*_per_sec", "data.host_cpus"},
+	"profile": {"data.analyze_seconds", "data.*_per_sec", "data.host_cpus"},
+	"serve":   {"data.*p50_seconds", "data.*p99_seconds", "data.*_per_sec", "data.host_cpus"},
+}
+
+func byKey(key string) *experiment {
+	for i := range experiments {
+		if experiments[i].key == key {
+			return &experiments[i]
+		}
+	}
+	return nil
+}
+
+func byName(name string) *experiment {
+	for i := range experiments {
+		if experiments[i].name == name {
+			return &experiments[i]
+		}
+	}
+	return nil
+}
+
 // Keys lists the experiment selector keys Compute accepts, in the
 // canonical "-exp all" order.
 func Keys() []string {
-	return []string{"t1", "fig7", "scaling", "bw", "interp", "pipes", "gbp", "base", "rda", "upsample", "chaos", "kernels", "scale"}
+	keys := make([]string, len(experiments))
+	for i, e := range experiments {
+		keys[i] = e.key
+	}
+	return keys
+}
+
+// Title returns the envelope title of the experiment selected by key,
+// and whether key selects an experiment at all.
+func Title(key string) (string, bool) {
+	if e := byKey(key); e != nil {
+		return e.title, true
+	}
+	return "", false
+}
+
+// Advisory returns the path.Match patterns (against dotted leaf paths,
+// e.g. "data.seconds_j1") of the named envelope's leaves that a diff
+// reports but never gates on. It returns nil for an unknown name, so
+// every leaf of an envelope no row describes gates.
+func Advisory(name string) []string {
+	if e := byName(name); e != nil {
+		return e.advisory
+	}
+	return recordedAdvisory[name]
 }
 
 // Compute runs the experiment selected by key (the cmd/benchtab -exp
@@ -130,147 +289,35 @@ func Compute(ctx context.Context, key string, cfg report.Config, imgDir string) 
 			sp.End()
 		}()
 	}
-	switch key {
-	case "t1":
-		t, err := report.RunTable1(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "table1", Title: "Table I and energy ratios", Data: t}
-	case "fig7":
-		r, imgs, err := RunFigure7(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		if imgDir != "" {
-			if err := saveFig7(imgs, imgDir); err != nil {
-				return res, err
-			}
-		}
-		res = Result{Name: "fig7", Title: "Figure 7 quality metrics", Data: r}
-	case "scaling":
-		pts, err := RunScaling(ctx, cfg, []int{1, 2, 4, 8, 16, 32, 64})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "scaling", Title: "FFBP speedup vs core count", Data: pts}
-	case "bw":
-		pts, err := RunBandwidth(ctx, cfg, []float64{0.25, 0.5, 1, 2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "bandwidth", Title: "Off-chip bandwidth sweep", Data: pts}
-	case "interp":
-		pts, err := RunInterp(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "interp", Title: "FFBP quality vs interpolation kernel", Data: pts}
-	case "pipes":
-		pts, err := RunPipelines(ctx, cfg, []int{1, 2, 3, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "pipelines", Title: "Autofocus pipeline replication", Data: pts}
-	case "gbp":
-		g, f, err := RunGBPvsFFBP(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "gbp_vs_ffbp", Title: "GBP vs FFBP complexity",
-			Data: GBPFFBPResult{GBPSeconds: g, FFBPSeconds: f, Speedup: g / f}}
-	case "base":
-		pts, err := RunBases(ctx, cfg, []int{2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "bases", Title: "Factorization base ablation", Data: pts}
-	case "rda":
-		r, err := RunMotivation(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "motivation", Title: "Frequency vs time domain", Data: r}
-	case "upsample":
-		pts, err := RunUpsample(ctx, cfg, []int{1, 2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "upsample", Title: "Range oversampling ablation", Data: pts}
-	case "chaos":
-		pts, err := RunChaos(ctx, cfg, []float64{0, 0.25, 0.5, 1})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "chaos", Title: "Fault-severity degradation sweep", Data: pts}
-	case "kernels":
-		r, err := RunKernels(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "kernels", Title: "Fused kernel throughput", Data: r}
-	case "scale":
-		pts, err := RunScale(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		// The scale sweep pins its own workload scale (see scale.go);
-		// record that, not the config's.
-		res = Result{Name: "scale", Title: "Manycore scale-up sweep",
-			Pulses: scalePulses, Bins: scaleBins, Data: pts}
-	default:
+	e := byKey(key)
+	if e == nil {
 		return res, fmt.Errorf("unknown experiment %q", key)
 	}
-	if res.Pulses == 0 {
-		res.Pulses = cfg.Params.NumPulses
+	data, err := e.run(ctx, cfg, imgDir)
+	if err != nil {
+		return res, err
 	}
-	if res.Bins == 0 {
-		res.Bins = cfg.Params.NumBins
+	res = Result{Name: e.name, Title: e.title, Pulses: cfg.Params.NumPulses, Bins: cfg.Params.NumBins,
+		Salt: EnvelopeSalt, Version: Version(), Data: data}
+	if e.pulses != 0 {
+		res.Pulses, res.Bins = e.pulses, e.bins
 	}
-	res.Salt = EnvelopeSalt
-	res.Version = Version()
 	return res, nil
 }
 
 // DecodeData converts a raw envelope payload (as read back from a
-// BENCH_<name>.json file or the sweep cache) into the concrete data type
-// Compute produces for that envelope name.
+// BENCH_<name>.json file or the sweep cache) into the data type Compute
+// produces for that envelope name.
 func DecodeData(name string, raw json.RawMessage) (any, error) {
-	decode := func(v any) (any, error) {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, fmt.Errorf("decode %s envelope: %w", name, err)
-		}
-		return v, nil
+	e := byName(name)
+	if e == nil {
+		return nil, fmt.Errorf("unknown envelope name %q", name)
 	}
-	switch name {
-	case "table1":
-		return decode(&report.Table1{})
-	case "fig7":
-		return decode(&Fig7Result{})
-	case "scaling":
-		return decode(&[]ScalingPoint{})
-	case "bandwidth":
-		return decode(&[]BandwidthPoint{})
-	case "interp":
-		return decode(&[]InterpPoint{})
-	case "pipelines":
-		return decode(&[]PipelinePoint{})
-	case "gbp_vs_ffbp":
-		return decode(&GBPFFBPResult{})
-	case "bases":
-		return decode(&[]BasePoint{})
-	case "motivation":
-		return decode(&MotivationResult{})
-	case "upsample":
-		return decode(&[]UpsamplePoint{})
-	case "chaos":
-		return decode(&[]ChaosPoint{})
-	case "kernels":
-		return decode(&KernelsResult{})
-	case "scale":
-		return decode(&[]ScalePoint{})
+	v, err := e.decode(raw)
+	if err != nil {
+		return nil, fmt.Errorf("decode %s envelope: %w", name, err)
 	}
-	return nil, fmt.Errorf("unknown envelope name %q", name)
+	return v, nil
 }
 
 // PrintResult renders the envelope's human-readable table to w. It
@@ -278,6 +325,10 @@ func DecodeData(name string, raw json.RawMessage) (any, error) {
 // and replayed ones (Data is a json.RawMessage from the sweep cache or a
 // result file).
 func PrintResult(w io.Writer, res Result) error {
+	e := byName(res.Name)
+	if e == nil {
+		return fmt.Errorf("print: unknown envelope name %q", res.Name)
+	}
 	if raw, ok := res.Data.(json.RawMessage); ok {
 		v, err := DecodeData(res.Name, raw)
 		if err != nil {
@@ -285,62 +336,7 @@ func PrintResult(w io.Writer, res Result) error {
 		}
 		res.Data = v
 	}
-	switch v := res.Data.(type) {
-	case *report.Table1:
-		_, err := io.WriteString(w, v.String())
-		return err
-	case Fig7Result:
-		printFig7(w, v)
-	case *Fig7Result:
-		printFig7(w, *v)
-	case []ScalingPoint:
-		printScaling(w, v)
-	case *[]ScalingPoint:
-		printScaling(w, *v)
-	case []BandwidthPoint:
-		printBandwidth(w, v)
-	case *[]BandwidthPoint:
-		printBandwidth(w, *v)
-	case []InterpPoint:
-		printInterp(w, v)
-	case *[]InterpPoint:
-		printInterp(w, *v)
-	case []PipelinePoint:
-		printPipelines(w, v)
-	case *[]PipelinePoint:
-		printPipelines(w, *v)
-	case GBPFFBPResult:
-		printGBPvsFFBP(w, v.GBPSeconds, v.FFBPSeconds)
-	case *GBPFFBPResult:
-		printGBPvsFFBP(w, v.GBPSeconds, v.FFBPSeconds)
-	case []BasePoint:
-		printBases(w, v)
-	case *[]BasePoint:
-		printBases(w, *v)
-	case MotivationResult:
-		printMotivation(w, v)
-	case *MotivationResult:
-		printMotivation(w, *v)
-	case []UpsamplePoint:
-		printUpsample(w, v)
-	case *[]UpsamplePoint:
-		printUpsample(w, *v)
-	case []ChaosPoint:
-		printChaos(w, v)
-	case *[]ChaosPoint:
-		printChaos(w, *v)
-	case KernelsResult:
-		printKernels(w, v)
-	case *KernelsResult:
-		printKernels(w, *v)
-	case []ScalePoint:
-		printScale(w, v)
-	case *[]ScalePoint:
-		printScale(w, *v)
-	default:
-		return fmt.Errorf("print %s envelope: unhandled data type %T", res.Name, res.Data)
-	}
-	return nil
+	return e.print(w, res.Data)
 }
 
 // Experiment runs the experiment selected by key, prints its

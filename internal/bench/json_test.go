@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -27,8 +28,12 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Errorf("path %q, want %q", path, want)
 	}
 
-	r, err := ReadResult(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var r RawResult
+	if err := json.Unmarshal(b, &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Name != "scaling" || r.Title != "FFBP speedup vs core count" ||

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sarmany/internal/bench"
 )
 
 // curlExample is one executable example parsed out of docs/API.md.
@@ -160,5 +162,25 @@ func TestAPIDocExamples(t *testing.T) {
 	}
 	if lastJob == "" {
 		t.Error("no documented POST produced a job ID — $JOB examples never exercised")
+	}
+}
+
+// TestAPIDocListsEveryExperiment: the job model's prose in docs/API.md
+// (up to its first subsection) names every experiment key admission
+// accepts.
+func TestAPIDocListsEveryExperiment(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, model, ok := strings.Cut(string(raw), "\n## Job model\n")
+	if !ok {
+		t.Fatal("docs/API.md has no \"## Job model\" section")
+	}
+	model, _, _ = strings.Cut(model, "\n#")
+	for _, k := range bench.Keys() {
+		if !strings.Contains(model, "`"+k+"`") {
+			t.Errorf("docs/API.md job model does not list experiment key %q", k)
+		}
 	}
 }

@@ -131,7 +131,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult is GET /v1/jobs/{id}/result: the completed job's bench
-// envelope verbatim (the BENCH_<exp>.json bytes). A job still queued or
+// envelope verbatim (the BENCH_<name>.json bytes). A job still queued or
 // running answers 202 with its record; a failed job answers 500 with
 // its error.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

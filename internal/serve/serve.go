@@ -44,9 +44,9 @@ import (
 // JobSpec is the POST /v1/jobs request body: which experiment to run, at
 // which scale, for which tenant.
 type JobSpec struct {
-	// Exp selects the workload — any cmd/benchtab experiment key
-	// (bench.Keys lists them: t1, fig7, scaling, bw, interp, pipes, gbp,
-	// base, rda, upsample, chaos).
+	// Exp selects the workload: any cmd/benchtab experiment key, as
+	// bench.Keys lists them. The result is that experiment's envelope,
+	// named by its envelope name rather than its key.
 	Exp string `json:"exp"`
 	// Scale is "small" (reduced, default) or "paper" (full paper scale).
 	Scale string `json:"scale,omitempty"`
@@ -331,7 +331,7 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 		s.m.rejDraining.Add(1)
 		return reject("draining", &DrainingError{})
 	}
-	if !knownExp(spec.Exp) {
+	if _, ok := bench.Title(spec.Exp); !ok {
 		return reject("spec", &SpecError{Msg: fmt.Sprintf("unknown experiment %q (want one of %v)", spec.Exp, bench.Keys())})
 	}
 	id, job, err := s.JobID(spec)
@@ -661,16 +661,6 @@ func (s *Server) recordDrain(drainErr error) {
 		"drain_clean": drainErr == nil,
 	}
 	_, _ = telemetry.Record(s.opt.LedgerDir, e)
-}
-
-// knownExp reports whether exp is a built-in benchmark experiment key.
-func knownExp(exp string) bool {
-	for _, k := range bench.Keys() {
-		if k == exp {
-			return true
-		}
-	}
-	return false
 }
 
 // tenantOf resolves the spec's quota bucket name.

@@ -72,7 +72,8 @@ func (c *diskCache) load(key string) ([]byte, bench.Result, bool) {
 		// A truncated or corrupt entry is a miss; the rerun overwrites it.
 		return nil, bench.Result{}, false
 	}
-	env := bench.Result{Name: rr.Name, Title: rr.Title, Pulses: rr.Pulses, Bins: rr.Bins, Data: rr.Data}
+	env := bench.Result{Name: rr.Name, Title: rr.Title, Pulses: rr.Pulses, Bins: rr.Bins,
+		Salt: rr.Salt, Version: rr.Version, Data: rr.Data}
 	return raw, env, true
 }
 

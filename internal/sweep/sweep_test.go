@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -57,6 +59,7 @@ func testWorkload(tb testing.TB, pulses, bins, n int) ([]Job, RunFunc) {
 		return bench.Result{
 			Name: j.Name, Title: "test FFBP point",
 			Pulses: pulses, Bins: bins,
+			Salt: bench.EnvelopeSalt, Version: bench.Version(),
 			Data: ffbpPoint{Cores: cores, Seconds: chip.Time()},
 		}, nil
 	}
@@ -124,6 +127,21 @@ func TestSweepColdWarmIdentical(t *testing.T) {
 		if len(c.Raw) == 0 || !bytes.Equal(c.Raw, w.Raw) {
 			t.Errorf("job %d: warm envelope differs from cold (%d vs %d bytes)",
 				i, len(c.Raw), len(w.Raw))
+		}
+		// The replayed Result equals the fresh one field for field once
+		// its raw payload is decoded.
+		replay := w.Result
+		raw, ok := replay.Data.(json.RawMessage)
+		if !ok {
+			t.Fatalf("job %d: warm Data is %T, want the raw payload", i, replay.Data)
+		}
+		var pt ffbpPoint
+		if err := json.Unmarshal(raw, &pt); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		replay.Data = pt
+		if !reflect.DeepEqual(replay, c.Result) {
+			t.Errorf("job %d: warm Result %+v, cold %+v", i, replay, c.Result)
 		}
 	}
 }

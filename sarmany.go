@@ -5,6 +5,7 @@ package sarmany
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"time"
 
@@ -358,7 +359,10 @@ func RunFigure7(cfg ExperimentConfig) (Fig7Metrics, [4]*Image, error) {
 // WriteFigure7 writes the Fig. 7 images as PNGs into dir and the metrics
 // to w.
 func WriteFigure7(w io.Writer, cfg ExperimentConfig, dir string) error {
-	return bench.Figure7(context.Background(), w, cfg, dir)
+	if dir == "" {
+		return errors.New("sarmany: WriteFigure7 needs an image directory")
+	}
+	return bench.Experiment(context.Background(), "fig7", w, cfg, "", dir)
 }
 
 // Concurrent experiment sweeps.
@@ -425,8 +429,10 @@ func NewJobServer(opt JobServerOptions) *JobServer { return serve.NewServer(opt)
 
 // SweepData returns a sweep result's experiment data as its concrete
 // type, decoding the raw payload when the envelope was replayed from the
-// cache (e.g. a "t1" job yields *Table1 either way). It only understands
-// the built-in benchtab envelopes; custom runners decode their own.
+// cache. The type is the same for a fresh and a replayed run of every
+// built-in experiment (a "t1" job yields *Table1 either way). It only
+// understands the built-in benchtab envelopes; custom runners decode
+// their own.
 func SweepData(r SweepJobResult) (any, error) {
 	if raw, ok := r.Result.Data.(json.RawMessage); ok {
 		return bench.DecodeData(r.Result.Name, raw)

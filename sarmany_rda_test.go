@@ -73,6 +73,9 @@ func TestPublicWriteFigure7(t *testing.T) {
 			t.Errorf("missing %s: %v", name, err)
 		}
 	}
+	if err := sarmany.WriteFigure7(&buf, sarmany.SmallExperiment(), ""); err == nil {
+		t.Error("WriteFigure7 accepted an empty image directory")
+	}
 }
 
 func TestPublicUpsampleAndSinc8(t *testing.T) {

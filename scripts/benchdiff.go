@@ -4,21 +4,21 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchdiff.go [-tol 0.02] [-advisory pat,pat,...] baseline.json candidate.json
+//	go run ./scripts/benchdiff.go [-tol 0.02] baseline.json candidate.json
 //
-// Advisory patterns (path.Match against dotted leaf paths such as
-// "data.seconds_j1") mark wall-clock and host-shape fields that vary
-// between machines: they are printed when they change but never fail the
-// gate. Everything else — modeled cycles, span counts, job counts — is
-// deterministic simulator output and gates at the tolerance.
+// The advisory leaves are the ones bench.Advisory lists for the
+// baseline envelope's name: wall-clock and host-shape fields that vary
+// between machines. They are printed when they change but never fail
+// the gate. Everything else — modeled cycles, span counts, job counts —
+// is deterministic simulator output and gates at the tolerance.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"sarmany/internal/bench"
 )
@@ -27,13 +27,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
 
-	var (
-		tol      = flag.Float64("tol", 0.02, "relative tolerance for numeric leaves")
-		advisory = flag.String("advisory", "", "comma-separated advisory path patterns (report, don't gate)")
-	)
+	tol := flag.Float64("tol", 0.02, "relative tolerance for numeric leaves")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		log.Fatalf("usage: benchdiff [-tol f] [-advisory pats] baseline.json candidate.json")
+		log.Fatalf("usage: benchdiff [-tol f] baseline.json candidate.json")
 	}
 	baseline, candidate := flag.Arg(0), flag.Arg(1)
 
@@ -45,17 +42,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	opt := bench.DiffOptions{Tolerance: *tol}
-	if *advisory != "" {
-		for _, p := range strings.Split(*advisory, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				opt.Advisory = append(opt.Advisory, p)
-			}
-		}
+	var env bench.RawResult
+	if err := json.Unmarshal(oldDoc, &env); err != nil {
+		log.Fatalf("%s: %v", baseline, err)
 	}
 
-	findings, err := bench.DiffEnvelopes(oldDoc, newDoc, opt)
+	findings, err := bench.DiffEnvelopes(oldDoc, newDoc, bench.DiffOptions{
+		Tolerance: *tol,
+		Advisory:  bench.Advisory(env.Name),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
