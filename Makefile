@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
+.PHONY: all check fmt vet build test race bench chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
 
 all: check
 
@@ -10,9 +10,9 @@ all: check
 # the simulator conformance suite, the emu-coverage guard, the sweep,
 # profiler, job-server and fused-kernel throughput measurements, the
 # benchmark regression diff against the committed baselines, the
-# repository benchmark's own test suite, and the sarserve end-to-end and
-# request-tracing smoke tests.
-check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke servesmoke tracesmoke
+# repository benchmark's own test suite, the paper-scale Table I goldens,
+# and the sarserve end-to-end and request-tracing smoke tests.
+check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -106,6 +106,18 @@ scalebench:
 # and -race would multiply their wall-clock.
 perfsmoke:
 	cd perfbench && $(GO) test -count=1 ./...
+
+# papergolden runs the repository benchmark's table1-paper workload once
+# at paper scale and fails unless its result line reports "correct":true:
+# every Table I row's modeled seconds, both energy ratios and each row's
+# charged-op count equal the goldens in perfbench/golden.go exactly. The
+# run script exits 0 even when a check fails, so the target reads the
+# result, which is the last line of the run's output.
+papergolden:
+	@line=$$(bash perfbench/run.sh --workload table1-paper --seconds 1 --trace 0 | tail -n 1); \
+	echo "$$line"; \
+	case "$$line" in *'"correct":true'*) ;; \
+	*) echo "papergolden: paper-scale Table I differs from perfbench/golden.go"; exit 1;; esac
 
 # servesmoke is the sarserve end-to-end contract: build the daemon,
 # submit a real job over HTTP (must answer 200 done), assert the run

@@ -99,7 +99,7 @@ func main() {
 
 	var (
 		kernel  = flag.String("kernel", "ffbp-par", "ffbp-par, ffbp-seq, ffbp-intel, af-par, af-seq, af-intel")
-		cores   = flag.Int("cores", 16, "cores for ffbp-par")
+		cores   = flag.Int("cores", 16, "cores for ffbp-par (0 = all)")
 		mesh    = flag.String("mesh", "4x4", "Epiphany mesh size RxC")
 		small   = flag.Bool("small", false, "reduced workload")
 		perCore = flag.Bool("percore", false, "print per-core statistics")
@@ -210,6 +210,12 @@ func main() {
 	}
 
 	ch := emu.New(cfg.Epiphany)
+	if *cores == 0 {
+		// ParFFBP reads 0 as "all cores"; resolve it here so the text and
+		// JSON summaries, the per-core table and the ledger name the cores
+		// the run used.
+		*cores = len(ch.Cores)
+	}
 	var tracer *obs.Tracer
 	if *traceF != "" {
 		tracer = obs.NewTracer(cfg.Epiphany.Clock)

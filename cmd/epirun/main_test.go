@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -189,6 +190,36 @@ func TestLedgerAttributesChangedParam(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("delta not attributed to %s:\n%s", want, text)
 		}
+	}
+}
+
+// TestZeroCoresMeansAll checks that -cores 0, which ParFFBP runs on every
+// core of the chip, is reported as the 16 cores of the E16G3 in the JSON
+// summary and in the text output's per-core table.
+func TestZeroCoresMeansAll(t *testing.T) {
+	code, out := runEpirun(t, false,
+		"-kernel", "ffbp-par", "-small", "-cores", "0", "-json", "-ledger", "")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	i := strings.Index(out, "{")
+	if i < 0 {
+		t.Fatalf("no JSON summary in output:\n%s", out)
+	}
+	var s summary
+	if err := json.NewDecoder(strings.NewReader(out[i:])).Decode(&s); err != nil {
+		t.Fatalf("decoding summary: %v\n%s", err, out)
+	}
+	if s.Cores != 16 {
+		t.Errorf("JSON summary reports %d cores, want 16", s.Cores)
+	}
+	code, out = runEpirun(t, false,
+		"-kernel", "ffbp-par", "-small", "-cores", "0", "-percore", "-ledger", "")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "16 cores used") || !strings.Contains(out, "\n    15 ") {
+		t.Errorf("text output does not report 16 cores:\n%s", out)
 	}
 }
 

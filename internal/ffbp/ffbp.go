@@ -7,8 +7,8 @@
 // that is ten iterations ending in a 1024x1001-pixel image.
 //
 // Each merge maps every parent pixel (r, theta) onto its two child images
-// through the cosine-theorem geometry of geom.ChildCoords (paper eqs. 1-4)
-// and combines the interpolated child samples (paper eq. 5). The
+// through the cosine-theorem geometry of geom.ChildIndices (paper eqs.
+// 1-4) and combines the interpolated child samples (paper eq. 5). The
 // interpolation kernel is configurable; the paper's implementation uses
 // simplified nearest-neighbour interpolation, which is faster but degrades
 // the image relative to GBP (paper Fig. 7).
@@ -65,7 +65,7 @@ func (s *Stage) NumSubapertures() int { return len(s.Images) }
 // merge interpolation error — and the downstream float32 pixels carry no
 // further phase arithmetic. TestInitialStagePhaseContract pins this
 // against the closed form; the simulator kernels (kernels.stage0Pixel)
-// replicate the same evaluation bit for bit.
+// evaluate k*r the same way and rotate with the same cf.Expi.
 func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -104,7 +104,9 @@ func Merge(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 
 // merge is the shared merge-iteration driver: grid/image setup and the
 // flattened (parent, beam) fan-out, parameterized by the beam kernel.
-func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift)) (*Stage, error) {
+// Each goroutine owns one child-index scratch of 4*NR values, which the
+// beam kernel may use for every beam it computes.
+func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, idx []float64)) (*Stage, error) {
 	if len(s.Images)%2 != 0 {
 		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures", len(s.Images))
 	}
@@ -137,6 +139,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 		wg.Add(1)
 		go func(sl mat.Slice) {
 			defer wg.Done()
+			idx := make([]float64, 4*nr)
 			for gb := sl.Lo; gb < sl.Hi; gb++ {
 				j := gb / ntheta
 				bt := gb % ntheta
@@ -144,7 +147,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 				if cfg.comps != nil {
 					comp = cfg.comps[j]
 				}
-				beam(s, out, j, bt, cfg.Interp, comp)
+				beam(s, out, j, bt, cfg.Interp, comp, idx)
 			}
 		}(sl)
 	}
@@ -158,76 +161,43 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 // merge; the zero Shift reproduces the plain merge.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
-// TestFusedMergeBitIdentical): the per-beam cos/sin of the parent angle is
-// hoisted out of geom.ChildCoords — theta is constant along the beam, so
-// the two calls per pixel collapse to two multiplies — and the paper's
+// TestFusedMergeBitIdentical): geom.ChildIndices writes the beam's child
+// indices into idx with the per-beam cos/sin hoisted, and the paper's
 // nearest-neighbour sampling of both children is inlined, eliminating the
-// two interp.At2 calls per pixel. Every retained operation (hypot, atan2,
-// the index divisions, the rounding) is exactly the reference's, which is
-// what keeps the simulator kernels (internal/kernels) bit-identical to
-// ffbp.Image.
-func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift) {
-	pg := out.Grids[j]
+// two interp.At2 calls per pixel. The simulator kernels (internal/kernels)
+// take their child indices from the same geom.ChildIndices, which is what
+// keeps them bit-identical to ffbp.Image.
+func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, idx []float64) {
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
-	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
-	l := s.Apertures[2*j].Length // child subaperture length
-	theta := pg.Theta(bt)
+	geom.ChildIndices(idx, out.Grids[j], bt, s.Apertures[2*j].Length,
+		s.Grids[2*j], s.Grids[2*j+1], comp.DBeam, comp.DRange)
 	row := out.Images[j].Row(bt)
-
-	// Hoisted from geom.ChildCoords: x = r*cos(theta), y = r*sin(theta)
-	// with theta fixed along the beam, origin shifted ∓l/2 along track.
-	ct, st := math.Cos(theta), math.Sin(theta)
-	h := l / 2
-
 	if kind == interp.Nearest {
-		rows0, cols0 := img0.Rows, img0.Cols
-		rows1, cols1 := img1.Rows, img1.Cols
-		for bi := 0; bi < pg.NR; bi++ {
-			r := pg.Range(bi)
-			x := r * ct
-			y := r * st
-			xp, xm := x+h, x-h
-			r1 := math.Hypot(xp, y)
-			th1 := math.Atan2(y, xp)
-			r2 := math.Hypot(xm, y)
-			th2 := math.Atan2(y, xm)
-			// Inlined interp.At2 Nearest on each child: round both
-			// fractional indices, in-range sample or zero.
-			var v1 complex64
-			rr := int(math.Round((th1 - g0.Theta0) / g0.DTheta))
-			cc := int(math.Round((r1 - g0.R0) / g0.DR))
-			if uint(rr) < uint(rows0) && uint(cc) < uint(cols0) {
-				v1 = img0.At(rr, cc)
+		// Inlined interp.At2 Nearest on each child: round both fractional
+		// indices, in-range sample or zero.
+		for bi := range row {
+			c := (*[4]float64)(idx[4*bi:])
+			var v1, v2 complex64
+			if r, cc := int(math.Round(c[0])), int(math.Round(c[1])); uint(r) < uint(img0.Rows) && uint(cc) < uint(img0.Cols) {
+				v1 = img0.At(r, cc)
 			}
-			var v2 complex64
-			rr = int(math.Round((th2-g1.Theta0)/g1.DTheta + comp.DBeam))
-			cc = int(math.Round((r2-g1.R0)/g1.DR + comp.DRange))
-			if uint(rr) < uint(rows1) && uint(cc) < uint(cols1) {
-				v2 = img1.At(rr, cc)
+			if r, cc := int(math.Round(c[2])), int(math.Round(c[3])); uint(r) < uint(img1.Rows) && uint(cc) < uint(img1.Cols) {
+				v2 = img1.At(r, cc)
 			}
 			row[bi] = v1 + v2
 		}
 		return
 	}
-	for bi := 0; bi < pg.NR; bi++ {
-		r := pg.Range(bi)
-		x := r * ct
-		y := r * st
-		xp, xm := x+h, x-h
-		r1 := math.Hypot(xp, y)
-		th1 := math.Atan2(y, xp)
-		r2 := math.Hypot(xm, y)
-		th2 := math.Atan2(y, xm)
-		v1 := interp.At2(img0, g0.ThetaIndex(th1), g0.RangeIndex(r1), kind)
-		v2 := interp.At2(img1, g1.ThetaIndex(th2)+comp.DBeam, g1.RangeIndex(r2)+comp.DRange, kind)
-		row[bi] = v1 + v2
+	for bi := range row {
+		c := (*[4]float64)(idx[4*bi:])
+		row[bi] = interp.At2(img0, c[0], c[1], kind) + interp.At2(img1, c[2], c[3], kind)
 	}
 }
 
 // mergeBeamRef is the retained unfused reference for mergeBeam: per-pixel
 // geom.ChildCoords and interp.At2 calls, the literal transcription of
 // paper eq. 5. The fused path is pinned bit-identical to it.
-func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift) {
+func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, _ []float64) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
@@ -255,19 +225,6 @@ func MergeRef(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 // to the aperture centre (track position 0) — directly comparable to
 // gbp.Image on the same grid.
 func Image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
-	return image(data, p, box, cfg, Merge)
-}
-
-// ImageRef is Image running every merge through the retained reference
-// beam kernel (MergeRef). Image is pinned bit-identical to it; ImageRef
-// exists as the before side of the kernels benchmark and the oracle of
-// the equivalence suite.
-func ImageRef(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
-	return image(data, p, box, cfg, MergeRef)
-}
-
-func image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config,
-	mergeFn func(*Stage, geom.SceneBox, Config) (*Stage, error)) (*mat.C, geom.PolarGrid, error) {
 	if p.NumPulses&(p.NumPulses-1) != 0 {
 		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: NumPulses %d is not a power of two (merge base 2)", p.NumPulses)
 	}
@@ -276,7 +233,7 @@ func image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config,
 		return nil, geom.PolarGrid{}, err
 	}
 	for len(s.Images) > 1 {
-		s, err = mergeFn(s, box, cfg)
+		s, err = Merge(s, box, cfg)
 		if err != nil {
 			return nil, geom.PolarGrid{}, err
 		}

@@ -8,10 +8,26 @@ import (
 	"sarmany/internal/cf"
 	"sarmany/internal/geom"
 	"sarmany/internal/interp"
+	"sarmany/internal/mat"
 	"sarmany/internal/sar"
 )
 
 var mergeKinds = []interp.Kind{interp.Nearest, interp.Linear, interp.Cubic, interp.Sinc8}
+
+// imageRef is Image running every merge through the retained reference
+// beam kernel (MergeRef): the oracle Image is pinned bit-identical to.
+func imageRef(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
+	s, err := InitialStage(data, p, box)
+	if err != nil {
+		return nil, geom.PolarGrid{}, err
+	}
+	for len(s.Images) > 1 {
+		if s, err = MergeRef(s, box, cfg); err != nil {
+			return nil, geom.PolarGrid{}, err
+		}
+	}
+	return s.Images[0], s.Grids[0], nil
+}
 
 // smallParams is a light geometry for the stage-by-stage bit-identity
 // checks: 64 pulses, 101 bins.
@@ -38,7 +54,7 @@ func TestFusedMergeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, rg, err := ImageRef(data, p, box, cfg)
+		ref, rg, err := imageRef(data, p, box, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,6 +111,58 @@ func TestFusedMergeStagewise(t *testing.T) {
 			}
 			s = fused
 			stage++
+		}
+	}
+}
+
+// TestMergeStridedStage checks that Merge reads child images through
+// their Stride: a stage whose images are views into wider matrices merges
+// to the same pixels as the compact stage, for every kind, compensated or
+// not.
+func TestMergeStridedStage(t *testing.T) {
+	p, box := smallParams()
+	p.NumPulses = 16
+	data := sar.Simulate(p, []sar.Target{{U: 1, Y: 520, Amp: 1}}, nil)
+	s, err := InitialStage(data, p, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if s, err = Merge(s, box, Config{Interp: interp.Nearest}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strided := &Stage{Apertures: s.Apertures, Grids: s.Grids, Images: make([]*mat.C, len(s.Images))}
+	for i, img := range s.Images {
+		wide := mat.NewC(img.Rows+2, img.Cols+7)
+		wide.Fill(complex(1e6, -1e6)) // poison outside the view
+		v := wide.View(1, 3, img.Rows, img.Cols)
+		for r := 0; r < img.Rows; r++ {
+			copy(v.Row(r), img.Row(r))
+		}
+		strided.Images[i] = v
+	}
+	comps := make([]autofocus.Shift, len(s.Images)/2)
+	for j := range comps {
+		comps[j] = autofocus.Shift{DRange: 0.4, DBeam: -0.3}
+	}
+	for _, kind := range mergeKinds {
+		for _, c := range [][]autofocus.Shift{nil, comps} {
+			cfg := Config{Interp: kind, Workers: 2, comps: c}
+			want, err := Merge(s, box, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Merge(strided, box, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Images {
+				if !got.Images[j].Equal(want.Images[j]) {
+					t.Errorf("%v comps=%v parent %d: strided stage merges differently (max diff %v)",
+						kind, c != nil, j, got.Images[j].MaxAbsDiff(want.Images[j]))
+				}
+			}
 		}
 	}
 }
@@ -180,7 +248,7 @@ func BenchmarkFFBPRef64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ImageRef(data, p, box, Config{Interp: interp.Nearest, Workers: 1}); err != nil {
+		if _, _, err := imageRef(data, p, box, Config{Interp: interp.Nearest, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

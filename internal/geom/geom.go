@@ -36,26 +36,36 @@ func ChildCoords(r, theta, l float64) (r1, theta1, r2, theta2 float64) {
 	return r1, theta1, r2, theta2
 }
 
-// ChildCoordsCosine is the literal cosine-theorem formulation of paper
-// eqs. 1-4. It is retained to validate ChildCoords against the published
-// equations; production code uses ChildCoords.
-func ChildCoordsCosine(r, theta, l float64) (r1, theta1, r2, theta2 float64) {
+// ChildIndices evaluates paper eqs. 1-4 along one output beam of a
+// base-2 merge: beam bt of the parent grid pg, whose children have length
+// l and are sampled on the grids minus and plus. For every range bin bi it
+// writes the fractional child indices into idx[4*bi : 4*bi+4] — (beam,
+// range) in the minus grid, then (beam, range) in the plus grid, the plus
+// pair displaced by (dBeam, dRange) pixels, the flight-path compensation
+// of an autofocused merge. idx is the caller's scratch and must hold
+// 4*pg.NR values.
+//
+// Per pixel the result is bit-identical to ChildCoords followed by
+// ThetaIndex and RangeIndex (plus the displacement): theta is constant
+// along the beam, so its cos/sin are evaluated once and the per-pixel
+// trigonometry collapses to two multiplies. The paper's Epiphany kernel
+// hoists the same per-beam terms into scalar variables.
+func ChildIndices(idx []float64, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, dBeam, dRange float64) {
+	theta := pg.Theta(bt)
+	ct, st := math.Cos(theta), math.Sin(theta)
 	h := l / 2
-	r1 = math.Sqrt(r*r + h*h - 2*r*h*math.Cos(math.Pi-theta))
-	r2 = math.Sqrt(r*r + h*h - 2*r*h*math.Cos(theta))
-	theta1 = math.Acos(clamp1((r1*r1 + h*h - r*r) / (r1 * l)))
-	theta2 = math.Pi - math.Acos(clamp1((r2*r2+h*h-r*r)/(r2*l)))
-	return r1, theta1, r2, theta2
-}
-
-func clamp1(x float64) float64 {
-	if x > 1 {
-		return 1
+	idx = idx[:4*pg.NR]
+	for bi := 0; 4*bi < len(idx); bi++ {
+		r := pg.Range(bi)
+		x := r * ct
+		y := r * st
+		xp, xm := x+h, x-h
+		c := (*[4]float64)(idx[4*bi:])
+		c[0] = minus.ThetaIndex(math.Atan2(y, xp))
+		c[1] = minus.RangeIndex(math.Hypot(xp, y))
+		c[2] = plus.ThetaIndex(math.Atan2(y, xm)) + dBeam
+		c[3] = plus.RangeIndex(math.Hypot(xm, y)) + dRange
 	}
-	if x < -1 {
-		return -1
-	}
-	return x
 }
 
 // PolarGrid describes the sampling of a subaperture image: NR range bins
@@ -96,27 +106,11 @@ func (g PolarGrid) RangeIndex(r float64) float64 { return (r - g.R0) / g.DR }
 // ThetaIndex returns the fractional bin index of angle theta.
 func (g PolarGrid) ThetaIndex(theta float64) float64 { return (theta - g.Theta0) / g.DTheta }
 
-// Refine returns the grid for the next merge stage: same range sampling,
-// twice the angular resolution over the same angular interval.
-func (g PolarGrid) Refine() PolarGrid {
-	lo := g.Theta0 - g.DTheta/2
-	hi := g.Theta0 + (float64(g.NTheta)-0.5)*g.DTheta
-	return NewPolarGrid(g.NR, g.R0, g.DR, g.NTheta*2, lo, hi)
-}
-
 // Aperture describes one subaperture of the factorization: its centre
 // position along the track (metres, in scene coordinates) and its length.
 type Aperture struct {
 	Center float64
 	Length float64
-}
-
-// Children returns the minus and plus child apertures of a.
-func (a Aperture) Children() (minus, plus Aperture) {
-	h := a.Length / 2
-	minus = Aperture{Center: a.Center - h/2, Length: h}
-	plus = Aperture{Center: a.Center + h/2, Length: h}
-	return minus, plus
 }
 
 // Stage0 returns the np length-d apertures of the initial factorization of

@@ -33,6 +33,27 @@ func TestChildCoordsZeroLength(t *testing.T) {
 	}
 }
 
+// childCoordsCosine is the literal cosine-theorem formulation of paper
+// eqs. 1-4, the published form ChildCoords is validated against.
+func childCoordsCosine(r, theta, l float64) (r1, theta1, r2, theta2 float64) {
+	h := l / 2
+	r1 = math.Sqrt(r*r + h*h - 2*r*h*math.Cos(math.Pi-theta))
+	r2 = math.Sqrt(r*r + h*h - 2*r*h*math.Cos(theta))
+	theta1 = math.Acos(clamp1((r1*r1 + h*h - r*r) / (r1 * l)))
+	theta2 = math.Pi - math.Acos(clamp1((r2*r2+h*h-r*r)/(r2*l)))
+	return r1, theta1, r2, theta2
+}
+
+func clamp1(x float64) float64 {
+	if x > 1 {
+		return 1
+	}
+	if x < -1 {
+		return -1
+	}
+	return x
+}
+
 func TestChildCoordsMatchesCosineForm(t *testing.T) {
 	// The Cartesian and the published cosine-theorem forms must agree over
 	// the whole operating region (far field, theta well inside (0, pi)).
@@ -42,7 +63,7 @@ func TestChildCoordsMatchesCosineForm(t *testing.T) {
 		theta := 0.1 + (math.Pi-0.2)*rng.Float64()
 		l := 0.1 + 100*rng.Float64()
 		r1a, t1a, r2a, t2a := ChildCoords(r, theta, l)
-		r1b, t1b, r2b, t2b := ChildCoordsCosine(r, theta, l)
+		r1b, t1b, r2b, t2b := childCoordsCosine(r, theta, l)
 		if math.Abs(r1a-r1b) > 1e-6*r || math.Abs(r2a-r2b) > 1e-6*r {
 			t.Fatalf("range mismatch at r=%v theta=%v l=%v: (%v,%v) vs (%v,%v)", r, theta, l, r1a, r2a, r1b, r2b)
 		}
@@ -73,6 +94,50 @@ func TestChildCoordsExactPointRecovery(t *testing.T) {
 	}
 }
 
+// TestChildIndicesMatchesChildCoords pins ChildIndices bit for bit
+// against the per-pixel form it hoists — ChildCoords, then ThetaIndex and
+// RangeIndex on each child grid, the plus child displaced by the
+// compensation — over seeded random beams, grids, lengths and
+// compensations, the zero compensation included.
+func TestChildIndicesMatchesChildCoords(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randGrid := func(nr int, r0, dr float64) PolarGrid {
+		lo := 0.1 + 1.2*rng.Float64()
+		return NewPolarGrid(nr, r0, dr, 1+rng.Intn(64), lo, lo+0.05+1.4*rng.Float64())
+	}
+	var idx []float64
+	for i := 0; i < 500; i++ {
+		nr := 1 + rng.Intn(300)
+		r0, dr := 50+5000*rng.Float64(), 0.05+2*rng.Float64()
+		pg := randGrid(nr, r0, dr)
+		minus, plus := randGrid(nr, r0, dr), randGrid(nr, r0, dr)
+		l := 200 * rng.Float64()
+		var dBeam, dRange float64
+		if i%2 == 1 {
+			dBeam, dRange = 4*rng.Float64()-2, 4*rng.Float64()-2
+		}
+		bt := rng.Intn(pg.NTheta)
+		if cap(idx) < 4*nr {
+			idx = make([]float64, 4*nr)
+		}
+		ChildIndices(idx, pg, bt, l, minus, plus, dBeam, dRange)
+		theta := pg.Theta(bt)
+		for bi := 0; bi < nr; bi++ {
+			r1, th1, r2, th2 := ChildCoords(pg.Range(bi), theta, l)
+			want := [4]float64{
+				minus.ThetaIndex(th1), minus.RangeIndex(r1),
+				plus.ThetaIndex(th2) + dBeam, plus.RangeIndex(r2) + dRange,
+			}
+			for k, w := range want {
+				if got := idx[4*bi+k]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("case %d bin %d index %d: got %v, want %v (bits %x vs %x)",
+						i, bi, k, got, w, math.Float64bits(got), math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
 func TestPolarGridMapping(t *testing.T) {
 	g := NewPolarGrid(1001, 1000, 1, 4, 0, math.Pi)
 	if g.NR != 1001 || g.NTheta != 4 {
@@ -94,39 +159,6 @@ func TestPolarGridMapping(t *testing.T) {
 	}
 	if math.Abs(g.ThetaIndex(g.Theta(2))-2) > 1e-9 {
 		t.Error("ThetaIndex does not invert Theta")
-	}
-}
-
-func TestPolarGridRefine(t *testing.T) {
-	g := NewPolarGrid(10, 0, 1, 1, 0, math.Pi)
-	g2 := g.Refine()
-	if g2.NTheta != 2 {
-		t.Fatalf("refined NTheta = %d", g2.NTheta)
-	}
-	// Refining preserves the covered angular interval.
-	lo := g2.Theta0 - g2.DTheta/2
-	hi := g2.Theta0 + (float64(g2.NTheta)-0.5)*g2.DTheta
-	if math.Abs(lo-0) > 1e-12 || math.Abs(hi-math.Pi) > 1e-12 {
-		t.Errorf("refined interval [%v, %v]", lo, hi)
-	}
-	// Ten refinements of a single beam give 1024 beams (the paper's config).
-	gg := g
-	for i := 0; i < 10; i++ {
-		gg = gg.Refine()
-	}
-	if gg.NTheta != 1024 {
-		t.Errorf("after 10 refinements NTheta = %d, want 1024", gg.NTheta)
-	}
-}
-
-func TestApertureChildren(t *testing.T) {
-	a := Aperture{Center: 100, Length: 8}
-	minus, plus := a.Children()
-	if minus.Center != 98 || plus.Center != 102 {
-		t.Errorf("child centres %v %v", minus.Center, plus.Center)
-	}
-	if minus.Length != 4 || plus.Length != 4 {
-		t.Errorf("child lengths %v %v", minus.Length, plus.Length)
 	}
 }
 
@@ -152,10 +184,10 @@ func TestStage0AndMerge(t *testing.T) {
 			if math.Abs(p.Length-(m.Length+q.Length)) > 1e-12 {
 				t.Fatalf("parent length %v", p.Length)
 			}
-			// Consistency with Children: the parent's children are the inputs.
-			cm, cp := p.Children()
-			if math.Abs(cm.Center-m.Center) > 1e-12 || math.Abs(cp.Center-q.Center) > 1e-12 {
-				t.Fatalf("Children() disagrees with MergeStage inputs")
+			// The inputs are the parent's minus and plus children, centred
+			// a quarter of its length either side of its centre.
+			if math.Abs(p.Center-p.Length/4-m.Center) > 1e-12 || math.Abs(p.Center+p.Length/4-q.Center) > 1e-12 {
+				t.Fatalf("parent %+v is not centred between its children %+v %+v", p, m, q)
 			}
 		}
 		stage = next

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sarmany/internal/emu"
 	"sarmany/internal/geom"
@@ -69,22 +70,47 @@ func (pl *ffbpPlan) stage0Pixel(m machine.Machine, v complex64, c int) complex64
 	return cmul(m, v, expi(m, float32(pl.k*r)))
 }
 
-// mergePixel computes (and charges) one element-combining output (paper
-// eq. 5) for merge s (children at stage s): parent j, beam angle theta,
-// range bin bi. Child samples are fetched through sample, which lets the
-// caller choose local-bank or external storage.
-func (pl *ffbpPlan) mergePixel(m machine.Machine, s, j int, theta float64, bi int,
-	sample func(child int, g geom.PolarGrid, r, th float64) complex64) complex64 {
+// idxPool recycles the FFBP kernels' child-index scratch (a *[]float64)
+// across runs, so sweeps of many short runs allocate none once warm; each
+// buffer is held by one SeqFFBP call or one simulated core at a time.
+var idxPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getIdx returns a scratch of n float64s from idxPool.
+func getIdx(n int) *[]float64 {
+	p := idxPool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// mergeBeam computes (and charges) beam bt of parent j at merge s
+// (children at stage s): the element combining of paper eq. 5 along one
+// output beam, stored to dst. The minus and plus children are read from
+// src0 and src1 starting at elements base0 and base1, which lets the
+// caller choose local-bank or external storage. idx is the caller's
+// scratch for geom.ChildIndices, 4*NumBins values.
+//
+// The charges follow the paper's kernel: the hoisted per-beam setup once,
+// then per pixel the range step, the cosine-theorem index generation, the
+// two nearest-neighbour samples, the combining add and the store — in
+// that order, which the modeled cycles depend on.
+func (pl *ffbpPlan) mergeBeam(m machine.Machine, idx []float64, s, j, bt int,
+	src0 *machine.BufC, base0 int, src1 *machine.BufC, base1 int, dst *machine.BufC) {
+	chargeBeamSetup(m)
 	pg := pl.grids[s+1][j]
-	m.FMA(1) // r = R0 + bi*DR
-	r := pg.Range(bi)
-	l := pl.stages[s][2*j].Length
-	r1, th1, r2, th2 := childCoords(m, r, theta, l)
-	g0 := pl.grids[s][2*j]
-	g1 := pl.grids[s][2*j+1]
-	v1 := sample(0, g0, r1, th1)
-	v2 := sample(1, g1, r2, th2)
-	return cadd(m, v1, v2)
+	g0, g1 := pl.grids[s][2*j], pl.grids[s][2*j+1]
+	geom.ChildIndices(idx, pg, bt, pl.stages[s][2*j].Length, g0, g1, 0, 0)
+	out := pl.imageOff(s+1, j) + bt*pg.NR
+	for bi := 0; bi < pg.NR; bi++ {
+		m.FMA(1) // r = R0 + bi*DR
+		chargeChildCoords(m)
+		c := (*[4]float64)(idx[4*bi:])
+		v1 := sampleNN(m, src0, base0, g0, c[0], c[1])
+		v2 := sampleNN(m, src1, base1, g1, c[2], c[3])
+		dst.Store(m, out+bi, cadd(m, v1, v2))
+	}
 }
 
 // extract copies a packed stage buffer's single remaining image into a
@@ -136,22 +162,13 @@ func SeqFFBP(m machine.Machine, mem machine.Alloc, data *mat.C, p sar.Params, bo
 	}
 
 	// Merge iterations.
-	nb := p.NumBins
+	idx := getIdx(4 * p.NumBins)
+	defer idxPool.Put(idx)
 	for s := 0; s < pl.numMerges(); s++ {
-		parents := pl.stages[s+1]
 		ntheta := pl.grids[s+1][0].NTheta
-		for j := range parents {
+		for j := range pl.stages[s+1] {
 			for bt := 0; bt < ntheta; bt++ {
-				chargeBeamSetup(m)
-				theta := pl.grids[s+1][j].Theta(bt)
-				outBase := pl.imageOff(s+1, j) + bt*nb
-				for bi := 0; bi < nb; bi++ {
-					v := pl.mergePixel(m, s, j, theta, bi,
-						func(child int, g geom.PolarGrid, r, th float64) complex64 {
-							return sampleNN(m, cur, pl.imageOff(s, 2*j+child), g, r, th)
-						})
-					next.Store(m, outBase+bi, v)
-				}
+				pl.mergeBeam(m, *idx, s, j, bt, cur, pl.imageOff(s, 2*j), cur, pl.imageOff(s, 2*j+1), next)
 			}
 		}
 		cur, next = next, cur
@@ -222,13 +239,16 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		// with the identity assignment, the whole run — is unchanged.
 		slots := slotsByCore[c.ID]
 
-		// Per-core local buffers: the two upper data banks (banks 2 and 3).
+		// Per-core local buffers: the two upper data banks (banks 2 and 3),
+		// and the host-side child-index scratch of mergeBeam.
 		bankA, errA := machine.NewBufC(c.Bank(2), nb)
 		bankB, errB := machine.NewBufC(c.Bank(3), nb)
 		if errA != nil || errB != nil {
 			kernelErr = fmt.Errorf("kernels: local bank allocation failed")
 			return
 		}
+		idx := getIdx(4 * nb)
+		defer idxPool.Put(idx)
 
 		// Stage 0: each slot carrier-removes its slice of pulses, double-
 		// buffering the DMA prefetch across the two banks.
@@ -261,25 +281,14 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		// Merge iteration 1: children are single-pulse images that fit the
 		// two upper banks, so prefetch both by DMA and compute locally.
 		for _, slot := range slots {
-			s := 0
 			parents := mat.Partition(len(pl.stages[1]), nCores)[slot]
 			for j := parents.Lo; j < parents.Hi; j++ {
 				d0 := c.DMACopyC(bankA, 0, cur, pl.imageOff(0, 2*j), nb)
 				d1 := c.DMACopyC(bankB, 0, cur, pl.imageOff(0, 2*j+1), nb)
 				c.DMAWait(d0)
 				c.DMAWait(d1)
-				locals := [2]*machine.BufC{bankA, bankB}
 				for bt := 0; bt < 2; bt++ {
-					chargeBeamSetup(c)
-					theta := pl.grids[1][j].Theta(bt)
-					outBase := pl.imageOff(1, j) + bt*nb
-					for bi := 0; bi < nb; bi++ {
-						v := pl.mergePixel(c, s, j, theta, bi,
-							func(child int, g geom.PolarGrid, r, th float64) complex64 {
-								return sampleNN(c, locals[child], 0, g, r, th)
-							})
-						next.Store(c, outBase+bi, v)
-					}
+					pl.mergeBeam(c, *idx, 0, j, bt, bankA, 0, bankB, 0, next)
 				}
 			}
 		}
@@ -296,16 +305,7 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 				for u := units.Lo; u < units.Hi; u++ {
 					j := u / ntheta
 					bt := u % ntheta
-					chargeBeamSetup(c)
-					theta := pl.grids[s+1][j].Theta(bt)
-					outBase := pl.imageOff(s+1, j) + bt*nb
-					for bi := 0; bi < nb; bi++ {
-						v := pl.mergePixel(c, s, j, theta, bi,
-							func(child int, g geom.PolarGrid, r, th float64) complex64 {
-								return sampleNN(c, curL, pl.imageOff(s, 2*j+child), g, r, th)
-							})
-						nextL.Store(c, outBase+bi, v)
-					}
+					pl.mergeBeam(c, *idx, s, j, bt, curL, pl.imageOff(s, 2*j), curL, pl.imageOff(s, 2*j+1), nextL)
 				}
 			}
 			c.Barrier()

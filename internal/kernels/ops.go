@@ -8,6 +8,9 @@
 // Kernels perform the real arithmetic — producing images and criterion
 // values bit-identical to the host implementations in packages ffbp and
 // autofocus — while charging their machine for every modeled operation.
+// The FFBP kernels hold no copy of the host arithmetic: their child
+// indices come from geom.ChildIndices and their rotations from cf.Expi,
+// the functions ffbp calls, and the kernels add only the charges.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and
@@ -17,6 +20,7 @@ package kernels
 import (
 	"math"
 
+	"sarmany/internal/cf"
 	"sarmany/internal/geom"
 	"sarmany/internal/interp"
 	"sarmany/internal/machine"
@@ -32,37 +36,35 @@ func chargeBeamSetup(m machine.Machine) {
 	m.IOp(4)  // row pointers
 }
 
-// childCoords evaluates paper eqs. 1-4 for one output pixel and charges
-// the per-pixel cost of the cosine-theorem index generation: two fused
-// multiply-add chains and square roots for the ranges (eqs. 1-2, with the
-// paper's fast software square root), and a divide plus inverse-cosine
-// each for the angles (eqs. 3-4). The per-beam trigonometry is hoisted by
-// chargeBeamSetup.
-func childCoords(m machine.Machine, r, theta, l float64) (r1, th1, r2, th2 float64) {
+// chargeChildCoords charges the per-pixel cost of the cosine-theorem index
+// generation (paper eqs. 1-4): two fused multiply-add chains and square
+// roots for the ranges (eqs. 1-2, with the paper's fast software square
+// root), and a divide plus inverse-cosine each for the angles (eqs. 3-4).
+// The per-beam trigonometry is hoisted by chargeBeamSetup; the indices
+// themselves come from geom.ChildIndices.
+func chargeChildCoords(m machine.Machine) {
 	m.FMA(10)
 	m.Sqrt(2)
 	m.Div(2)
 	m.Trig(2)
-	return geom.ChildCoords(r, theta, l)
 }
 
 // sampleNN performs the nearest-neighbour interpolation lookup of one
-// child-subaperture sample: index generation from the (range, angle)
-// coordinates, the out-of-range test (the paper's "skip the additions with
-// zero when the indices are out of range"), and the 64-bit load of the
-// complex pixel. img holds the child image row-major on grid g, starting
-// at element base. The arithmetic matches interp.At2(..., interp.Nearest)
-// exactly.
-func sampleNN(m machine.Machine, img *machine.BufC, base int, g geom.PolarGrid, r, th float64) complex64 {
+// child-subaperture sample at fractional (beam, range) index (ti, ri):
+// the rounding, the out-of-range test (the paper's "skip the additions
+// with zero when the indices are out of range"), and the 64-bit load of
+// the complex pixel. img holds the child image row-major on grid g,
+// starting at element base. The arithmetic matches interp.At2(...,
+// interp.Nearest) exactly.
+func sampleNN(m machine.Machine, img *machine.BufC, base int, g geom.PolarGrid, ti, ri float64) complex64 {
 	m.FMA(2)  // two fractional index computations
 	m.Flop(2) // two rounds
 	m.IOp(4)  // bounds tests and address arithmetic
-	ti := int(math.Round(g.ThetaIndex(th)))
-	ri := int(math.Round(g.RangeIndex(r)))
-	if ti < 0 || ti >= g.NTheta || ri < 0 || ri >= g.NR {
+	t, r := int(math.Round(ti)), int(math.Round(ri))
+	if t < 0 || t >= g.NTheta || r < 0 || r >= g.NR {
 		return 0
 	}
-	return img.Load(m, base+ti*g.NR+ri)
+	return img.Load(m, base+t*g.NR+r)
 }
 
 // neville4 evaluates the four-tap Neville cubic interpolation kernel on
@@ -75,11 +77,11 @@ func neville4(m machine.Machine, s [4]complex64, t float32) complex64 {
 	return interp.Neville4(s, t)
 }
 
-// expi charges and evaluates exp(i*phi) — one software sincos.
+// expi charges and evaluates exp(i*phi) — one software sincos — with the
+// host's cf.Expi.
 func expi(m machine.Machine, phi float32) complex64 {
 	m.Trig(1)
-	s, c := math.Sincos(float64(phi))
-	return complex(float32(c), float32(s))
+	return cf.Expi(phi)
 }
 
 // cmul charges and evaluates a complex multiply (four scalar FMAs on the
