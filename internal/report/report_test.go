@@ -135,6 +135,22 @@ func TestTable1PaperShape(t *testing.T) {
 	if r := tab.AutofocusEnergyRatio; r < 45 || r > 110 {
 		t.Errorf("autofocus energy ratio %v outside [45, 110] (paper: 78)", r)
 	}
+
+	// Inside the bands, the exact values the paper reproduction records
+	// (perfbench/golden.go): any moved bit is a model change.
+	want := [6]float64{1.1995009277039943, 3.61038165, 0.251718128,
+		0.002949350112354482, 0.003844545, 0.000409709}
+	for i, r := range append(tab.FFBP[:], tab.Autofocus[:]...) {
+		if r.Seconds != want[i] {
+			t.Errorf("row %d (%s) modeled %v s, want %v", i, r.Impl, r.Seconds, want[i])
+		}
+	}
+	if r := tab.FFBPEnergyRatio; r != 41.69597637167376 {
+		t.Errorf("FFBP energy ratio %v, want 41.69597637167376", r)
+	}
+	if r := tab.AutofocusEnergyRatio; r != 62.98815374595558 {
+		t.Errorf("autofocus energy ratio %v, want 62.98815374595558", r)
+	}
 }
 
 func TestTable1String(t *testing.T) {
