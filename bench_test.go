@@ -14,15 +14,11 @@ import (
 	"testing"
 
 	"sarmany"
-	"sarmany/internal/autofocus"
 	"sarmany/internal/bench"
-	"sarmany/internal/emu"
 	"sarmany/internal/ffbp"
 	"sarmany/internal/gbp"
 	"sarmany/internal/geom"
 	"sarmany/internal/interp"
-	"sarmany/internal/kernels"
-	"sarmany/internal/refcpu"
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
 )
@@ -37,87 +33,25 @@ func benchCfg(b *testing.B) report.Config {
 	return report.Default()
 }
 
-// BenchmarkTable1 reruns each implementation row of the paper's Table I.
+// BenchmarkTable1 reruns each implementation row of the paper's Table I,
+// one sub-benchmark per report.Impls row, named by its -kernel name.
 func BenchmarkTable1(b *testing.B) {
 	cfg := benchCfg(b)
-	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
-	pairs := report.AutofocusWorkload(cfg)
-	shifts := autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts)
-	imgPx := float64(cfg.Params.NumPulses * cfg.Params.NumBins)
-	afPx := float64(len(pairs) * len(shifts) * autofocus.PixelsProcessed())
-
-	b.Run("FFBP/seq-intel", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			cpu := refcpu.New(cfg.Intel)
-			if _, _, err := kernels.SeqFFBP(cpu, cpu.Mem(), data, cfg.Params, cfg.Box); err != nil {
-				b.Fatal(err)
+	in := report.NewInputs(cfg)
+	for _, im := range report.Impls() {
+		b.Run(im.Kernel, func(b *testing.B) {
+			var sec float64
+			for i := 0; i < b.N; i++ {
+				m := im.NewMachine(cfg)
+				if _, err := im.Run(m, cfg, in); err != nil {
+					b.Fatal(err)
+				}
+				sec = m.Seconds()
 			}
-			sec = cpu.Seconds()
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(imgPx/sec, "px_per_s")
-	})
-	b.Run("FFBP/seq-epiphany", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			ch := emu.New(cfg.Epiphany)
-			if _, _, err := kernels.SeqFFBP(ch.Cores[0], ch.Ext(), data, cfg.Params, cfg.Box); err != nil {
-				b.Fatal(err)
-			}
-			sec = ch.Cores[0].Cycles() / cfg.Epiphany.Clock
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(imgPx/sec, "px_per_s")
-	})
-	b.Run("FFBP/par-epiphany", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			ch := emu.New(cfg.Epiphany)
-			if _, _, err := kernels.ParFFBP(ch, cfg.FFBPCores, data, cfg.Params, cfg.Box); err != nil {
-				b.Fatal(err)
-			}
-			sec = ch.Time()
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(imgPx/sec, "px_per_s")
-	})
-	b.Run("Autofocus/seq-intel", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			cpu := refcpu.New(cfg.Intel)
-			if _, err := kernels.SeqAutofocus(cpu, cpu.Mem(), pairs, shifts); err != nil {
-				b.Fatal(err)
-			}
-			sec = cpu.Seconds()
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(afPx/sec, "px_per_s")
-	})
-	b.Run("Autofocus/seq-epiphany", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			ch := emu.New(cfg.Epiphany)
-			if _, err := kernels.SeqAutofocus(ch.Cores[0], ch.Ext(), pairs, shifts); err != nil {
-				b.Fatal(err)
-			}
-			sec = ch.Cores[0].Cycles() / cfg.Epiphany.Clock
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(afPx/sec, "px_per_s")
-	})
-	b.Run("Autofocus/par-epiphany", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			ch := emu.New(cfg.Epiphany)
-			if _, err := kernels.ParAutofocus(ch, pairs, shifts); err != nil {
-				b.Fatal(err)
-			}
-			sec = ch.Time()
-		}
-		b.ReportMetric(sec*1e3, "model_ms")
-		b.ReportMetric(afPx/sec, "px_per_s")
-	})
+			b.ReportMetric(sec*1e3, "model_ms")
+			b.ReportMetric(in.Pixels(im.Study)/sec, "px_per_s")
+		})
+	}
 }
 
 // BenchmarkEnergy reruns the Sec. VI-A energy-efficiency comparison

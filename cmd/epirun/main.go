@@ -1,7 +1,13 @@
-// Epirun executes the paper's mapped kernels on the simulated machines
-// and reports modeled execution time, per-core cycle breakdowns, and
-// traffic statistics — the tool for exploring how the implementations
-// spend their time.
+// Epirun executes one implementation of the paper's Table I on the
+// simulated machines and reports modeled execution time, per-core cycle
+// breakdowns, and traffic statistics — the tool for exploring how the
+// implementations spend their time.
+//
+// The -kernel names are Table I's rows in its order, as report.Impls
+// lists them: ffbp-intel, ffbp-seq and ffbp-par run FFBP sequentially on
+// the Intel i7 model, sequentially on one Epiphany core, and SPMD on the
+// chip; af-intel, af-seq and af-par do the same for the autofocus
+// criterion, af-par as the 13-core pipeline.
 //
 // Usage:
 //
@@ -44,8 +50,8 @@
 // check fails, epirun exits with status 2.
 //
 // A -trace file loads in ui.perfetto.dev or chrome://tracing: one thread
-// per core with compute and stall spans, plus a phase track for SPMD
-// kernels.
+// per core with compute and stall spans, plus a phase track for the SPMD
+// FFBP.
 package main
 
 import (
@@ -58,17 +64,12 @@ import (
 	"strings"
 	"time"
 
-	"sarmany/internal/autofocus"
 	"sarmany/internal/conform"
-	"sarmany/internal/emu"
 	"sarmany/internal/energy"
 	"sarmany/internal/fault"
-	"sarmany/internal/kernels"
 	"sarmany/internal/logx"
 	"sarmany/internal/obs"
-	"sarmany/internal/refcpu"
 	"sarmany/internal/report"
-	"sarmany/internal/sar"
 	"sarmany/internal/telemetry"
 )
 
@@ -97,8 +98,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("epirun: ")
 
+	var names []string
+	for _, im := range report.Impls() {
+		names = append(names, im.Kernel)
+	}
 	var (
-		kernel  = flag.String("kernel", "ffbp-par", "ffbp-par, ffbp-seq, ffbp-intel, af-par, af-seq, af-intel")
+		kernel  = flag.String("kernel", "ffbp-par", strings.Join(names, ", "))
 		cores   = flag.Int("cores", 16, "cores for ffbp-par (0 = all)")
 		mesh    = flag.String("mesh", "4x4", "Epiphany mesh size RxC")
 		small   = flag.Bool("small", false, "reduced workload")
@@ -131,6 +136,10 @@ func main() {
 	runTr := obs.NewReqTrace(obs.NewTraceID())
 	runRoot := runTr.StartSpan("epirun")
 
+	im, ok := report.Lookup(*kernel)
+	if !ok {
+		log.Fatalf("unknown kernel %q", *kernel)
+	}
 	cfg := report.Default()
 	if *small {
 		cfg = report.Small()
@@ -140,13 +149,18 @@ func main() {
 		log.Fatalf("bad mesh %q", *mesh)
 	}
 	cfg.Epiphany = cfg.Epiphany.WithMesh(r, c)
+	cfg.FFBPCores = *cores
+	in := report.NewInputs(cfg)
 
-	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
-	pairs := report.AutofocusWorkload(cfg)
-	shifts := autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts)
-
-	switch *kernel {
-	case "ffbp-intel", "af-intel":
+	m := im.NewMachine(cfg)
+	ch := m.Chip
+	var (
+		tracer   *obs.Tracer
+		rec      *telemetry.Recorder
+		planText []byte
+		planSeed int64
+	)
+	if m.CPU != nil {
 		if *check {
 			log.Fatal("-check verifies the Epiphany model; it does not apply to the Intel reference kernels")
 		}
@@ -156,45 +170,159 @@ func main() {
 		if *watch || *stallD > 0 || *deadlD > 0 {
 			log.Fatal("-watch/-stallafter/-deadline sample the Epiphany chip's progress cells; they do not apply to the Intel reference kernels")
 		}
-		cpu := refcpu.New(cfg.Intel)
-		var tracer *obs.Tracer
 		if *traceF != "" {
 			tracer = obs.NewTracer(cfg.Intel.Clock)
 			tracer.SetCapacity(*traceN)
-			cpu.SetTracer(tracer)
+			m.CPU.SetTracer(tracer)
 		}
-		if *kernel == "ffbp-intel" {
-			if _, _, err := kernels.SeqFFBP(cpu, cpu.Mem(), data, cfg.Params, cfg.Box); err != nil {
+	} else {
+		if *traceF != "" {
+			tracer = obs.NewTracer(cfg.Epiphany.Clock)
+			tracer.SetCapacity(*traceN)
+			ch.SetTracer(tracer)
+		}
+		if *faultsF != "" {
+			plan, err := fault.ParseFile(*faultsF)
+			if err != nil {
 				log.Fatal(err)
 			}
-		} else {
-			if _, err := kernels.SeqAutofocus(cpu, cpu.Mem(), pairs, shifts); err != nil {
+			if len(plan.Halts) > 0 && im.Kind == report.EpiphanyCore {
+				log.Fatal("the plan halts cores, but sequential kernels run directly on core 0 and cannot remap; use a mapped kernel")
+			}
+			inj, err := plan.Compile()
+			if err != nil {
 				log.Fatal(err)
 			}
+			ch.SetFaults(inj)
+			planText, err = os.ReadFile(*faultsF)
+			if err != nil {
+				log.Fatal(err)
+			}
+			planSeed = plan.Seed
+			lg.Info("fault plan "+*faultsF,
+				"halts", len(plan.Halts), "derates", len(plan.Derates),
+				"links", len(plan.Links), "dmas", len(plan.DMAs), "seed", plan.Seed)
+		}
+
+		// The flight recorder: a heartbeat goroutine sampling the chip's
+		// atomic progress cells, driving the -watch status line and the
+		// stall/deadline watchdog. Progress publication never changes
+		// modeled cycles (see emu/progress.go), so an instrumented run
+		// stays cycle-identical to a plain one.
+		if *watch || *stallD > 0 || *deadlD > 0 {
+			ch.EnableProgress()
+			ring := obs.NewEventRing(obs.DefaultEventCapacity)
+			if tracer != nil {
+				ring = tracer.Events()
+			}
+			ring.Addf("run start: kernel=%s cores=%d mesh=%s", *kernel, *cores, *mesh)
+			opts := telemetry.Options{
+				Progress: func() telemetry.Sample {
+					p, _ := ch.Progress()
+					return telemetry.Sample{Total: p.TotalCycles(), Max: p.MaxCycles(), Phases: p.Phases, Cores: p.Cores}
+				},
+				Events:         ring,
+				Interval:       *heartD,
+				StallAfter:     *stallD,
+				Deadline:       *deadlD,
+				PostmortemPath: *pmF,
+				OnDump: func(path, reason string) {
+					fmt.Fprintln(os.Stderr) // break out of the \r status line
+					lg.Warn("post-mortem written", "reason", reason, "path", path)
+				},
+			}
+			if *watch {
+				opts.Status = os.Stderr
+			}
+			rec = telemetry.Start(opts)
+		}
+	}
+	used, err := im.Run(m, cfg, in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if rec != nil {
+		rec.Stop()
+	}
+
+	// What the run reads off its machine: the summary's identity and
+	// clock, and a metrics registry (Metrics() builds it fresh each call)
+	// into which the tracer's span accounting is published.
+	sum := summary{Kernel: *kernel, Cores: used}
+	var (
+		reg     *obs.Registry
+		runMesh string
+	)
+	if m.CPU != nil {
+		writeTrace(*traceF, tracer)
+		reg = m.CPU.Metrics()
+		sum.Machine, sum.ClockHz, sum.Cycles, sum.Seconds = "intel-i7", m.CPU.P.Clock, m.CPU.Cycles(), m.CPU.Seconds()
+	} else {
+		// EPIRUN_TAMPER corrupts one cycle counter before -check runs: the
+		// test suite's way to pin the conformance-failure exit status
+		// without a real accounting bug to trip over.
+		if os.Getenv("EPIRUN_TAMPER") != "" {
+			ch.Cores[0].Stats.ComputeCycles++
+		}
+		if *check {
+			if rep := conform.CheckAll(ch); !rep.OK() {
+				log.Println(rep.Err())
+				os.Exit(exitConformFail)
+			}
+			lg.Info("conformance check passed")
 		}
 		writeTrace(*traceF, tracer)
-		// Metrics() builds the registry fresh each call, so publish the
-		// tracer's span accounting into the one instance we snapshot.
-		reg := cpu.Metrics()
-		tracer.PublishMetrics(reg)
-		snap := reg.Snapshot()
-		writeMetrics(*metricF, snap)
-		e := ledgerEntry(start, cfg, snap, map[string]any{
-			"machine": "intel-i7",
-			"cycles":  cpu.Cycles(),
-			"seconds": cpu.Seconds(),
-		}, runArgs{kernel: *kernel, cores: 1, small: *small})
-		sealRunTrace(&e, runTr, runRoot, tracer, start, *kernel, "intel-i7")
-		recordRun(*ledgerD, e)
-		if *jsonOut {
-			writeSummary(summary{Kernel: *kernel, Machine: "intel-i7", Cores: 1,
-				ClockHz: cpu.P.Clock, Cycles: cpu.Cycles(), Seconds: cpu.Seconds(),
-				Metrics: snap})
-			return
+		// The chip's makespan, named so "sarlog trend
+		// metrics.emu.cycles.total" works out of the box, and energy
+		// gauges so the ledger diff covers nanojoules as well as cycles.
+		reg = ch.Metrics()
+		reg.Gauge("emu.cycles.total").Set(ch.MaxCycles())
+		eb := energy.EpiphanyBreakdown(ch.TotalStats(), ch.Time())
+		reg.Gauge("energy.total_j").Set(eb.Total())
+		reg.Gauge("energy.compute_j").Set(eb.ComputeJ)
+		reg.Gauge("energy.local_mem_j").Set(eb.LocalMemJ)
+		reg.Gauge("energy.noc_j").Set(eb.NoCJ)
+		reg.Gauge("energy.elink_j").Set(eb.ELinkJ)
+		reg.Gauge("energy.static_j").Set(eb.StaticJ)
+		reg.Gauge("energy.avg_w").Set(eb.AveragePower(ch.Time()))
+		sum.Machine = fmt.Sprintf("epiphany-%dx%d", cfg.Epiphany.Rows, cfg.Epiphany.Cols)
+		sum.ClockHz, sum.Cycles, sum.Seconds = cfg.Epiphany.Clock, ch.MaxCycles(), ch.Time()
+		runMesh = *mesh
+	}
+	tracer.PublishMetrics(reg)
+	sum.Metrics = reg.Snapshot()
+	writeMetrics(*metricF, sum.Metrics)
+
+	extra := map[string]any{
+		"machine": sum.Machine,
+		"cycles":  sum.Cycles,
+		"seconds": sum.Seconds,
+	}
+	if rec != nil && rec.Stalled() {
+		extra["stalled"] = true
+		extra["postmortem"] = rec.PostmortemFile()
+	}
+	e := ledgerEntry(start, cfg, sum.Metrics, extra, runArgs{kernel: *kernel, cores: used, mesh: runMesh, small: *small})
+	if planText != nil {
+		planDoc, err := json.Marshal(string(planText))
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%s on Intel i7 model @ %.2f GHz\n", *kernel, cpu.P.Clock/1e9)
-		fmt.Printf("  time: %.3f ms (%.0f cycles)\n", cpu.Seconds()*1e3, cpu.Cycles())
-		s := cpu.Stats
+		e.FaultPlan = planDoc
+		e.FaultHash = telemetry.HashJSON(planText)
+		e.Seed = planSeed
+	}
+	sealRunTrace(&e, runTr, runRoot, tracer, start, *kernel, sum.Machine)
+	recordRun(*ledgerD, e)
+
+	if *jsonOut {
+		writeSummary(sum)
+		return
+	}
+	if m.CPU != nil {
+		fmt.Printf("%s on Intel i7 model @ %.2f GHz\n", *kernel, sum.ClockHz/1e9)
+		fmt.Printf("  time: %.3f ms (%.0f cycles)\n", sum.Seconds*1e3, sum.Cycles)
+		s := m.CPU.Stats
 		fmt.Printf("  ops: %d FMA, %d flop, %d iop, %d div, %d sqrt, %d trig\n",
 			s.FMA, s.Flop, s.IOp, s.Div, s.Sqrt, s.Trig)
 		total := s.Served[0] + s.Served[1] + s.Served[2] + s.Served[3]
@@ -206,178 +334,6 @@ func main() {
 				100*float64(s.Served[2])/float64(total),
 				100*float64(s.Served[3])/float64(total))
 		}
-		return
-	}
-
-	ch := emu.New(cfg.Epiphany)
-	if *cores == 0 {
-		// ParFFBP reads 0 as "all cores"; resolve it here so the text and
-		// JSON summaries, the per-core table and the ledger name the cores
-		// the run used.
-		*cores = len(ch.Cores)
-	}
-	var tracer *obs.Tracer
-	if *traceF != "" {
-		tracer = obs.NewTracer(cfg.Epiphany.Clock)
-		tracer.SetCapacity(*traceN)
-		ch.SetTracer(tracer)
-	}
-	var planText []byte
-	var planSeed int64
-	if *faultsF != "" {
-		plan, err := fault.ParseFile(*faultsF)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(plan.Halts) > 0 && (*kernel == "ffbp-seq" || *kernel == "af-seq") {
-			log.Fatal("the plan halts cores, but sequential kernels run directly on core 0 and cannot remap; use a mapped kernel")
-		}
-		inj, err := plan.Compile()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ch.SetFaults(inj)
-		planText, err = os.ReadFile(*faultsF)
-		if err != nil {
-			log.Fatal(err)
-		}
-		planSeed = plan.Seed
-		lg.Info("fault plan "+*faultsF,
-			"halts", len(plan.Halts), "derates", len(plan.Derates),
-			"links", len(plan.Links), "dmas", len(plan.DMAs), "seed", plan.Seed)
-	}
-
-	// The flight recorder: a heartbeat goroutine sampling the chip's
-	// atomic progress cells, driving the -watch status line and the
-	// stall/deadline watchdog. Progress publication never changes modeled
-	// cycles (see emu/progress.go), so an instrumented run stays
-	// cycle-identical to a plain one.
-	var rec *telemetry.Recorder
-	if *watch || *stallD > 0 || *deadlD > 0 {
-		ch.EnableProgress()
-		var statusW *os.File
-		if *watch {
-			statusW = os.Stderr
-		}
-		ring := obs.NewEventRing(obs.DefaultEventCapacity)
-		if tracer != nil {
-			ring = tracer.Events()
-		}
-		ring.Addf("run start: kernel=%s cores=%d mesh=%s", *kernel, *cores, *mesh)
-		opts := telemetry.Options{
-			Progress: func() telemetry.Sample {
-				p, _ := ch.Progress()
-				return telemetry.Sample{Total: p.TotalCycles(), Max: p.MaxCycles(), Phases: p.Phases, Cores: p.Cores}
-			},
-			Events:         ring,
-			Interval:       *heartD,
-			StallAfter:     *stallD,
-			Deadline:       *deadlD,
-			PostmortemPath: *pmF,
-			OnDump: func(path, reason string) {
-				fmt.Fprintln(os.Stderr) // break out of the \r status line
-				lg.Warn("post-mortem written", "reason", reason, "path", path)
-			},
-		}
-		if statusW != nil {
-			opts.Status = statusW
-		}
-		rec = telemetry.Start(opts)
-	}
-	var used int
-	switch *kernel {
-	case "ffbp-par":
-		used = *cores
-		if _, _, err := kernels.ParFFBP(ch, *cores, data, cfg.Params, cfg.Box); err != nil {
-			log.Fatal(err)
-		}
-	case "ffbp-seq":
-		used = 1
-		if _, _, err := kernels.SeqFFBP(ch.Cores[0], ch.Ext(), data, cfg.Params, cfg.Box); err != nil {
-			log.Fatal(err)
-		}
-	case "af-par":
-		used = 13
-		if _, err := kernels.ParAutofocus(ch, pairs, shifts); err != nil {
-			log.Fatal(err)
-		}
-	case "af-seq":
-		used = 1
-		if _, err := kernels.SeqAutofocus(ch.Cores[0], ch.Ext(), pairs, shifts); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown kernel %q", *kernel)
-	}
-
-	if rec != nil {
-		rec.Stop()
-	}
-
-	// EPIRUN_TAMPER corrupts one cycle counter before -check runs: the
-	// test suite's way to pin the conformance-failure exit status without
-	// a real accounting bug to trip over.
-	if os.Getenv("EPIRUN_TAMPER") != "" {
-		ch.Cores[0].Stats.ComputeCycles++
-	}
-	if *check {
-		if rep := conform.CheckAll(ch); !rep.OK() {
-			log.Println(rep.Err())
-			os.Exit(exitConformFail)
-		}
-		lg.Info("conformance check passed")
-	}
-
-	writeTrace(*traceF, tracer)
-	// Metrics() builds the registry fresh each call, so publish the
-	// tracer's span accounting into the one instance we snapshot. Energy
-	// gauges ride along so the ledger diff covers nanojoules as well as
-	// cycles.
-	reg := ch.Metrics()
-	tracer.PublishMetrics(reg)
-	// The chip's makespan, named so "sarlog trend metrics.emu.cycles.total"
-	// works out of the box.
-	reg.Gauge("emu.cycles.total").Set(ch.MaxCycles())
-	eb := energy.EpiphanyBreakdown(ch.TotalStats(), ch.Time())
-	reg.Gauge("energy.total_j").Set(eb.Total())
-	reg.Gauge("energy.compute_j").Set(eb.ComputeJ)
-	reg.Gauge("energy.local_mem_j").Set(eb.LocalMemJ)
-	reg.Gauge("energy.noc_j").Set(eb.NoCJ)
-	reg.Gauge("energy.elink_j").Set(eb.ELinkJ)
-	reg.Gauge("energy.static_j").Set(eb.StaticJ)
-	reg.Gauge("energy.avg_w").Set(eb.AveragePower(ch.Time()))
-	snap := reg.Snapshot()
-	writeMetrics(*metricF, snap)
-
-	machine := fmt.Sprintf("epiphany-%dx%d", cfg.Epiphany.Rows, cfg.Epiphany.Cols)
-	extra := map[string]any{
-		"machine": machine,
-		"cycles":  ch.MaxCycles(),
-		"seconds": ch.Time(),
-	}
-	if rec != nil && rec.Stalled() {
-		extra["stalled"] = true
-		extra["postmortem"] = rec.PostmortemFile()
-	}
-	e := ledgerEntry(start, cfg, snap, extra, runArgs{kernel: *kernel, cores: used, mesh: *mesh, small: *small})
-	if planText != nil {
-		planDoc, err := json.Marshal(string(planText))
-		if err != nil {
-			log.Fatal(err)
-		}
-		e.FaultPlan = planDoc
-		e.FaultHash = telemetry.HashJSON(planText)
-		e.Seed = planSeed
-	}
-	sealRunTrace(&e, runTr, runRoot, tracer, start, *kernel, machine)
-	recordRun(*ledgerD, e)
-
-	if *jsonOut {
-		writeSummary(summary{Kernel: *kernel,
-			Machine: machine,
-			Cores:   used, ClockHz: cfg.Epiphany.Clock,
-			Cycles: ch.MaxCycles(), Seconds: ch.Time(),
-			Metrics: snap})
 		return
 	}
 
@@ -414,7 +370,7 @@ func main() {
 		b := energy.EpiphanyBreakdown(t, ch.Time())
 		fmt.Printf("  modeled energy breakdown (avg %.2f W):\n%s", b.AveragePower(ch.Time()), b)
 	}
-	if strings.HasPrefix(*kernel, "ffbp") {
+	if im.Study == report.FFBP {
 		fmt.Printf("  (image: %d x %d pixels, %d merge iterations)\n",
 			cfg.Params.NumPulses, cfg.Params.NumBins, log2(cfg.Params.NumPulses))
 	}

@@ -1,8 +1,13 @@
-// Sarprof runs one traced kernel on the simulated Epiphany and analyzes
-// the trace with internal/profile: critical-path extraction with
-// per-cause stall attribution, per-phase energy attribution against the
-// power model, a roofline classification of every barrier phase, and a
-// mesh heatmap of core utilization and link traffic.
+// Sarprof runs one Epiphany implementation of the paper's Table I with
+// tracing on and analyzes the trace with internal/profile: critical-path
+// extraction with per-cause stall attribution, per-phase energy
+// attribution against the power model, a roofline classification of
+// every barrier phase, and a mesh heatmap of core utilization and link
+// traffic.
+//
+// The -kernel names are the Epiphany rows of report.Impls: ffbp-seq and
+// af-seq on one core, ffbp-par and af-par mapped onto the chip. The run
+// ledger records the cores the kernel used.
 //
 // Usage:
 //
@@ -22,7 +27,7 @@
 // retry, derate and remap costs. When -check fails, sarprof exits with
 // status 2.
 //
-// The text report always goes to stdout. Only Epiphany kernels can be
+// The text report always goes to stdout. The Intel rows cannot be
 // profiled: the analyzer consumes the chip's span tracks, dependency
 // edges and phase records.
 package main
@@ -35,18 +40,15 @@ import (
 	"log"
 	"log/slog"
 	"os"
+	"strings"
 	"time"
 
-	"sarmany/internal/autofocus"
 	"sarmany/internal/conform"
-	"sarmany/internal/emu"
 	"sarmany/internal/fault"
-	"sarmany/internal/kernels"
 	"sarmany/internal/logx"
 	"sarmany/internal/obs"
 	"sarmany/internal/profile"
 	"sarmany/internal/report"
-	"sarmany/internal/sar"
 	"sarmany/internal/telemetry"
 )
 
@@ -63,9 +65,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sarprof: ")
 
+	var names []string
+	for _, im := range report.Impls() {
+		if im.Kind != report.Intel {
+			names = append(names, im.Kernel)
+		}
+	}
 	var (
-		kernel  = flag.String("kernel", "ffbp-par", "ffbp-par, ffbp-seq, af-par, af-seq")
-		cores   = flag.Int("cores", 16, "cores for ffbp-par")
+		kernel  = flag.String("kernel", "ffbp-par", strings.Join(names, ", "))
+		cores   = flag.Int("cores", 16, "cores for ffbp-par (0 = all)")
 		mesh    = flag.String("mesh", "4x4", "Epiphany mesh size RxC")
 		small   = flag.Bool("small", false, "reduced workload")
 		traceN  = flag.Int("tracecap", obs.DefaultCapacity, "trace ring capacity in spans per track")
@@ -81,6 +89,10 @@ func main() {
 	lg = logCfg.MustNew("sarprof")
 	start := time.Now()
 
+	im, ok := report.Lookup(*kernel)
+	if !ok || im.Kind == report.Intel {
+		log.Fatalf("unknown kernel %q (sarprof profiles Epiphany kernels only: %s)", *kernel, strings.Join(names, ", "))
+	}
 	cfg := report.Default()
 	if *small {
 		cfg = report.Small()
@@ -90,8 +102,11 @@ func main() {
 		log.Fatalf("bad mesh %q", *mesh)
 	}
 	cfg.Epiphany = cfg.Epiphany.WithMesh(r, c)
+	cfg.FFBPCores = *cores
+	in := report.NewInputs(cfg)
 
-	ch := emu.New(cfg.Epiphany)
+	m := im.NewMachine(cfg)
+	ch := m.Chip
 	tracer := obs.NewTracer(cfg.Epiphany.Clock)
 	tracer.SetCapacity(*traceN)
 	ch.SetTracer(tracer)
@@ -100,7 +115,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(plan.Halts) > 0 && (*kernel == "ffbp-seq" || *kernel == "af-seq") {
+		if len(plan.Halts) > 0 && im.Kind == report.EpiphanyCore {
 			log.Fatal("the plan halts cores, but sequential kernels run directly on core 0 and cannot remap; use a mapped kernel")
 		}
 		inj, err := plan.Compile()
@@ -109,31 +124,9 @@ func main() {
 		}
 		ch.SetFaults(inj)
 	}
-
-	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
-	switch *kernel {
-	case "ffbp-par":
-		if _, _, err := kernels.ParFFBP(ch, *cores, data, cfg.Params, cfg.Box); err != nil {
-			log.Fatal(err)
-		}
-	case "ffbp-seq":
-		if _, _, err := kernels.SeqFFBP(ch.Cores[0], ch.Ext(), data, cfg.Params, cfg.Box); err != nil {
-			log.Fatal(err)
-		}
-	case "af-par":
-		pairs := report.AutofocusWorkload(cfg)
-		shifts := autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts)
-		if _, err := kernels.ParAutofocus(ch, pairs, shifts); err != nil {
-			log.Fatal(err)
-		}
-	case "af-seq":
-		pairs := report.AutofocusWorkload(cfg)
-		shifts := autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts)
-		if _, err := kernels.SeqAutofocus(ch.Cores[0], ch.Ext(), pairs, shifts); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown kernel %q (sarprof profiles Epiphany kernels only)", *kernel)
+	used, err := im.Run(m, cfg, in)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// SARPROF_TAMPER corrupts one cycle counter before -check runs: the
@@ -160,11 +153,11 @@ func main() {
 	if *ledgerD != "" {
 		e, lerr := telemetry.NewEntry("sarprof", start, map[string]any{
 			"kernel": *kernel,
-			"cores":  *cores,
+			"cores":  used,
 			"mesh":   *mesh,
 			"small":  *small,
 			"params": cfg.Params,
-		}, "kernel="+*kernel, fmt.Sprintf("cores=%d", *cores), fmt.Sprintf("small=%v", *small), "mesh="+*mesh)
+		}, "kernel="+*kernel, fmt.Sprintf("cores=%d", used), fmt.Sprintf("small=%v", *small), "mesh="+*mesh)
 		if lerr != nil {
 			log.Printf("ledger: %v", lerr)
 		} else {

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"sarmany/internal/telemetry"
 )
 
 // TestMain lets the test re-execute this binary as sarprof itself: when
@@ -79,5 +84,54 @@ func TestCheckExitCodeOnConformanceFailure(t *testing.T) {
 	}
 	if !strings.Contains(out, "invariant violation") {
 		t.Fatalf("failure output does not name the violation:\n%s", out)
+	}
+}
+
+// TestLedgerRecordsCoresUsed checks that the manifest names the cores the
+// kernel ran on, not the -cores flag: one for a sequential kernel, 13 for
+// the autofocus pipeline, and all 16 of the E16G3 for ffbp-par -cores 0.
+func TestLedgerRecordsCoresUsed(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-kernel", "af-seq"}, 1},
+		{[]string{"-kernel", "af-par"}, 13},
+		{[]string{"-kernel", "ffbp-par", "-cores", "0"}, 16},
+	} {
+		dir := filepath.Join(t.TempDir(), "runs")
+		code, out := runSarprof(t, false, append(c.args, "-small", "-ledger", dir)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", c.args, code, out)
+		}
+		entries, err := telemetry.Open(dir).List()
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%v: entries=%d err=%v", c.args, len(entries), err)
+		}
+		var cfg struct{ Cores int }
+		if err := json.Unmarshal(entries[0].Config, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Cores != c.want {
+			t.Errorf("%v: ledger config records %d cores, want %d", c.args, cfg.Cores, c.want)
+		}
+		if arg := fmt.Sprintf("cores=%d", c.want); !slices.Contains(entries[0].Args, arg) {
+			t.Errorf("%v: ledger args %v lack %s", c.args, entries[0].Args, arg)
+		}
+	}
+}
+
+// TestRejectsNonEpiphanyKernels checks that the Intel reference kernels
+// and unknown names are usage errors (status 1) that say what sarprof
+// can profile.
+func TestRejectsNonEpiphanyKernels(t *testing.T) {
+	for _, k := range []string{"ffbp-intel", "no-such-kernel"} {
+		code, out := runSarprof(t, false, "-kernel", k, "-small")
+		if code != 1 {
+			t.Errorf("-kernel %s: exit %d, want 1\n%s", k, code, out)
+		}
+		if !strings.Contains(out, "profiles Epiphany kernels only") {
+			t.Errorf("-kernel %s: unexpected error output:\n%s", k, out)
+		}
 	}
 }

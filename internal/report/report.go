@@ -1,8 +1,12 @@
-// Package report drives the paper's experiments end to end and formats
-// their results: Table I (resources, performance and estimated power of
-// the FFBP and autofocus criterion implementations), the energy-efficiency
-// ratios of Sec. VI-A, and the Fig. 7 image set. It is shared by
-// cmd/benchtab and the top-level benchmark suite.
+// Package report reproduces the paper's Table I (resources, performance
+// and estimated power of the FFBP and autofocus criterion
+// implementations) and the energy-efficiency ratios of Sec. VI-A, and
+// holds the workload configurations the other experiments share.
+//
+// Table I's six implementations are named once, in Impls: each row's
+// -kernel name, label, case study and machine kind, with Impl.Run binding
+// it to its kernel call. RunTable1, cmd/epirun, cmd/sarprof and the root
+// BenchmarkTable1 all read that table.
 package report
 
 import (
@@ -16,6 +20,8 @@ import (
 	"sarmany/internal/energy"
 	"sarmany/internal/geom"
 	"sarmany/internal/kernels"
+	"sarmany/internal/machine"
+	"sarmany/internal/mat"
 	"sarmany/internal/obs"
 	"sarmany/internal/refcpu"
 	"sarmany/internal/sar"
@@ -122,92 +128,171 @@ type Table1 struct {
 	AutofocusMetrics obs.Snapshot `json:"autofocus_metrics,omitempty"`
 }
 
+// Study is a case study of Table I.
+type Study int
+
+const (
+	FFBP      Study = iota // image formation by fast factorized back-projection
+	Autofocus              // the autofocus criterion calculation
+)
+
+// Kind is the kind of machine a Table I implementation runs on.
+type Kind int
+
+const (
+	Intel        Kind = iota // sequentially on the Intel i7 model
+	EpiphanyCore             // sequentially on Epiphany core 0, data in external memory
+	EpiphanyChip             // mapped onto the Epiphany chip
+)
+
+// Impl is one implementation of Table I: a case study on a machine.
+type Impl struct {
+	Kernel string // the -kernel name of cmd/epirun and cmd/sarprof
+	Label  string // the row label in Table I
+	Study  Study
+	Kind   Kind
+}
+
+var impls = [6]Impl{
+	{"ffbp-intel", "Sequential on Intel i7", FFBP, Intel},
+	{"ffbp-seq", "Sequential on Epiphany", FFBP, EpiphanyCore},
+	{"ffbp-par", "Parallel on Epiphany", FFBP, EpiphanyChip},
+	{"af-intel", "Sequential on Intel i7", Autofocus, Intel},
+	{"af-seq", "Sequential on Epiphany", Autofocus, EpiphanyCore},
+	{"af-par", "Parallel on Epiphany", Autofocus, EpiphanyChip},
+}
+
+// Impls returns a copy of Table I's six implementations in its row
+// order: FFBP, then autofocus, each sequential on Intel, sequential on
+// one Epiphany core and parallel on the chip. RunTable1, cmd/epirun,
+// cmd/sarprof and the root BenchmarkTable1 all read it.
+func Impls() [6]Impl { return impls }
+
+// Lookup returns the implementation whose Kernel is name.
+func Lookup(name string) (Impl, bool) {
+	for _, im := range impls {
+		if im.Kernel == name {
+			return im, true
+		}
+	}
+	return Impl{}, false
+}
+
+// Machine is the model an implementation runs on: CPU for the Intel
+// rows, Chip for the Epiphany rows.
+type Machine struct {
+	CPU  *refcpu.CPU
+	Chip *emu.Chip
+}
+
+// NewMachine builds a fresh model of the machine im runs on. Callers may
+// attach tracers, fault plans or progress cells before Run.
+func (im Impl) NewMachine(cfg Config) Machine {
+	if im.Kind == Intel {
+		return Machine{CPU: refcpu.New(cfg.Intel)}
+	}
+	return Machine{Chip: emu.New(cfg.Epiphany)}
+}
+
+// Seconds returns the modeled time of what ran on m. A sequential
+// Epiphany run reads core 0's cycles over the clock, since no other core
+// ran.
+func (m Machine) Seconds() float64 {
+	if m.CPU != nil {
+		return m.CPU.Seconds()
+	}
+	return m.Chip.Time()
+}
+
+// Inputs are the inputs the rows of Table I share.
+type Inputs struct {
+	Data   *mat.C              // pulse-compressed radar data, the FFBP input
+	Pairs  []kernels.BlockPair // the autofocus block-pair stream
+	Shifts []autofocus.Shift   // candidate compensations tried on every pair
+}
+
+// NewInputs synthesizes cfg's inputs: the radar data of cfg.Targets and
+// cfg.Pairs block pairs under cfg.Shifts shifts.
+func NewInputs(cfg Config) *Inputs {
+	return &Inputs{
+		Data:   sar.Simulate(cfg.Params, cfg.Targets, nil),
+		Pairs:  AutofocusWorkload(cfg),
+		Shifts: autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts),
+	}
+}
+
+// Pixels returns the pixels one run of study s processes: the FFBP
+// image, or every autofocus pair under every shift.
+func (in *Inputs) Pixels(s Study) float64 {
+	if s == FFBP {
+		return float64(in.Data.Rows * in.Data.Cols)
+	}
+	return float64(len(in.Pairs) * len(in.Shifts) * autofocus.PixelsProcessed())
+}
+
+// Run runs im on m, built by im.NewMachine, and returns the number of
+// cores it used. Parallel FFBP maps onto cfg.FFBPCores cores, or onto
+// every core of the chip when that is 0.
+func (im Impl) Run(m Machine, cfg Config, in *Inputs) (int, error) {
+	if im.Kind == EpiphanyChip {
+		if im.Study == FFBP {
+			n := cfg.FFBPCores
+			if n == 0 {
+				n = len(m.Chip.Cores)
+			}
+			_, _, err := kernels.ParFFBP(m.Chip, n, in.Data, cfg.Params, cfg.Box)
+			return n, err
+		}
+		_, err := kernels.ParAutofocus(m.Chip, in.Pairs, in.Shifts)
+		return kernels.PipelineCores, err
+	}
+	var (
+		core machine.Machine
+		mem  machine.Alloc
+		err  error
+	)
+	if im.Kind == Intel {
+		core, mem = m.CPU, m.CPU.Mem()
+	} else {
+		core, mem = m.Chip.Cores[0], m.Chip.Ext()
+	}
+	if im.Study == FFBP {
+		_, _, err = kernels.SeqFFBP(core, mem, in.Data, cfg.Params, cfg.Box)
+	} else {
+		_, err = kernels.SeqAutofocus(core, mem, in.Pairs, in.Shifts)
+	}
+	return 1, err
+}
+
 // RunTable1 executes all six implementations of Table I on freshly
 // constructed machine models and returns the measured table. The context
 // is checked between the six machine runs: cancellation (or a deadline
 // set by a sweep-engine timeout) stops the experiment at the next
 // simulation boundary.
 func RunTable1(ctx context.Context, cfg Config) (*Table1, error) {
-	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
-	imgPixels := float64(cfg.Params.NumPulses * cfg.Params.NumBins)
-
+	in := NewInputs(cfg)
 	var t Table1
-
-	// FFBP sequential on the Intel reference.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	rows := [2]*[3]Row{&t.FFBP, &t.Autofocus}
+	snaps := [2]*obs.Snapshot{&t.FFBPMetrics, &t.AutofocusMetrics}
+	for _, im := range impls {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		m := im.NewMachine(cfg)
+		cores, err := im.Run(m, cfg, in)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", im.Kernel, err)
+		}
+		sec, power := m.Seconds(), cfg.Epiphany.MaxPowerWatts
+		if im.Kind == Intel {
+			power = cfg.Intel.SingleCorePowerWatts
+		}
+		rows[im.Study][im.Kind] = Row{Impl: im.Label, Cores: cores,
+			Seconds: sec, PixPerSec: in.Pixels(im.Study) / sec, PowerW: power}
+		if im.Kind == EpiphanyChip {
+			*snaps[im.Study] = m.Chip.Metrics().Snapshot()
+		}
 	}
-	cpu := refcpu.New(cfg.Intel)
-	if _, _, err := kernels.SeqFFBP(cpu, cpu.Mem(), data, cfg.Params, cfg.Box); err != nil {
-		return nil, fmt.Errorf("ffbp seq intel: %w", err)
-	}
-	t.FFBP[0] = Row{Impl: "Sequential on Intel i7", Cores: 1,
-		Seconds: cpu.Seconds(), PixPerSec: imgPixels / cpu.Seconds(),
-		PowerW: cfg.Intel.SingleCorePowerWatts}
-
-	// FFBP sequential on one Epiphany core.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	chSeq := emu.New(cfg.Epiphany)
-	if _, _, err := kernels.SeqFFBP(chSeq.Cores[0], chSeq.Ext(), data, cfg.Params, cfg.Box); err != nil {
-		return nil, fmt.Errorf("ffbp seq epiphany: %w", err)
-	}
-	sec := chSeq.Cores[0].Cycles() / cfg.Epiphany.Clock
-	t.FFBP[1] = Row{Impl: "Sequential on Epiphany", Cores: 1,
-		Seconds: sec, PixPerSec: imgPixels / sec, PowerW: cfg.Epiphany.MaxPowerWatts}
-
-	// FFBP parallel on the Epiphany chip.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	chPar := emu.New(cfg.Epiphany)
-	if _, _, err := kernels.ParFFBP(chPar, cfg.FFBPCores, data, cfg.Params, cfg.Box); err != nil {
-		return nil, fmt.Errorf("ffbp par epiphany: %w", err)
-	}
-	t.FFBP[2] = Row{Impl: "Parallel on Epiphany", Cores: cfg.FFBPCores,
-		Seconds: chPar.Time(), PixPerSec: imgPixels / chPar.Time(),
-		PowerW: cfg.Epiphany.MaxPowerWatts}
-	t.FFBPMetrics = chPar.Metrics().Snapshot()
-
-	// Autofocus workload.
-	pairs := AutofocusWorkload(cfg)
-	shifts := autofocus.RangeSweep(-1.5, 1.5, cfg.Shifts)
-	afPixels := float64(len(pairs) * len(shifts) * autofocus.PixelsProcessed())
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cpu2 := refcpu.New(cfg.Intel)
-	if _, err := kernels.SeqAutofocus(cpu2, cpu2.Mem(), pairs, shifts); err != nil {
-		return nil, fmt.Errorf("autofocus seq intel: %w", err)
-	}
-	t.Autofocus[0] = Row{Impl: "Sequential on Intel i7", Cores: 1,
-		Seconds: cpu2.Seconds(), PixPerSec: afPixels / cpu2.Seconds(),
-		PowerW: cfg.Intel.SingleCorePowerWatts}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	chSeqA := emu.New(cfg.Epiphany)
-	if _, err := kernels.SeqAutofocus(chSeqA.Cores[0], chSeqA.Ext(), pairs, shifts); err != nil {
-		return nil, fmt.Errorf("autofocus seq epiphany: %w", err)
-	}
-	secA := chSeqA.Cores[0].Cycles() / cfg.Epiphany.Clock
-	t.Autofocus[1] = Row{Impl: "Sequential on Epiphany", Cores: 1,
-		Seconds: secA, PixPerSec: afPixels / secA, PowerW: cfg.Epiphany.MaxPowerWatts}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	chParA := emu.New(cfg.Epiphany)
-	if _, err := kernels.ParAutofocus(chParA, pairs, shifts); err != nil {
-		return nil, fmt.Errorf("autofocus par epiphany: %w", err)
-	}
-	t.Autofocus[2] = Row{Impl: "Parallel on Epiphany", Cores: 13,
-		Seconds: chParA.Time(), PixPerSec: afPixels / chParA.Time(),
-		PowerW: cfg.Epiphany.MaxPowerWatts}
-	t.AutofocusMetrics = chParA.Metrics().Snapshot()
 
 	// Speedups relative to sequential Intel.
 	for i := range t.FFBP {
