@@ -106,8 +106,6 @@ type Options struct {
 	// Metrics receives serve.* and sweep.* series (nil = a private
 	// registry; Server.Registry exposes it either way).
 	Metrics *obs.Registry
-	// Salt overrides the content-address salt ("" = sweep.Salt).
-	Salt string
 	// Run overrides the job runner (nil = bench.Compute on the spec's
 	// experiment). Tests use this to serve synthetic workloads.
 	Run sweep.RunFunc
@@ -147,7 +145,6 @@ type Server struct {
 	reg     *obs.Registry
 	m       serveMetrics
 	started time.Time
-	salt    string
 	run     sweep.RunFunc
 	log     *slog.Logger
 
@@ -159,10 +156,6 @@ func NewServer(opt Options) *Server {
 	reg := opt.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	salt := opt.Salt
-	if salt == "" {
-		salt = sweep.Salt
 	}
 	run := opt.Run
 	if run == nil {
@@ -183,7 +176,6 @@ func NewServer(opt Options) *Server {
 		quotas:  newQuotas(opt.Quota),
 		reg:     reg,
 		started: time.Now(),
-		salt:    salt,
 		run:     run,
 		log:     lg,
 		drainCh: make(chan struct{}),
@@ -256,7 +248,7 @@ func (s *Server) retryAfterHint() time.Duration {
 
 // JobID computes a spec's content-addressed identifier without
 // submitting it: a 16-hex-character prefix of the sweep cache key over
-// the spec's experiment, configuration, tag and the server salt.
+// the spec's experiment, configuration and tag.
 func (s *Server) JobID(spec JobSpec) (string, sweep.Job, error) {
 	cfg, err := spec.config()
 	if err != nil {
@@ -266,7 +258,7 @@ func (s *Server) JobID(spec JobSpec) (string, sweep.Job, error) {
 	if spec.Tag != "" {
 		job.Extra = map[string]string{"tag": spec.Tag}
 	}
-	key, err := sweep.Key(job, s.salt)
+	key, err := sweep.Key(job)
 	if err != nil {
 		return "", sweep.Job{}, err
 	}
@@ -478,7 +470,6 @@ func (s *Server) execBatch(batch []*Request) {
 		Workers:  s.opt.Workers,
 		CacheDir: s.opt.CacheDir,
 		Metrics:  s.reg,
-		Salt:     s.salt,
 		// Batch slots map 1:1 onto sweep input indices, so the sweep's
 		// cache-lookup/execute spans nest under each request's execute
 		// stage span.

@@ -12,36 +12,27 @@ import (
 	"sarmany/internal/report"
 )
 
-// cacheKey returns the content address of a job: a SHA-256 over the
+// Key returns the content address of a job: a SHA-256 over the
 // canonical JSON of the workload selector, the experiment configuration,
-// any extra workload parameters, and the code-version salt. Job.Name is
+// any extra workload parameters, and the code-version Salt. Job.Name is
 // deliberately excluded — a relabeled job is the same simulation.
 //
 // encoding/json is canonical for this purpose: struct fields marshal in
 // declaration order and map keys sort, so equal configs always hash
 // equally. All config types (report.Config, sar.Params, emu.Params,
 // refcpu.Params) are plain data.
-func cacheKey(j Job, salt string) (string, error) {
+func Key(j Job) (string, error) {
 	b, err := json.Marshal(struct {
 		Salt   string        `json:"salt"`
 		Exp    string        `json:"exp"`
 		Config report.Config `json:"config"`
 		Extra  any           `json:"extra,omitempty"`
-	}{Salt: salt, Exp: j.Exp, Config: j.Config, Extra: j.Extra})
+	}{Salt: Salt, Exp: j.Exp, Config: j.Config, Extra: j.Extra})
 	if err != nil {
 		return "", fmt.Errorf("sweep: job %q not hashable: %w", j.Name, err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// Key exposes a job's cache key (with the default salt when salt is
-// empty) for tooling and tests.
-func Key(j Job, salt string) (string, error) {
-	if salt == "" {
-		salt = Salt
-	}
-	return cacheKey(j, salt)
 }
 
 // diskCache stores one canonical envelope encoding per content address,

@@ -34,7 +34,7 @@ import (
 	"sarmany/internal/report"
 )
 
-// Salt is the default code-version salt mixed into every cache key. Bump
+// Salt is the code-version salt mixed into every cache key. Bump
 // it whenever kernels or machine models change modeled results, so stale
 // cached envelopes from older code cannot be replayed as current.
 const Salt = "sarmany-sweep-v1"
@@ -70,8 +70,6 @@ type Options struct {
 	// TimeoutError; a simulation that never reaches a context checkpoint
 	// is abandoned (its goroutine is orphaned), not crashed into.
 	Timeout time.Duration
-	// Salt overrides the code-version salt in cache keys ("" = Salt).
-	Salt string
 	// Metrics receives job lifecycle counters and the per-job duration
 	// histogram when non-nil.
 	Metrics *obs.Registry
@@ -186,10 +184,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 			return bench.Compute(ctx, j.Exp, j.Config, "")
 		}
 	}
-	salt := opt.Salt
-	if salt == "" {
-		salt = Salt
-	}
 	var cache *diskCache
 	if opt.CacheDir != "" {
 		c, err := openCache(opt.CacheDir)
@@ -207,7 +201,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	dup := make(map[string][]int)
 	for i, j := range jobs {
 		results[i] = JobResult{Job: j, Index: i}
-		key, err := cacheKey(j, salt)
+		key, err := Key(j)
 		if err != nil {
 			// Unhashable Extra: run the job uncached and undeduplicated.
 			reps = append(reps, i)
@@ -241,7 +235,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 				if opt.SpanFor != nil {
 					parent = opt.SpanFor(i, jobs[i])
 				}
-				runOne(ctx, &results[i], runner, cache, salt, opt.Timeout, m, parent)
+				runOne(ctx, &results[i], runner, cache, opt.Timeout, m, parent)
 			}
 		}()
 	}
@@ -286,8 +280,8 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 // runOne executes (or replays) one job into its result slot. parent,
 // when non-nil, is the request-trace span the job's cache-lookup and
 // execute spans nest under.
-func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCache, salt string, timeout time.Duration, m *metrics, parent *obs.ReqSpan) {
-	key, keyErr := cacheKey(res.Job, salt)
+func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCache, timeout time.Duration, m *metrics, parent *obs.ReqSpan) {
+	key, keyErr := Key(res.Job)
 	if cache != nil && keyErr == nil {
 		ls := parent.Child("sweep.cache.lookup")
 		raw, env, ok := cache.load(key)
