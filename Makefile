@@ -1,18 +1,18 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
+.PHONY: all check fmt vet build test race bench benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
 
 all: check
 
 # check runs the full verification gate: formatting, static analysis,
-# build, package-doc coverage, the race-enabled test suite, the chaos
-# (fault-injection) suite, a fuzz smoke pass over the fault-plan parser,
+# build, package-doc coverage, the race-enabled test suite, one pass of
+# every root benchmark, the chaos (fault-injection) suite, a fuzz smoke pass over the fault-plan parser,
 # the simulator conformance suite, the emu-coverage guard, the sweep,
 # profiler, job-server and fused-kernel throughput measurements, the
 # benchmark regression diff against the committed baselines, the
 # repository benchmark's own test suite, the paper-scale Table I goldens,
 # and the sarserve end-to-end and request-tracing smoke tests.
-check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
+check: fmt vet build docscheck race benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -32,6 +32,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# benchsmoke runs every root benchmark (bench_test.go) once at the
+# reduced -short scale. No test runs them, so without it a broken
+# benchmark would pass the gate.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -short .
 
 # chaos runs the fault-injection suite under the race detector: the
 # deterministic injector unit tests, the golden chaos kernel runs with

@@ -5,8 +5,7 @@
 // multiply-add, and the paper's implementations keep all pixel data as pairs
 // of float32. This package mirrors that: everything is complex64/float32,
 // with explicit FMA-shaped operations so the kernel cost accounting can
-// charge them as single instructions, and with the "less compute-intensive"
-// square-root approximations the paper mentions for index generation.
+// charge them as single instructions.
 package cf
 
 import "math"
@@ -117,48 +116,4 @@ func FastSincos(phi float32) (sin, cos float32) {
 	sn := pair[sw] * quadSinMul[quad] * sgn
 	cs := pair[1-sw] * quadCosMul[quad]
 	return float32(sn), float32(cs)
-}
-
-// Sqrt32 returns sqrt(x) as float32. It is the precise reference against
-// which FastSqrt is validated.
-func Sqrt32(x float32) float32 {
-	return float32(math.Sqrt(float64(x)))
-}
-
-// FastInvSqrt returns an approximation of 1/sqrt(x) using the classic
-// bit-level initial guess refined by two Newton–Raphson iterations. The
-// paper notes that FFBP index generation uses a "less compute-intensive
-// implementation of the square root operation" at the cost of some image
-// quality; this is that substitution. Relative error is below 5e-6 after
-// two refinement steps for normal positive inputs.
-func FastInvSqrt(x float32) float32 {
-	if x <= 0 || x != x || x > math.MaxFloat32 {
-		// Fall back to the exact path for domain edges so callers never
-		// receive garbage bit patterns for zero, negatives, NaN or +Inf.
-		return float32(1 / math.Sqrt(float64(x)))
-	}
-	half := 0.5 * x
-	i := math.Float32bits(x)
-	i = 0x5f375a86 - i>>1
-	y := math.Float32frombits(i)
-	y = y * (1.5 - half*y*y)
-	y = y * (1.5 - half*y*y)
-	return y
-}
-
-// FastSqrt returns an approximation of sqrt(x) built from FastInvSqrt.
-// FastSqrt(0) is exactly 0.
-func FastSqrt(x float32) float32 {
-	if x == 0 {
-		return 0
-	}
-	return x * FastInvSqrt(x)
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b complex64, t float32) complex64 {
-	return complex(
-		real(a)+t*(real(b)-real(a)),
-		imag(a)+t*(imag(b)-imag(a)),
-	)
 }

@@ -2,7 +2,6 @@ package cf
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -112,75 +111,12 @@ func TestExpiUnitModulus(t *testing.T) {
 	}
 }
 
-func TestFastInvSqrtAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		x := float32(math.Exp(rng.Float64()*40 - 20)) // ~1e-9 .. 1e8
-		got := float64(FastInvSqrt(x))
-		want := 1 / math.Sqrt(float64(x))
-		rel := math.Abs(got-want) / want
-		if rel > 5e-6 {
-			t.Fatalf("FastInvSqrt(%v): rel err %v", x, rel)
-		}
-	}
-}
-
-func TestFastSqrtEdges(t *testing.T) {
-	if got := FastSqrt(0); got != 0 {
-		t.Errorf("FastSqrt(0) = %v, want 0", got)
-	}
-	if got := FastSqrt(1); math.Abs(float64(got)-1) > 5e-6 {
-		t.Errorf("FastSqrt(1) = %v, want 1", got)
-	}
-	if got := FastInvSqrt(float32(math.Inf(1))); got != 0 {
-		t.Errorf("FastInvSqrt(+Inf) = %v, want 0", got)
-	}
-	if got := FastInvSqrt(-1); !math.IsNaN(float64(got)) {
-		t.Errorf("FastInvSqrt(-1) = %v, want NaN", got)
-	}
-}
-
-func TestFastSqrtAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 10000; i++ {
-		x := float32(math.Exp(rng.Float64()*30 - 10))
-		got := float64(FastSqrt(x))
-		want := math.Sqrt(float64(x))
-		rel := math.Abs(got-want) / want
-		if rel > 5e-6 {
-			t.Fatalf("FastSqrt(%v): rel err %v", x, rel)
-		}
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a := complex64(complex(0, 0))
-	b := complex64(complex(2, -4))
-	if got := Lerp(a, b, 0); got != a {
-		t.Errorf("Lerp t=0: %v", got)
-	}
-	if got := Lerp(a, b, 1); got != b {
-		t.Errorf("Lerp t=1: %v", got)
-	}
-	if got := Lerp(a, b, 0.5); got != complex(1, -2) {
-		t.Errorf("Lerp t=0.5: %v", got)
-	}
-}
-
 func BenchmarkMulAdd(b *testing.B) {
 	var acc complex64
 	x := complex64(complex(1.000001, -0.999999))
 	y := complex64(complex(0.5, 0.25))
 	for i := 0; i < b.N; i++ {
 		acc = MulAdd(acc, x, y)
-	}
-	_ = acc
-}
-
-func BenchmarkFastSqrt(b *testing.B) {
-	var acc float32
-	for i := 0; i < b.N; i++ {
-		acc += FastSqrt(float32(i%1000) + 1)
 	}
 	_ = acc
 }

@@ -277,10 +277,6 @@ func (ch *Chip) sumActiveStats() CoreStats {
 // disabled) — the span stream consumers like internal/profile analyze.
 func (ch *Chip) CoreTrack(i int) *obs.Track { return ch.Cores[i].tr }
 
-// PhaseTrack returns the synthetic barrier-phase track (nil when tracing
-// is disabled).
-func (ch *Chip) PhaseTrack() *obs.Track { return ch.phaseTrack }
-
 // LinkStat is the read-side view of one streaming link's occupancy after
 // a run completes.
 type LinkStat struct {

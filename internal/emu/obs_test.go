@@ -103,6 +103,39 @@ func TestTracerRecordsAllSpanKinds(t *testing.T) {
 	}
 }
 
+// TestPhaseSpansOnPhasesTrack checks that a traced run records one span
+// per barrier phase, all on the chip's "phases" track and none on a core
+// track, each matching its phase record in kind and extent.
+func TestPhaseSpansOnPhasesTrack(t *testing.T) {
+	tr := obs.NewTracer(1e9)
+	ch := obsWorkload(t, tr)
+	var spans []obs.Span
+	for _, tk := range tr.Tracks() {
+		for _, s := range tk.Spans() {
+			phase := s.Kind == obs.KindPhaseCompute || s.Kind == obs.KindPhaseBandwidth
+			if phase != (tk.Name() == "phases") {
+				t.Errorf("track %q holds a %v span", tk.Name(), s.Kind)
+			}
+			if phase {
+				spans = append(spans, s)
+			}
+		}
+	}
+	ps := ch.Phases()
+	if len(spans) != len(ps) || len(ps) == 0 {
+		t.Fatalf("%d phase spans for %d phases", len(spans), len(ps))
+	}
+	for i, p := range ps {
+		want := obs.Span{Kind: obs.KindPhaseCompute, Start: p.Start, End: p.End}
+		if p.BandwidthBound {
+			want.Kind = obs.KindPhaseBandwidth
+		}
+		if spans[i] != want {
+			t.Errorf("phase %d: span %+v, want %+v", i, spans[i], want)
+		}
+	}
+}
+
 func TestTraceSpansStayWithinRun(t *testing.T) {
 	tr := obs.NewTracer(1e9)
 	ch := obsWorkload(t, tr)

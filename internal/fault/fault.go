@@ -316,16 +316,6 @@ func (inj *Injector) Slowdown(core int) float64 {
 // hard-halted.
 func (inj *Injector) ChipHalted(chip int) bool { return inj.chipHalted[chip] }
 
-// HaltedChips returns the halted chip IDs in ascending order.
-func (inj *Injector) HaltedChips() []int {
-	out := make([]int, 0, len(inj.chipHalted))
-	for c := range inj.chipHalted {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ChipSlowdown returns the chip's frequency-derating factor (1 when the
 // chip is not derated).
 func (inj *Injector) ChipSlowdown(chip int) float64 {

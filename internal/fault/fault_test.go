@@ -21,6 +21,9 @@ func TestEmptyPlanIsIdentity(t *testing.T) {
 	if inj.Halted(0) || len(inj.HaltedCores()) != 0 {
 		t.Error("empty plan halts a core")
 	}
+	if inj.ChipHalted(0) || inj.ChipSlowdown(0) != 1 {
+		t.Error("empty plan halts or derates a chip")
+	}
 	if s := inj.Slowdown(3); s != 1 {
 		t.Errorf("Slowdown = %v, want the identity 1", s)
 	}
@@ -120,7 +123,8 @@ func TestCompileFillsDefaults(t *testing.T) {
 }
 
 func TestHaltedCoresSorted(t *testing.T) {
-	inj := MustCompile(Plan{Halts: []int{9, 2, 5}})
+	// The chip halt is listed apart: HaltedCores names core halts only.
+	inj := MustCompile(Plan{Halts: []int{9, 2, 5}, ChipHalts: []int{1}})
 	got := inj.HaltedCores()
 	want := []int{2, 5, 9}
 	if len(got) != len(want) {
@@ -133,6 +137,9 @@ func TestHaltedCoresSorted(t *testing.T) {
 	}
 	if !inj.Halted(5) || inj.Halted(3) {
 		t.Error("Halted() disagrees with the plan")
+	}
+	if !inj.ChipHalted(1) || inj.ChipHalted(0) {
+		t.Error("ChipHalted() disagrees with the plan")
 	}
 }
 

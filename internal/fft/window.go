@@ -134,16 +134,3 @@ func ApplyWindow(x []complex64, w []float64) {
 		x[i] = cf.Scale(float32(w[i]), x[i])
 	}
 }
-
-// CoherentGain returns the mean of the taper — the amplitude loss a
-// coherent signal suffers under the window.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	return sum / float64(len(w))
-}

@@ -241,37 +241,6 @@ func TestAt2OutOfRange(t *testing.T) {
 	}
 }
 
-func TestSampleAlongPath(t *testing.T) {
-	img := mat.NewC(4, 6)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 6; c++ {
-			img.Set(r, c, complex(float32(10*r+c), 0))
-		}
-	}
-	// Horizontal path along row 2.
-	p := Path{Row0: 2, Col0: 0, DRow: 0, DCol: 1, N: 6}
-	out := SampleAlong(img, p, Nearest, nil)
-	if len(out) != 6 {
-		t.Fatalf("length %d", len(out))
-	}
-	for j, v := range out {
-		if v != complex(float32(20+j), 0) {
-			t.Errorf("sample %d = %v", j, v)
-		}
-	}
-	// Tilted path with linear kernel: value field is linear, so exact.
-	p = Path{Row0: 0.5, Col0: 0.5, DRow: 0.5, DCol: 1, N: 4}
-	out = SampleAlong(img, p, Linear, out[:0])
-	for j, v := range out {
-		r := 0.5 + 0.5*float64(j)
-		c := 0.5 + float64(j)
-		want := float32(10*r + c)
-		if cAbs(v-complex(want, 0)) > 1e-4 {
-			t.Errorf("tilted sample %d = %v, want %v", j, v, want)
-		}
-	}
-}
-
 func TestLinearBetweenNeighborsProperty(t *testing.T) {
 	// Linear interpolation of real data stays within the min/max of its two
 	// neighbouring samples.

@@ -193,26 +193,6 @@ func (m *F) Row(r int) []float32 {
 	return m.Data[r*m.Stride : r*m.Stride+m.Cols]
 }
 
-// MinMax returns the minimum and maximum element of m. It panics on an
-// empty matrix.
-func (m *F) MinMax() (min, max float32) {
-	if m.Rows == 0 || m.Cols == 0 {
-		panic("mat: MinMax of empty matrix")
-	}
-	min, max = m.At(0, 0), m.At(0, 0)
-	for r := 0; r < m.Rows; r++ {
-		for _, v := range m.Row(r) {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return min, max
-}
-
 // Slice describes a contiguous band of rows [Lo, Hi) assigned to one
 // processing core by coarse-grained data partitioning (paper Fig. 6).
 type Slice struct {

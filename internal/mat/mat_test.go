@@ -138,13 +138,8 @@ func TestEqualAndMaxAbsDiff(t *testing.T) {
 func TestFMatrix(t *testing.T) {
 	m := NewF(2, 3)
 	m.Set(0, 1, 2.5)
-	m.Set(1, 2, -1)
 	if m.At(0, 1) != 2.5 {
 		t.Errorf("At = %v", m.At(0, 1))
-	}
-	min, max := m.MinMax()
-	if min != -1 || max != 2.5 {
-		t.Errorf("MinMax = %v %v", min, max)
 	}
 	if len(m.Row(1)) != 3 {
 		t.Error("Row length")

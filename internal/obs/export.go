@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteTraceEvent writes the collected tracks in the Chrome trace_event
@@ -56,116 +55,4 @@ func (tr *Tracer) WriteTraceEvent(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// timelineGlyphs maps span kinds to the character that fills a timeline
-// cell: '#' compute, lower-case letters for stalls, upper-case for phase
-// classifications.
-var timelineGlyphs = [numKinds]byte{
-	KindCompute:        '#',
-	KindStallRead:      'r',
-	KindStallExt:       'e',
-	KindStallDMA:       'd',
-	KindStallLink:      'l',
-	KindStallBarrier:   'b',
-	KindStallMem:       'm',
-	KindPhaseCompute:   'C',
-	KindPhaseBandwidth: 'B',
-	KindService:        's',
-	KindFaultLink:      'X',
-	KindFaultDMA:       'x',
-}
-
-// WriteTimeline renders the tracks as a fixed-width plain-text timeline:
-// one row per track, each of width cells covering [0, latest span end]
-// cycles, every cell showing the span kind that occupied most of it
-// (' ' = idle/untracked). A legend and the cycle span follow the rows.
-func (tr *Tracer) WriteTimeline(w io.Writer, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	tracks := tr.Tracks()
-	var end float64
-	for _, t := range tracks {
-		for _, s := range t.Spans() {
-			if s.End > end {
-				end = s.End
-			}
-		}
-	}
-	if end == 0 {
-		_, err := fmt.Fprintln(w, "obs: no spans recorded")
-		return err
-	}
-	cell := end / float64(width)
-	nameW := 0
-	for _, t := range tracks {
-		if len(t.Name()) > nameW {
-			nameW = len(t.Name())
-		}
-	}
-	for _, t := range tracks {
-		// Weight per cell and kind; the dominant kind fills the cell.
-		weights := make([][numKinds]float64, width)
-		for _, s := range t.Spans() {
-			lo := int(s.Start / cell)
-			hi := int(s.End / cell)
-			if hi >= width {
-				hi = width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				cLo := float64(i) * cell
-				cHi := cLo + cell
-				ov := minf(s.End, cHi) - maxf(s.Start, cLo)
-				if ov > 0 {
-					weights[i][s.Kind] += ov
-				}
-			}
-		}
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-			best := 0.0
-			for k, wt := range weights[i] {
-				if wt > best {
-					best = wt
-					row[i] = timelineGlyphs[k]
-				}
-			}
-		}
-		line := fmt.Sprintf("%-*s |%s|", nameW, t.Name(), row)
-		if d := t.Dropped(); d > 0 {
-			line += fmt.Sprintf(" (%d spans dropped)", d)
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	var legend []string
-	for k := Kind(0); k < numKinds; k++ {
-		legend = append(legend, fmt.Sprintf("%c=%s", timelineGlyphs[k], k))
-	}
-	if _, err := fmt.Fprintf(w, "%-*s  0 .. %.0f cycles; %s\n",
-		nameW, "", end, strings.Join(legend, " ")); err != nil {
-		return err
-	}
-	if d := tr.Dropped(); d > 0 {
-		_, err := fmt.Fprintf(w, "WARNING: %d spans dropped (ring overflow) — early activity is missing above; rerun with a larger track capacity\n", d)
-		return err
-	}
-	return nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -66,15 +65,6 @@ func TestSnapshotSortedAndEncodes(t *testing.T) {
 	}
 	if len(back) != 3 || back[2].Value != 1 {
 		t.Errorf("decoded %+v", back)
-	}
-
-	var cb bytes.Buffer
-	if err := s.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(cb.String()), "\n")
-	if len(lines) != 4 || !strings.HasPrefix(lines[0], "name,type,") {
-		t.Errorf("CSV output:\n%s", cb.String())
 	}
 }
 

@@ -136,7 +136,8 @@ const (
 	Autofocus              // the autofocus criterion calculation
 )
 
-// Kind is the kind of machine a Table I implementation runs on.
+// Kind is the kind of machine a Table I implementation runs on; it is
+// the row's index in Table1.FFBP and Table1.Autofocus.
 type Kind int
 
 const (
@@ -164,8 +165,7 @@ var impls = [6]Impl{
 
 // Impls returns a copy of Table I's six implementations in its row
 // order: FFBP, then autofocus, each sequential on Intel, sequential on
-// one Epiphany core and parallel on the chip. RunTable1, cmd/epirun,
-// cmd/sarprof and the root BenchmarkTable1 all read it.
+// one Epiphany core and parallel on the chip.
 func Impls() [6]Impl { return impls }
 
 // Lookup returns the implementation whose Kernel is name.

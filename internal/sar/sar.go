@@ -95,11 +95,6 @@ func (p Params) TrackPos(i int) float64 {
 	return -p.ApertureLength()/2 + (float64(i)+0.5)*p.PulseSpacing
 }
 
-// MaxRange returns the slant range of the last range bin.
-func (p Params) MaxRange() float64 {
-	return p.R0 + float64(p.NumBins-1)*p.DR
-}
-
 // CenterRange returns the slant range of the middle of the swath.
 func (p Params) CenterRange() float64 {
 	return p.R0 + float64(p.NumBins-1)*p.DR/2

@@ -201,8 +201,9 @@ func TestSixTargetSceneInsideSwath(t *testing.T) {
 	if len(ts) != 6 {
 		t.Fatalf("scene has %d targets", len(ts))
 	}
+	maxRange := p.R0 + float64(p.NumBins-1)*p.DR // the last range bin
 	for i, tg := range ts {
-		if tg.Y <= p.R0 || tg.Y >= p.MaxRange() {
+		if tg.Y <= p.R0 || tg.Y >= maxRange {
 			t.Errorf("target %d outside swath: Y=%v", i, tg.Y)
 		}
 		if math.Abs(tg.U) > p.ApertureLength()/2 {
