@@ -138,7 +138,18 @@ func main() {
 
 	im, ok := report.Lookup(*kernel)
 	if !ok {
-		log.Fatalf("unknown kernel %q", *kernel)
+		log.Fatalf("unknown kernel %q (%s)", *kernel, strings.Join(names, ", "))
+	}
+	if im.Kind == report.Intel {
+		if *check {
+			log.Fatal("-check verifies the Epiphany model; it does not apply to the Intel reference kernels")
+		}
+		if *faultsF != "" {
+			log.Fatal("-faults injects into the Epiphany model; it does not apply to the Intel reference kernels")
+		}
+		if *watch || *stallD > 0 || *deadlD > 0 {
+			log.Fatal("-watch/-stallafter/-deadline sample the Epiphany chip's progress cells; they do not apply to the Intel reference kernels")
+		}
 	}
 	cfg := report.Default()
 	if *small {
@@ -161,15 +172,6 @@ func main() {
 		planSeed int64
 	)
 	if m.CPU != nil {
-		if *check {
-			log.Fatal("-check verifies the Epiphany model; it does not apply to the Intel reference kernels")
-		}
-		if *faultsF != "" {
-			log.Fatal("-faults injects into the Epiphany model; it does not apply to the Intel reference kernels")
-		}
-		if *watch || *stallD > 0 || *deadlD > 0 {
-			log.Fatal("-watch/-stallafter/-deadline sample the Epiphany chip's progress cells; they do not apply to the Intel reference kernels")
-		}
 		if *traceF != "" {
 			tracer = obs.NewTracer(cfg.Intel.Clock)
 			tracer.SetCapacity(*traceN)

@@ -91,7 +91,7 @@ func main() {
 
 	im, ok := report.Lookup(*kernel)
 	if !ok || im.Kind == report.Intel {
-		log.Fatalf("unknown kernel %q (sarprof profiles Epiphany kernels only: %s)", *kernel, strings.Join(names, ", "))
+		log.Fatalf("-kernel %q: sarprof profiles Epiphany kernels only (%s)", *kernel, strings.Join(names, ", "))
 	}
 	cfg := report.Default()
 	if *small {
