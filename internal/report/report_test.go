@@ -96,11 +96,10 @@ func TestTable1PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in -short mode")
 	}
-	tab, err := RunTable1(context.Background(), Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Default()
+	tab, ops := runTable1Ops(t, cfg)
 	t.Logf("\n%s", tab)
+	checkRowOps(t, cfg, ops)
 
 	// FFBP sequential Epiphany: paper 0.36x, band [0.2, 0.7].
 	if s := tab.FFBP[1].Speedup; s < 0.2 || s > 0.7 {
