@@ -14,6 +14,7 @@ import (
 	"sarmany/internal/cf"
 	"sarmany/internal/emu"
 	"sarmany/internal/flow"
+	"sarmany/internal/machine"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 	var detections int
 	must(g.Node("generate", func(c *flow.Ctx) {
 		for i := 0; i < blocks; i++ {
-			c.Core.FMA(64)
+			c.Core.Charge(machine.Ops{FMA: 64})
 			block := make([]complex64, 16)
 			for j := range block {
 				block[j] = cf.Expi(float32(i*j) * 0.1)
@@ -46,7 +47,7 @@ func main() {
 			out := make([]complex64, len(in))
 			var acc complex64
 			for j, v := range in {
-				c.Core.FMA(4)
+				c.Core.Charge(machine.Ops{FMA: 4})
 				acc = cf.MulAdd(acc, v, complex(0.25, 0))
 				out[j] = acc
 			}
@@ -58,10 +59,10 @@ func main() {
 			in := c.In("filtered").Recv()
 			var e float32
 			for _, v := range in {
-				c.Core.FMA(2)
+				c.Core.Charge(machine.Ops{FMA: 2})
 				e += cf.Abs2(v)
 			}
-			c.Core.Flop(1)
+			c.Core.Charge(machine.Ops{Flop: 1})
 			if e > 2 {
 				detections++
 			}

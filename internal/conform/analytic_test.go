@@ -48,7 +48,7 @@ func analyticCases() []analyticCase {
 			buf.Store(c, i%64, complex(float32(i), 0))
 			buf.Load(c, i%64)
 		}
-		c.FMA(localFMA)
+		c.Charge(machine.Ops{FMA: localFMA})
 	}
 	localWant := func(p emu.Params) float64 {
 		return math.Max(localFMA, 2*localK*p.LocalAccessCycles)
@@ -135,7 +135,7 @@ func analyticCases() []analyticCase {
 				for i := 0; i < stores; i++ {
 					buf.Store(c, i, 1)
 				}
-				c.FMA(fma)
+				c.Charge(machine.Ops{FMA: fma})
 				c.Barrier()
 			})
 		}
@@ -219,7 +219,7 @@ func analyticCases() []analyticCase {
 			ext := bufc(ch.Ext(), dmaElems)
 			local := bufc(c.Bank(2), dmaElems)
 			d := c.DMACopyC(local, 0, ext, 0, dmaElems)
-			c.FMA(ovFMA)
+			c.Charge(machine.Ops{FMA: ovFMA})
 			c.DMAWait(d)
 		},
 		want: func(p emu.Params) float64 {
@@ -267,9 +267,9 @@ func analyticCases() []analyticCase {
 		name: "barrier-skew", p: emu.E16G3(),
 		run: func(ch *emu.Chip) {
 			ch.Run(skewN, func(c *emu.Core) {
-				c.FMA(skewA * (c.ID + 1))
+				c.Charge(machine.Ops{FMA: skewA * (c.ID + 1)})
 				c.Barrier()
-				c.FMA(skewA * (skewN - c.ID))
+				c.Charge(machine.Ops{FMA: skewA * (skewN - c.ID)})
 				c.Barrier()
 			})
 		},
@@ -395,9 +395,9 @@ func analyticCases() []analyticCase {
 		name: "barrier-skew-2chip", p: twoChip,
 		run: func(ch *emu.Chip) {
 			ch.Run(2*skewN, func(c *emu.Core) {
-				c.FMA(skewA * (c.ID + 1))
+				c.Charge(machine.Ops{FMA: skewA * (c.ID + 1)})
 				c.Barrier()
-				c.FMA(skewA * (2*skewN - c.ID))
+				c.Charge(machine.Ops{FMA: skewA * (2*skewN - c.ID)})
 				c.Barrier()
 			})
 		},

@@ -9,6 +9,7 @@ import (
 	"sarmany/internal/conform"
 	"sarmany/internal/emu"
 	"sarmany/internal/kernels"
+	"sarmany/internal/machine"
 	"sarmany/internal/obs"
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
@@ -70,7 +71,7 @@ func smallRun() *emu.Chip {
 	ch := emu.New(p)
 	ch.SetTracer(obs.NewTracer(p.Clock))
 	ch.Run(4, func(c *emu.Core) {
-		c.FMA(100 * (c.ID + 1))
+		c.Charge(machine.Ops{FMA: 100 * (c.ID + 1)})
 		c.Barrier()
 	})
 	return ch
@@ -142,7 +143,7 @@ func TestCheckUntracedRun(t *testing.T) {
 	p := emu.E16G3()
 	ch := emu.New(p)
 	ch.Run(2, func(c *emu.Core) {
-		c.FMA(50)
+		c.Charge(machine.Ops{FMA: 50})
 		c.Barrier()
 	})
 	rep := conform.CheckAll(ch)

@@ -48,7 +48,7 @@ func faultedRun(t *testing.T) *emu.Chip {
 	}
 	ch.Run(4, func(c *emu.Core) {
 		for i := 0; i < slots[c.ID]; i++ {
-			c.FMA(100)
+			c.Charge(machine.Ops{FMA: 100})
 		}
 		if c.ID == 0 {
 			local, err := machine.NewBufC(c.Bank(2), 64)
@@ -142,7 +142,7 @@ func TestCheckDetectsChipFaultTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.Run(8, func(c *emu.Core) {
-			c.FMA(100)
+			c.Charge(machine.Ops{FMA: 100})
 			c.Barrier()
 		})
 		return ch

@@ -125,11 +125,11 @@ func runProgram(t *testing.T, prog randProgram) *emu.Chip {
 			for _, op := range round[c.ID] {
 				switch op.kind {
 				case opFMA:
-					c.FMA(op.n)
+					c.Charge(machine.Ops{FMA: op.n})
 				case opIOp:
-					c.IOp(op.n)
+					c.Charge(machine.Ops{IOp: op.n})
 				case opTrig:
-					c.Trig(op.n)
+					c.Charge(machine.Ops{Trig: op.n})
 				case opLocalLoad:
 					scratch[c.ID].Load(c, op.idx)
 				case opLocalStore:
@@ -227,18 +227,18 @@ func TestLinkChainDeterminism(t *testing.T) {
 			case c.ID == 0:
 				block := make([]complex64, blockLen)
 				for b := 0; b < blocks; b++ {
-					c.FMA(10)
+					c.Charge(machine.Ops{FMA: 10})
 					links[0].Send(c, block)
 				}
 			case c.ID == stages-1:
 				for b := 0; b < blocks; b++ {
 					links[c.ID-1].Recv(c)
-					c.FMA(25)
+					c.Charge(machine.Ops{FMA: 25})
 				}
 			default:
 				for b := 0; b < blocks; b++ {
 					v := links[c.ID-1].Recv(c)
-					c.FMA(15)
+					c.Charge(machine.Ops{FMA: 15})
 					links[c.ID].Send(c, v)
 				}
 			}

@@ -157,32 +157,21 @@ func (c *Core) noteStall(kind obs.Kind, from, to float64) {
 	c.noteProgress()
 }
 
-// FMA charges n fused multiply-adds: one FPU cycle each.
-func (c *Core) FMA(n int) { c.fpu += float64(n); c.Stats.FMA += uint64(n) }
-
-// Flop charges n other floating-point operations: one FPU cycle each.
-func (c *Core) Flop(n int) { c.fpu += float64(n); c.Stats.Flop += uint64(n) }
-
-// IOp charges n integer/address operations on the IALU pipe.
-func (c *Core) IOp(n int) { c.ialu += float64(n); c.Stats.IOp += uint64(n) }
-
-// Div charges n software floating-point divides.
-func (c *Core) Div(n int) {
-	c.fpu += float64(n * c.chip.P.DivFlops)
-	c.Stats.Div += uint64(n)
-}
-
-// Sqrt charges n software square roots (the paper's "less
-// compute-intensive implementation of the square root operation").
-func (c *Core) Sqrt(n int) {
-	c.fpu += float64(n * c.chip.P.SqrtFlops)
-	c.Stats.Sqrt += uint64(n)
-}
-
-// Trig charges n software trigonometric evaluations.
-func (c *Core) Trig(n int) {
-	c.fpu += float64(n * c.chip.P.TrigFlops)
-	c.Stats.Trig += uint64(n)
+// Charge charges o on the dual-issue pipes: FMA, Flop and the software
+// divide, square root and trigonometry sequences on the FPU, IOp on the
+// IALU. At E16G3's constants both pipes only add integers between two
+// commits, which float64 holds exactly, so a batch costs the same cycles,
+// to the bit, as its operations charged one at a time.
+func (c *Core) Charge(o machine.Ops) {
+	p := &c.chip.P
+	c.fpu += float64(o.FMA + o.Flop + o.Div*p.DivFlops + o.Sqrt*p.SqrtFlops + o.Trig*p.TrigFlops)
+	c.ialu += float64(o.IOp)
+	c.Stats.FMA += uint64(o.FMA)
+	c.Stats.Flop += uint64(o.Flop)
+	c.Stats.IOp += uint64(o.IOp)
+	c.Stats.Div += uint64(o.Div)
+	c.Stats.Sqrt += uint64(o.Sqrt)
+	c.Stats.Trig += uint64(o.Trig)
 }
 
 // words returns the number of 64-bit transfers needed for n bytes.

@@ -58,12 +58,12 @@ func TestNewChipRejectsBadBanking(t *testing.T) {
 func TestDualIssue(t *testing.T) {
 	ch := New(E16G3())
 	c := ch.Cores[0]
-	c.FMA(100)
-	c.IOp(60)
+	c.Charge(machine.Ops{FMA: 100})
+	c.Charge(machine.Ops{IOp: 60})
 	if got := c.Cycles(); got != 100 {
 		t.Errorf("dual-issue cycles = %v, want 100 (max of pipes)", got)
 	}
-	c.IOp(80) // ialu now 140 > fpu 100
+	c.Charge(machine.Ops{IOp: 80}) // ialu now 140 > fpu 100
 	if got := c.Cycles(); got != 140 {
 		t.Errorf("cycles = %v, want 140", got)
 	}
@@ -73,9 +73,9 @@ func TestSoftwareRoutineCosts(t *testing.T) {
 	p := E16G3()
 	ch := New(p)
 	c := ch.Cores[0]
-	c.Sqrt(2)
-	c.Div(1)
-	c.Trig(3)
+	c.Charge(machine.Ops{Sqrt: 2})
+	c.Charge(machine.Ops{Div: 1})
+	c.Charge(machine.Ops{Trig: 3})
 	want := float64(2*p.SqrtFlops + p.DivFlops + 3*p.TrigFlops)
 	if got := c.Cycles(); got != want {
 		t.Errorf("software routines = %v cycles, want %v", got, want)
@@ -217,7 +217,7 @@ func TestBarrierContentionDrain(t *testing.T) {
 func TestBarrierTakesMaxOfFinishTimes(t *testing.T) {
 	ch := New(E16G3())
 	ch.Run(4, func(c *Core) {
-		c.FMA(1000 * (c.ID + 1)) // core 3 is slowest: 4000 cycles
+		c.Charge(machine.Ops{FMA: 1000 * (c.ID + 1)}) // core 3 is slowest: 4000 cycles
 		c.Barrier()
 		if got := c.Cycles(); got != 4000 {
 			t.Errorf("core %d left barrier at %v, want 4000", c.ID, got)
@@ -231,7 +231,7 @@ func TestBarrierDeterministic(t *testing.T) {
 		ext, _ := machine.NewBufC(ch.Ext(), 16*512)
 		ch.Run(16, func(c *Core) {
 			for phase := 0; phase < 5; phase++ {
-				c.FMA(100 * (c.ID + phase))
+				c.Charge(machine.Ops{FMA: 100 * (c.ID + phase)})
 				for i := 0; i < 512; i++ {
 					ext.Store(c, c.ID*512+i, complex64(complex(float32(i), 0)))
 				}
@@ -265,7 +265,7 @@ func TestDMAOverlapsCompute(t *testing.T) {
 	}
 	d := c.DMACopyC(local, 0, ext, 0, 1024)
 	// Long compute while the DMA runs.
-	c.FMA(100000)
+	c.Charge(machine.Ops{FMA: 100000})
 	c.DMAWait(d)
 	if local.Data[7] != complex(7, 0) {
 		t.Error("DMA did not copy data")
@@ -320,7 +320,7 @@ func TestLinkStreamsWithBackPressure(t *testing.T) {
 		case 0:
 			block := make([]complex64, 16)
 			for i := 0; i < blocks; i++ {
-				c.FMA(10) // fast producer
+				c.Charge(machine.Ops{FMA: 10}) // fast producer
 				l.Send(c, block)
 			}
 			prodEnd = c.Cycles()
@@ -330,7 +330,7 @@ func TestLinkStreamsWithBackPressure(t *testing.T) {
 				if len(v) != 16 {
 					t.Errorf("block size %d", len(v))
 				}
-				c.FMA(500) // slow consumer
+				c.Charge(machine.Ops{FMA: 500}) // slow consumer
 			}
 			consEnd = c.Cycles()
 		}
@@ -379,8 +379,8 @@ func TestRunSubset(t *testing.T) {
 func TestTotalStatsAggregates(t *testing.T) {
 	ch := New(E16G3())
 	ch.Run(4, func(c *Core) {
-		c.FMA(10)
-		c.Trig(1)
+		c.Charge(machine.Ops{FMA: 10})
+		c.Charge(machine.Ops{Trig: 1})
 	})
 	s := ch.TotalStats()
 	if s.FMA != 40 || s.Trig != 4 {
@@ -390,7 +390,7 @@ func TestTotalStatsAggregates(t *testing.T) {
 
 func TestTimeSeconds(t *testing.T) {
 	ch := New(E16G3())
-	ch.Cores[0].FMA(1000)
+	ch.Cores[0].Charge(machine.Ops{FMA: 1000})
 	if got := ch.Time(); math.Abs(got-1e-6) > 1e-12 {
 		t.Errorf("Time = %v, want 1 µs", got)
 	}

@@ -24,14 +24,14 @@ func faultTestWorkload(t *testing.T, ch *Chip) {
 			panic(err)
 		}
 		if c.ID == 0 {
-			c.FMA(300)
+			c.Charge(machine.Ops{FMA: 300})
 			d := c.DMACopyC(local, 0, ext, 0, 128) // ext read burst
 			c.DMAWait(d)
 			for b := 0; b < 4; b++ {
 				link.Send(c, local.Data[b*16:(b+1)*16])
 			}
 		} else {
-			c.IOp(50)
+			c.Charge(machine.Ops{IOp: 50})
 			// Core 0's DMA burst reads ext[0:128] concurrently in host
 			// time, so core 1 touches a disjoint region.
 			ext.Store(c, 200, complex(1, 2)) // posted ext write
@@ -41,7 +41,7 @@ func faultTestWorkload(t *testing.T, ch *Chip) {
 			}
 		}
 		c.Barrier()
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		c.Barrier()
 	})
 }
@@ -91,7 +91,7 @@ func TestDerateStretchesCommitWindows(t *testing.T) {
 	ch := New(E16G3())
 	ch.SetFaults(fault.MustCompile(fault.Plan{Derates: []fault.Derate{{Core: 0, Factor: 2}}}))
 	c := ch.Cores[0]
-	c.FMA(100)
+	c.Charge(machine.Ops{FMA: 100})
 	if got := c.Cycles(); got != 200 {
 		t.Errorf("pending derated window: Cycles() = %v, want 200", got)
 	}
@@ -108,7 +108,7 @@ func TestDerateStretchesCommitWindows(t *testing.T) {
 	}
 	// An underated core on the same chip is untouched.
 	c1 := ch.Cores[1]
-	c1.FMA(100)
+	c1.Charge(machine.Ops{FMA: 100})
 	ch.Settle()
 	if c1.Stats.ComputeCycles != 100 || c1.Stats.DerateCycles != 0 {
 		t.Errorf("underated core charged %v compute / %v derate", c1.Stats.ComputeCycles, c1.Stats.DerateCycles)
@@ -229,9 +229,9 @@ func TestRunSkipsHaltedCores(t *testing.T) {
 	ch := New(E16G3())
 	ch.SetFaults(fault.MustCompile(fault.Plan{Halts: []int{1}}))
 	ch.Run(4, func(c *Core) {
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		c.Barrier()
-		c.FMA(50)
+		c.Charge(machine.Ops{FMA: 50})
 		c.Barrier()
 	})
 	if got := ch.Cores[1].Cycles(); got != 0 {

@@ -23,7 +23,7 @@ func obsWorkload(t *testing.T, tr *obs.Tracer) *Chip {
 	}
 	link := ch.Connect(0, 1, 2)
 	ch.Run(4, func(c *Core) {
-		c.FMA(1000)
+		c.Charge(machine.Ops{FMA: 1000})
 		for i := 0; i < 64; i++ {
 			ext.Store(c, c.ID*512+i, 1)
 		}
@@ -67,8 +67,8 @@ func TestTracingDisabledIsBitIdenticalAndAllocFree(t *testing.T) {
 	remote := ch.Cores[5]
 	raddr := ch.P.coreBase(remote.Row, remote.Col)
 	if n := testing.AllocsPerRun(1000, func() {
-		c.FMA(16)
-		c.IOp(4)
+		c.Charge(machine.Ops{FMA: 16})
+		c.Charge(machine.Ops{IOp: 4})
 		local.Store(c, 3, 1)
 		local.Load(c, 3)
 		c.Load(raddr, 8) // stalling remote read
@@ -164,10 +164,10 @@ func TestStallCauseBreakdownSums(t *testing.T) {
 func TestAggregatesUseOnlyActiveCores(t *testing.T) {
 	ch := New(E16G3())
 	// A wide run first: all 16 cores accumulate work.
-	ch.Run(16, func(c *Core) { c.FMA(1000 * (c.ID + 1)) })
+	ch.Run(16, func(c *Core) { c.Charge(machine.Ops{FMA: 1000 * (c.ID + 1)}) })
 	// A narrower run on a fresh chip must not see the wide run's state —
 	// and on the same chip, aggregation must cover only the active cores.
-	ch.Run(4, func(c *Core) { c.FMA(10) })
+	ch.Run(4, func(c *Core) { c.Charge(machine.Ops{FMA: 10}) })
 	s := ch.TotalStats()
 	// Cores 0-3 carry 1000..4000 FMAs from the first run plus 10 each.
 	if want := uint64(1000 + 2000 + 3000 + 4000 + 4*10); s.FMA != want {
@@ -279,7 +279,7 @@ func TestZeroDurationPhaseTable(t *testing.T) {
 	ch := New(E16G3())
 	ch.Run(2, func(c *Core) {
 		c.Barrier() // zero-duration phase: no work before the barrier
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		c.Barrier()
 	})
 	var buf bytes.Buffer

@@ -210,8 +210,9 @@ func (p Params) ChipOf(id int) int {
 }
 
 // ExtBWOfChip returns the SDRAM-channel bandwidth of one chip: the
-// per-chip override when configured, ExtBytesPerCycle otherwise.
-func (p Params) ExtBWOfChip(chip int) float64 {
+// per-chip override when configured, ExtBytesPerCycle otherwise. Every
+// off-chip access asks, so p is a pointer: no copy of the whole Params.
+func (p *Params) ExtBWOfChip(chip int) float64 {
 	if chip >= 0 && chip < len(p.ExtBytesPerCycleByChip) {
 		if bw := p.ExtBytesPerCycleByChip[chip]; bw > 0 {
 			return bw

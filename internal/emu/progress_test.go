@@ -3,6 +3,8 @@ package emu
 import (
 	"sync"
 	"testing"
+
+	"sarmany/internal/machine"
 )
 
 // TestProgressDisabledByDefault pins the opt-in contract: without
@@ -32,7 +34,7 @@ func TestProgressTracksClocks(t *testing.T) {
 	const phases = 3
 	ch.Run(4, func(c *Core) {
 		for i := 0; i < phases; i++ {
-			c.FMA(100 * (c.ID + 1))
+			c.Charge(machine.Ops{FMA: 100 * (c.ID + 1)})
 			c.Barrier()
 		}
 	})
@@ -101,8 +103,8 @@ func TestProgressConcurrentReads(t *testing.T) {
 
 	ch.Run(16, func(c *Core) {
 		for i := 0; i < 50; i++ {
-			c.FMA(1000)
-			c.Flop(200)
+			c.Charge(machine.Ops{FMA: 1000})
+			c.Charge(machine.Ops{Flop: 200})
 			c.Barrier()
 		}
 	})
@@ -130,10 +132,10 @@ func TestProgressDoesNotPerturbModel(t *testing.T) {
 			ch.EnableProgress()
 		}
 		ch.Run(8, func(c *Core) {
-			c.FMA(500 * (c.ID + 1))
-			c.IOp(300)
+			c.Charge(machine.Ops{FMA: 500 * (c.ID + 1)})
+			c.Charge(machine.Ops{IOp: 300})
 			c.Barrier()
-			c.Trig(40)
+			c.Charge(machine.Ops{Trig: 40})
 			c.Barrier()
 		})
 		return ch

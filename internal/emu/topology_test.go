@@ -354,7 +354,7 @@ func TestChipHaltStopsWholeChip(t *testing.T) {
 		t.Errorf("%d remaps recorded, want 4", n)
 	}
 	ch.Run(8, func(c *Core) {
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		c.Barrier()
 	})
 	for id, c := range ch.Cores {
@@ -394,7 +394,7 @@ func TestChipDerateMultipliesCoreDerate(t *testing.T) {
 		{2, 300}, // chip 1 and core derate: 2 * 1.5
 	} {
 		c := ch.Cores[tc.id]
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		if got := c.Cycles(); got != tc.want {
 			t.Errorf("core %d: FMA(100) = %v cycles, want %v", tc.id, got, tc.want)
 		}

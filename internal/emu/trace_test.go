@@ -13,7 +13,7 @@ func TestPhaseTraceRecordsBarriers(t *testing.T) {
 	ext, _ := machine.NewBufC(ch.Ext(), 4*2048)
 	ch.Run(4, func(c *Core) {
 		// Phase 0: pure compute.
-		c.FMA(10000)
+		c.Charge(machine.Ops{FMA: 10000})
 		c.Barrier()
 		// Phase 1: heavy off-chip writes, almost no compute.
 		for i := 0; i < 2048; i++ {
@@ -48,7 +48,7 @@ func TestPhaseTraceRecordsBarriers(t *testing.T) {
 func TestWritePhaseTable(t *testing.T) {
 	ch := New(E16G3())
 	ch.Run(2, func(c *Core) {
-		c.FMA(100)
+		c.Charge(machine.Ops{FMA: 100})
 		c.Barrier()
 	})
 	var buf bytes.Buffer

@@ -12,7 +12,7 @@
 //	g := flow.NewGraph()
 //	g.Node("producer", func(c *flow.Ctx) {
 //	    for i := 0; i < 100; i++ {
-//	        c.Core.FMA(50)
+//	        c.Core.Charge(machine.Ops{FMA: 50})
 //	        c.Out("data").Send([]complex64{complex(float32(i), 0)})
 //	    }
 //	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sarmany/internal/emu"
+	"sarmany/internal/machine"
 )
 
 func TestTwoStagePipeline(t *testing.T) {
@@ -12,7 +13,7 @@ func TestTwoStagePipeline(t *testing.T) {
 	var got []complex64
 	if err := g.Node("src", func(c *Ctx) {
 		for i := 0; i < items; i++ {
-			c.Core.FMA(10)
+			c.Core.Charge(machine.Ops{FMA: 10})
 			c.Out("d").Send([]complex64{complex(float32(i), 0)})
 		}
 	}); err != nil {
@@ -21,7 +22,7 @@ func TestTwoStagePipeline(t *testing.T) {
 	if err := g.Node("sink", func(c *Ctx) {
 		for i := 0; i < items; i++ {
 			v := c.In("d").Recv()
-			c.Core.FMA(20)
+			c.Core.Charge(machine.Ops{FMA: 20})
 			got = append(got, v[0])
 		}
 	}); err != nil {
@@ -69,14 +70,14 @@ func TestDiamondGraph(t *testing.T) {
 	must(g.Node("double", func(c *Ctx) {
 		for i := 0; i < items; i++ {
 			v := c.In("x").Recv()
-			c.Core.FMA(2)
+			c.Core.Charge(machine.Ops{FMA: 2})
 			c.Out("y").Send([]complex64{v[0] * 2})
 		}
 	}))
 	must(g.Node("triple", func(c *Ctx) {
 		for i := 0; i < items; i++ {
 			v := c.In("x").Recv()
-			c.Core.FMA(2)
+			c.Core.Charge(machine.Ops{FMA: 2})
 			c.Out("y").Send([]complex64{v[0] * 3})
 		}
 	}))
@@ -84,7 +85,7 @@ func TestDiamondGraph(t *testing.T) {
 		for i := 0; i < items; i++ {
 			a := c.In("a").Recv()
 			b := c.In("b").Recv()
-			c.Core.Flop(2)
+			c.Core.Charge(machine.Ops{Flop: 2})
 			sums = append(sums, real(a[0])+real(b[0]))
 		}
 	}))
@@ -185,14 +186,14 @@ func TestDeterministicTiming(t *testing.T) {
 		g := NewGraph()
 		_ = g.Node("p", func(c *Ctx) {
 			for i := 0; i < 30; i++ {
-				c.Core.FMA(7)
+				c.Core.Charge(machine.Ops{FMA: 7})
 				c.Out("d").Send(make([]complex64, 4))
 			}
 		})
 		_ = g.Node("q", func(c *Ctx) {
 			for i := 0; i < 30; i++ {
 				c.In("d").Recv()
-				c.Core.FMA(13)
+				c.Core.Charge(machine.Ops{FMA: 13})
 			}
 		})
 		_ = g.Connect("p", "d", "q", "d", 3)

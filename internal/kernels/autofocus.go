@@ -42,12 +42,12 @@ func resampleBlock(m machine.Machine, b *autofocus.Block, s autofocus.Shift) aut
 	// Range stage: 6 rows x 3 sliding windows.
 	var mid [autofocus.BlockSize][interpN]complex64
 	for r := 0; r < autofocus.BlockSize; r++ {
-		m.FMA(1) // off = DRange + Tilt*r
+		m.Charge(machine.Ops{FMA: 1}) // off = DRange + Tilt*r
 		off := s.DRange + s.Tilt*float64(r)
 		for j := 0; j < interpN; j++ {
 			var taps [4]complex64
 			copy(taps[:], b[r][j:j+4])
-			m.IOp(2)
+			m.Charge(machine.Ops{IOp: 2})
 			mid[r][j] = neville4(m, taps, float32(1.5+off))
 		}
 	}
@@ -56,7 +56,7 @@ func resampleBlock(m machine.Machine, b *autofocus.Block, s autofocus.Shift) aut
 	for i := 0; i < interpN; i++ {
 		for j := 0; j < interpN; j++ {
 			taps := [4]complex64{mid[i][j], mid[i+1][j], mid[i+2][j], mid[i+3][j]}
-			m.IOp(2)
+			m.Charge(machine.Ops{IOp: 2})
 			out[i][j] = neville4(m, taps, float32(1.5+s.DBeam))
 		}
 	}
@@ -71,7 +71,7 @@ func correlate(m machine.Machine, a, b *autofocus.Interpolated) float64 {
 		for j := 0; j < interpN; j++ {
 			pa := abs2(m, a[i][j])
 			pb := abs2(m, b[i][j])
-			m.FMA(1)
+			m.Charge(machine.Ops{FMA: 1})
 			sum += float64(pa) * float64(pb)
 		}
 	}
@@ -85,7 +85,7 @@ func loadBlock(m machine.Machine, buf *machine.BufC, base int) autofocus.Block {
 	var b autofocus.Block
 	for r := 0; r < autofocus.BlockSize; r++ {
 		for c := 0; c < autofocus.BlockSize; c++ {
-			m.IOp(1)
+			m.Charge(machine.Ops{IOp: 1})
 			b[r][c] = buf.Load(m, base+r*autofocus.BlockSize+c)
 		}
 	}
@@ -219,11 +219,11 @@ func (r *afReplica) rangeProc(blk, w int) flow.Proc {
 			for _, s := range r.shifts[blk] {
 				var vals [autofocus.BlockSize]complex64
 				for row := range vals {
-					c.Core.FMA(1)
+					c.Core.Charge(machine.Ops{FMA: 1})
 					off := s.DRange + s.Tilt*float64(row)
 					var taps [4]complex64
 					copy(taps[:], b[row*autofocus.BlockSize+w:])
-					c.Core.IOp(2)
+					c.Core.Charge(machine.Ops{IOp: 2})
 					vals[row] = neville4(c.Core, taps, float32(1.5+off))
 				}
 				out.Send(vals[:])
@@ -243,7 +243,7 @@ func (r *afReplica) beamProc(blk int) flow.Proc {
 				var col [interpN]complex64
 				for i := range col {
 					taps := [4]complex64{vals[i], vals[i+1], vals[i+2], vals[i+3]}
-					c.Core.IOp(2)
+					c.Core.Charge(machine.Ops{IOp: 2})
 					col[i] = neville4(c.Core, taps, float32(1.5+s.DBeam))
 				}
 				out.Send(col[:])

@@ -13,12 +13,7 @@ type countMachine struct {
 	lastLoad, lastSt uint32
 }
 
-func (c *countMachine) FMA(int)  {}
-func (c *countMachine) Flop(int) {}
-func (c *countMachine) IOp(int)  {}
-func (c *countMachine) Div(int)  {}
-func (c *countMachine) Sqrt(int) {}
-func (c *countMachine) Trig(int) {}
+func (c *countMachine) Charge(Ops) {}
 func (c *countMachine) Load(addr uint32, n int) {
 	c.loads++
 	c.loadB += n

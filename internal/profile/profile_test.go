@@ -48,7 +48,7 @@ func analyzeFFBP(t *testing.T) *profile.Profile {
 
 func TestAnalyzeRequiresTracer(t *testing.T) {
 	ch := emu.New(emu.E16G3())
-	ch.Run(2, func(c *emu.Core) { c.FMA(10) })
+	ch.Run(2, func(c *emu.Core) { c.Charge(machine.Ops{FMA: 10}) })
 	if _, err := profile.AnalyzeChip(ch); err == nil {
 		t.Fatal("AnalyzeChip accepted an untraced chip")
 	}
@@ -162,7 +162,7 @@ func linkWorkload(t *testing.T) *emu.Chip {
 	link := ch.Connect(0, 5, 2) // (0,0) -> (1,1): two physical hops
 	ch.Run(16, func(c *emu.Core) {
 		if c.ID == 0 {
-			c.FMA(5000) // producer computes, consumer waits on the link
+			c.Charge(machine.Ops{FMA: 5000}) // producer computes, consumer waits on the link
 			local, err := machine.NewBufC(c.Bank(2), 64)
 			if err != nil {
 				t.Error(err)
@@ -271,7 +271,7 @@ func TestWriteTextReportWarnsOnDrops(t *testing.T) {
 	ch.SetTracer(tr)
 	ch.Run(2, func(c *emu.Core) {
 		for i := 0; i < 8; i++ {
-			c.FMA(10)
+			c.Charge(machine.Ops{FMA: 10})
 			c.Barrier()
 		}
 	})

@@ -20,7 +20,7 @@ func TestCPUTracerAndMetrics(t *testing.T) {
 		for i := 0; i < 1<<20; i += 8 { // new cache line every access
 			buf.Store(cpu, i, 1)
 		}
-		cpu.FMA(100)
+		cpu.Charge(machine.Ops{FMA: 100})
 		return cpu
 	}
 

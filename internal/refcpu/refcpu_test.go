@@ -106,11 +106,11 @@ func TestLevelString(t *testing.T) {
 func TestCPUOperationCosts(t *testing.T) {
 	p := I7M620()
 	c := New(p)
-	c.FMA(10) // 20 FP ops at FPIPC=1
-	c.IOp(25) // at IntIPC=2.5 -> 10 cycles
-	c.Div(1)
-	c.Sqrt(1)
-	c.Trig(1)
+	c.Charge(machine.Ops{FMA: 10}) // 20 FP ops at FPIPC=1
+	c.Charge(machine.Ops{IOp: 25}) // at IntIPC=2.5 -> 10 cycles
+	c.Charge(machine.Ops{Div: 1})
+	c.Charge(machine.Ops{Sqrt: 1})
+	c.Charge(machine.Ops{Trig: 1})
 	want := 20/p.FPIPC + 25/p.IntIPC + p.DivCycles + p.SqrtCycles + p.TrigCycles
 	if got := c.Cycles(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("cycles = %v, want %v", got, want)
@@ -177,7 +177,7 @@ func TestCPUWorkingSetBeyondL3(t *testing.T) {
 
 func TestSecondsUsesClock(t *testing.T) {
 	c := New(I7M620())
-	c.Flop(267)
+	c.Charge(machine.Ops{Flop: 267})
 	want := 267 / c.P.FPIPC / 2.67e9
 	if math.Abs(c.Seconds()-want) > 1e-15 {
 		t.Errorf("Seconds = %v, want %v", c.Seconds(), want)
