@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -58,6 +60,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a submission's body; a job spec is a few short fields.
+const maxSpecBytes = 64 << 10
+
 // handleSubmit is POST /v1/jobs: decode the spec, run admission, and
 // answer 202 with the job record (200 when attaching to an existing
 // one). With ?wait=1 the handler blocks until the job resolves and
@@ -65,10 +70,18 @@ func (s *Server) Handler() http.Handler {
 // generators use to measure end-to-end latency.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	err := dec.Decode(&spec)
+	if _, next := dec.Token(); err == nil && next != io.EOF { // more than whitespace follows
+		err = cmp.Or(next, errors.New("data after the job spec"))
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: "+err.Error(), 0)
 		return
 	}
 	ctx, tid := s.traceContext(r)

@@ -213,6 +213,50 @@ func TestServerAdmissionErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsTrailingData: a body must hold one JSON spec and
+// nothing after it but whitespace.
+func TestServerRejectsTrailingData(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{`{"exp": "gbp"} trailing-garbage`, `{"exp": "gbp"}{"exp": "gbp"}`,
+		`{"exp": "gbp"} ]`, `{"exp": "gbp"} 1`} {
+		if status, _, _ := postJob(t, ts, body, false); status != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", body, status)
+		}
+	}
+	if status, _, _ := postJob(t, ts, "{\"exp\": \"gbp\"} \n\t ", true); status != http.StatusOK {
+		t.Errorf("spec followed by whitespace: status %d, want 200", status)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
+	}
+}
+
+// TestServerCapsBodySize: a body over maxSpecBytes answers 413 and is
+// not admitted; a spec just under the cap is.
+func TestServerCapsBodySize(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := func(n int) string { return `{"exp": "gbp", "tag": "` + strings.Repeat("x", n) + `"}` }
+	over := spec(maxSpecBytes)
+	if status, _, _ := postJob(t, ts, over, false); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(over), status)
+	}
+	under := spec(maxSpecBytes - len(spec(0)))
+	if status, _, _ := postJob(t, ts, under, true); status != http.StatusOK {
+		t.Errorf("%d-byte body: status %d, want 200", len(under), status)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
+	}
+}
+
 // TestServerDrain: draining flips readyz to 503, rejects new jobs with
 // 503 + Retry-After, completes in-flight work, and appends per-job plus
 // summary ledger entries.
