@@ -140,13 +140,14 @@ tracesmoke:
 
 # benchdiff gates every envelope the *bench targets recorded in out/
 # against its committed BENCH_*.json baseline. Modeled simulator output
-# (cycles, span and segment counts, job counts) must stay within the
-# tolerance; the leaves bench.Advisory lists for the envelope —
-# wall-clock and host shape, which legitimately vary between machines —
-# are advisory: printed when they move, never a failure.
+# (cycles, span and segment counts, job counts) is deterministic, so it
+# must match exactly (-tol 0): a simulator speedup moves none of it. The
+# leaves bench.Advisory lists for the envelope — wall-clock and host
+# shape, which legitimately vary between machines — are advisory:
+# printed when they move, never a failure.
 benchdiff:
 	for f in BENCH_*.json; do \
-		$(GO) run ./scripts/benchdiff.go -tol 0.02 $$f out/$$f || exit 1; \
+		$(GO) run ./scripts/benchdiff.go -tol 0 $$f out/$$f || exit 1; \
 	done
 
 # baseline refreshes the committed envelopes from freshly recorded runs.
