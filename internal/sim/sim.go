@@ -26,17 +26,26 @@ import "sync"
 // Time is virtual time in clock cycles (fractional cycles allowed).
 type Time = float64
 
-// msg is one queued item with the time it becomes visible to the receiver.
-type msg[T any] struct {
+// slot is one entry of a Chan's ring: while message k is queued it holds
+// the value and the time it becomes visible to the receiver; once
+// received, at holds the time the receiver freed the slot.
+type slot[T any] struct {
 	val T
 	at  Time
 }
 
 // Chan is a single-producer single-consumer FIFO of timestamped values
-// with a fixed capacity.
+// with a fixed capacity. Send k and receive k use ring slot k mod
+// capacity, so send k takes over the slot, and the freed time, of
+// receive k-capacity: the credit-based back-pressure of a bounded
+// buffer, with timestamps that do not depend on goroutine scheduling.
+// A side parks only when the ring is empty (receiver) or full (sender),
+// and the other side wakes it after unlocking mu.
 type Chan[T any] struct {
-	data   chan msg[T]
-	credit chan Time
+	mu                sync.Mutex
+	notEmpty, notFull sync.Cond
+	ring              []slot[T]
+	sent, recvd       int
 }
 
 // NewChan returns a channel with the given buffer capacity (number of
@@ -45,13 +54,8 @@ func NewChan[T any](capacity int) *Chan[T] {
 	if capacity < 1 {
 		panic("sim: channel capacity must be >= 1")
 	}
-	c := &Chan[T]{
-		data:   make(chan msg[T], capacity),
-		credit: make(chan Time, capacity),
-	}
-	for i := 0; i < capacity; i++ {
-		c.credit <- 0
-	}
+	c := &Chan[T]{ring: make([]slot[T], capacity)}
+	c.notEmpty.L, c.notFull.L = &c.mu, &c.mu
 	return c
 }
 
@@ -61,11 +65,18 @@ func NewChan[T any](capacity int) *Chan[T] {
 // retimed to that moment (back-pressure). Send returns the sender's new
 // local time: the cycle at which the send issued.
 func (c *Chan[T]) Send(now Time, v T, dur Time) Time {
-	freed := <-c.credit
-	if freed > now {
-		now = freed
+	c.mu.Lock()
+	for c.sent-c.recvd == len(c.ring) {
+		c.notFull.Wait()
 	}
-	c.data <- msg[T]{val: v, at: now + dur}
+	s := &c.ring[c.sent%len(c.ring)]
+	if s.at > now {
+		now = s.at
+	}
+	s.val, s.at = v, now+dur
+	c.sent++
+	c.mu.Unlock()
+	c.notEmpty.Signal()
 	return now
 }
 
@@ -73,17 +84,22 @@ func (c *Chan[T]) Send(now Time, v T, dur Time) Time {
 // exists. It returns the value and the receiver's new local time: the
 // maximum of now and the message availability time.
 func (c *Chan[T]) Recv(now Time) (T, Time) {
-	m := <-c.data
-	if m.at > now {
-		now = m.at
+	c.mu.Lock()
+	for c.sent == c.recvd {
+		c.notEmpty.Wait()
 	}
-	c.credit <- now
-	return m.val, now
+	s := &c.ring[c.recvd%len(c.ring)]
+	v := s.val
+	if s.at > now {
+		now = s.at
+	}
+	var zero T
+	s.val, s.at = zero, now
+	c.recvd++
+	c.mu.Unlock()
+	c.notFull.Signal()
+	return v, now
 }
-
-// TryLen returns the number of currently buffered messages (for tests and
-// statistics; the value is racy if producer or consumer are running).
-func (c *Chan[T]) TryLen() int { return len(c.data) }
 
 // Rendezvous is a reusable N-party barrier. The last goroutine to arrive
 // runs the resolution function (while all others wait) and then everyone
@@ -133,15 +149,4 @@ func (r *Rendezvous) Wait(resolve func()) {
 	for gen == r.gen {
 		r.cond.Wait()
 	}
-}
-
-// MaxTime returns the maximum of ts (0 for an empty slice).
-func MaxTime(ts []Time) Time {
-	var m Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }
