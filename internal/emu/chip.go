@@ -369,6 +369,12 @@ type Link struct {
 	hops     int
 	bridges  int // chip boundaries (eLink bridges) the route crosses
 
+	// blocks are the capacity+2 buffers Send copies blocks into, in turn:
+	// up to capacity queued, one held by the consumer until its next
+	// Recv, and one being filled. Only the producer's goroutine touches
+	// the slice; block k lives in blocks[k%len(blocks)].
+	blocks [][]complex64
+
 	// Occupancy statistics. sends/bytes/sendStall are written only by the
 	// producer core's goroutine, recvs/recvBytes/recvStall only by the
 	// consumer's; read them after the Run completes.
@@ -391,6 +397,7 @@ func (ch *Chip) Connect(from, to, capacity int) *Link {
 	f, t := ch.Cores[from], ch.Cores[to]
 	l := &Link{
 		ch:      sim.NewChan[[]complex64](capacity),
+		blocks:  make([][]complex64, capacity+2),
 		from:    f,
 		to:      t,
 		hops:    abs(f.Row-t.Row) + abs(f.Col-t.Col),
@@ -413,7 +420,8 @@ func (l *Link) transit(n int) float64 {
 // producer core. The producer pays the posted-write issue cycles; the
 // block becomes visible to the consumer after the mesh traversal latency.
 // If the consumer-side buffer is full the producer blocks until a slot
-// frees (and its clock advances accordingly).
+// frees (and its clock advances accordingly). Send copies vals into one
+// of the link's own buffers, so the caller may reuse vals at once.
 func (l *Link) Send(c *Core, vals []complex64) {
 	if c != l.from {
 		panic("emu: Send from wrong core")
@@ -427,7 +435,9 @@ func (l *Link) Send(c *Core, vals []complex64) {
 	// times out, backs off, and retransmits before the delivery below.
 	l.injectSendFaults(c, n)
 	dur := l.transit(n)
-	block := append([]complex64(nil), vals...)
+	i := l.sends % uint64(len(l.blocks))
+	block := append(l.blocks[i][:0], vals...)
+	l.blocks[i] = block
 	before := c.now
 	c.now = l.ch.Send(c.now, block, dur)
 	c.noteStall(obs.KindStallLink, before, c.now)
@@ -445,7 +455,9 @@ func (l *Link) Send(c *Core, vals []complex64) {
 
 // Recv receives the next block. It must be called by the link's consumer
 // core; the consumer's clock advances to the block arrival time plus the
-// flag-poll and local reads.
+// flag-poll and local reads. The block is valid until the next Recv on
+// the link, which lets the producer refill its buffer: a consumer that
+// needs the values longer copies them.
 func (l *Link) Recv(c *Core) []complex64 {
 	if c != l.to {
 		panic("emu: Recv from wrong core")

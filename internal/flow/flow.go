@@ -70,7 +70,8 @@ type InPort struct {
 	core *emu.Core
 }
 
-// Recv blocks (in simulated time) until the next block arrives.
+// Recv blocks (in simulated time) until the next block arrives. The
+// block is valid until the next Recv on the port.
 func (p *InPort) Recv() []complex64 { return p.link.Recv(p.core) }
 
 // OutPort streams blocks of complex samples to a downstream process.
