@@ -7,6 +7,7 @@ import (
 	"sarmany/internal/autofocus"
 	"sarmany/internal/emu"
 	"sarmany/internal/flow"
+	"sarmany/internal/interp"
 	"sarmany/internal/machine"
 	"sarmany/internal/mat"
 )
@@ -217,14 +218,13 @@ func (r *afReplica) rangeProc(blk, w int) flow.Proc {
 				}
 			}
 			for _, s := range r.shifts[blk] {
+				c.Core.Charge(rangeShift)
 				var vals [autofocus.BlockSize]complex64
 				for row := range vals {
-					c.Core.Charge(machine.Ops{FMA: 1})
 					off := s.DRange + s.Tilt*float64(row)
 					var taps [4]complex64
 					copy(taps[:], b[row*autofocus.BlockSize+w:])
-					c.Core.Charge(machine.Ops{IOp: 2})
-					vals[row] = neville4(c.Core, taps, float32(1.5+off))
+					vals[row] = interp.Neville4(taps, float32(1.5+off))
 				}
 				out.Send(vals[:])
 			}
@@ -240,11 +240,11 @@ func (r *afReplica) beamProc(blk int) flow.Proc {
 		for range r.pairs {
 			for _, s := range r.shifts[blk] {
 				vals := in.Recv()
+				c.Core.Charge(beamShift)
 				var col [interpN]complex64
 				for i := range col {
 					taps := [4]complex64{vals[i], vals[i+1], vals[i+2], vals[i+3]}
-					c.Core.Charge(machine.Ops{IOp: 2})
-					col[i] = neville4(c.Core, taps, float32(1.5+s.DBeam))
+					col[i] = interp.Neville4(taps, float32(1.5+s.DBeam))
 				}
 				out.Send(col[:])
 			}
@@ -268,7 +268,8 @@ func (r *afReplica) corrProc(c *flow.Ctx) {
 					a[row][w], b[row][w] = av[row], bv[row]
 				}
 			}
-			sum := correlate(c.Core, &a, &b)
+			c.Core.Charge(corrCriterion)
+			sum := autofocus.Correlate(&a, &b)
 			r.scores[r.lo+i][si] = sum
 			r.res.Store(c.Core, i*len(r.shifts[1])+si, float32(sum))
 		}

@@ -48,6 +48,23 @@ var (
 	toStore      = machine.Ops{Flop: 2}
 )
 
+// The autofocus pipeline nodes (ParAutofocusMulti) run only on Epiphany
+// cores and charge one batch per unit of work: the sum of the operations
+// the unit performs, priced to the same bits as charging them one at a
+// time, since between two link transfers a core only adds integers. A
+// range node's window per shift is six rows, each an offset FMA, the tap
+// addressing (IOp 2) and neville4 (FMA 24, Flop 6); a beam node's column
+// per shift is three windows of tap addressing and neville4; the
+// correlation node's criterion is nine pixels of two abs2 (FMA 2 each)
+// and a multiply-accumulate. SeqAutofocus also runs on refcpu, whose
+// fractional IOp price would round a batch differently, so it keeps
+// charging per call.
+var (
+	rangeShift    = machine.Ops{FMA: 6 * (1 + 24), Flop: 6 * 6, IOp: 6 * 2}
+	beamShift     = machine.Ops{FMA: 3 * 24, Flop: 3 * 6, IOp: 3 * 2}
+	corrCriterion = machine.Ops{FMA: 9 * (2 + 2 + 1)}
+)
+
 // sampleNN performs the nearest-neighbour interpolation lookup of one
 // child-subaperture sample at fractional (beam, range) index (ti, ri):
 // the rounding, the out-of-range test (the paper's "skip the additions
