@@ -237,10 +237,11 @@ func TestLedgerDisabled(t *testing.T) {
 
 // TestWatchLiveStatus drives the flight recorder's live display: with
 // -watch and a fast heartbeat the run prints carriage-return status
-// lines with per-core progress.
+// lines with per-core progress. The -small run still outlasts dozens of
+// 1 ms heartbeats.
 func TestWatchLiveStatus(t *testing.T) {
 	code, out := runEpirun(t, false,
-		"-kernel", "ffbp-par", "-watch", "-heartbeat", "1ms")
+		"-kernel", "ffbp-par", "-small", "-watch", "-heartbeat", "1ms")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
@@ -257,7 +258,7 @@ func TestDeadlinePostmortem(t *testing.T) {
 	dir := t.TempDir()
 	pm := filepath.Join(dir, "postmortem.txt")
 	code, out := runEpirun(t, false,
-		"-kernel", "ffbp-par", "-ledger", filepath.Join(dir, "runs"),
+		"-kernel", "ffbp-par", "-small", "-ledger", filepath.Join(dir, "runs"),
 		"-heartbeat", "1ms", "-deadline", "1ns", "-postmortem", pm)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
