@@ -5,14 +5,14 @@ GO ?= go
 all: check
 
 # check runs the full verification gate: formatting, static analysis,
-# build, package-doc coverage, the race-enabled test suite, one pass of
-# every root benchmark, the chaos (fault-injection) suite, a fuzz smoke pass over the fault-plan parser,
-# the simulator conformance suite, the emu-coverage guard, the sweep,
-# profiler, job-server and fused-kernel throughput measurements, the
-# benchmark regression diff against the committed baselines, the
+# build, package-doc coverage, the race-enabled test suite (which covers
+# the chaos and conformance suites), one pass of every root benchmark, a
+# fuzz smoke pass over the fault-plan parser, the emu-coverage guard, the
+# sweep, profiler, job-server, fused-kernel and scale-up measurements,
+# the benchmark regression diff against the committed baselines, the
 # repository benchmark's own test suite, the paper-scale Table I goldens,
 # and the sarserve end-to-end and request-tracing smoke tests.
-check: fmt vet build docscheck race benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
+check: fmt vet build docscheck race benchsmoke fuzzsmoke conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -42,12 +42,12 @@ benchsmoke:
 # chaos runs the fault-injection suite under the race detector: the
 # deterministic injector unit tests, the golden chaos kernel runs with
 # pinned retry/remap counts, the fault conformance and tamper-detection
-# tests, and the CLI exit-code contract tests.
+# tests, and the CLI exit-code contract tests. It is for local use:
+# check's race step already runs every one of these tests.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 -run 'Chaos|Fault|EmptyPlan' \
-		./internal/emu ./internal/kernels ./internal/conform \
-		./cmd/epirun ./cmd/sarprof
+		./internal/emu ./internal/kernels ./internal/conform ./cmd/epirun
 
 # fuzzsmoke gives the fault-plan parser fuzzer a short budget on top of
 # replaying its committed corpus.
@@ -57,7 +57,8 @@ fuzzsmoke:
 # conform runs the simulator conformance harness under the race detector:
 # the invariant checker over real kernel runs, the analytic differential
 # microbenchmarks (exact closed-form cycle counts), and the seeded
-# random-program determinism suite.
+# random-program determinism suite. It is for local use: check's race
+# step already runs the whole package.
 conform:
 	$(GO) test -race -count=1 ./internal/conform
 
@@ -67,21 +68,23 @@ conform:
 conformguard:
 	./scripts/checkconform.sh
 
-# sweepbench exercises the concurrent sweep engine under the race
-# detector and records its throughput as out/BENCH_sweep.json.
+# sweepbench, profbench and servebench record the throughput of the
+# concurrent sweep engine, of the trace-driven profiler over a traced
+# 16-core FFBP run, and the job server's saturation behavior (three
+# offered loads plus a warm-cache rerun) as out/BENCH_sweep.json,
+# out/BENCH_profile.json and out/BENCH_serve.json. Like kernelbench and
+# scalebench they run without the race detector, which would distort
+# the wall-clock leaves; the race step runs every other test of these
+# packages, and the three envelope tests skip unless their output
+# variable is set.
 sweepbench:
-	SWEEPBENCH_OUT=$(CURDIR)/out $(GO) test -race -run TestSweep -count=1 ./internal/sweep
+	SWEEPBENCH_OUT=$(CURDIR)/out $(GO) test -run TestSweep -count=1 ./internal/sweep
 
-# profbench runs the trace-driven profiler over a traced 16-core FFBP
-# run and records its throughput as out/BENCH_profile.json.
 profbench:
-	PROFBENCH_OUT=$(CURDIR)/out $(GO) test -race -run TestProfile -count=1 ./internal/profile
+	PROFBENCH_OUT=$(CURDIR)/out $(GO) test -run TestProfile -count=1 ./internal/profile
 
-# servebench measures the job server's saturation behavior (three
-# offered loads plus a warm-cache rerun) under the race detector and
-# records it as out/BENCH_serve.json.
 servebench:
-	SERVEBENCH_OUT=$(CURDIR)/out $(GO) test -race -run TestServeSaturation -count=1 ./internal/serve
+	SERVEBENCH_OUT=$(CURDIR)/out $(GO) test -run TestServeSaturation -count=1 ./internal/serve
 
 # kernelbench measures the fused back-projection hot paths against their
 # retained references at paper scale and records the result as

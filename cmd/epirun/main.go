@@ -23,6 +23,9 @@
 //	epirun -metrics metrics.json            # metrics-registry snapshot
 //	epirun -json                            # machine-readable summary on stdout
 //	epirun -check                           # verify run invariants afterwards
+//	epirun -profile -                       # profile report after the summary
+//	epirun -profile profile.html            # self-contained HTML profile
+//	epirun -profile profile.json            # machine-readable profile
 //	epirun -faults plan.txt                 # inject a deterministic fault plan
 //	epirun -watch                           # live per-core progress on stderr
 //	epirun -stallafter 30s                  # watchdog: post-mortem if wedged
@@ -49,6 +52,13 @@
 // energy; -check verifies the fault accounting. When the conformance
 // check fails, epirun exits with status 2.
 //
+// -profile traces the run as -trace does and, once -check has passed,
+// analyzes it with internal/profile: the critical path with per-cause
+// stalls, per-phase energy and roofline bounds, the mesh heatmap, and
+// under -faults the degradation section. "-" prints the text report
+// after the summary; a .html path gets a self-contained page, a .json
+// path the profile as JSON, and any other path the text report.
+//
 // A -trace file loads in ui.perfetto.dev or chrome://tracing: one thread
 // per core with compute and stall spans, plus a phase track for the SPMD
 // FFBP.
@@ -58,9 +68,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -69,6 +81,7 @@ import (
 	"sarmany/internal/fault"
 	"sarmany/internal/logx"
 	"sarmany/internal/obs"
+	"sarmany/internal/profile"
 	"sarmany/internal/report"
 	"sarmany/internal/telemetry"
 )
@@ -115,6 +128,7 @@ func main() {
 		metricF = flag.String("metrics", "", "write a metrics-registry snapshot JSON file")
 		jsonOut = flag.Bool("json", false, "print a machine-readable summary instead of tables")
 		check   = flag.Bool("check", false, "run the conformance checker on the completed run (Epiphany kernels)")
+		profF   = flag.String("profile", "", "profile the run: - prints the report, a .html/.json path gets that format, other paths text (Epiphany kernels)")
 		faultsF = flag.String("faults", "", "fault plan file to inject (Epiphany kernels)")
 		watch   = flag.Bool("watch", false, "live per-core progress line on stderr (Epiphany kernels)")
 		heartD  = flag.Duration("heartbeat", 200*time.Millisecond, "flight-recorder sampling interval for -watch/-stallafter/-deadline")
@@ -144,12 +158,18 @@ func main() {
 		if *check {
 			log.Fatal("-check verifies the Epiphany model; it does not apply to the Intel reference kernels")
 		}
+		if *profF != "" {
+			log.Fatal("-profile analyzes the Epiphany chip's trace; it does not apply to the Intel reference kernels")
+		}
 		if *faultsF != "" {
 			log.Fatal("-faults injects into the Epiphany model; it does not apply to the Intel reference kernels")
 		}
 		if *watch || *stallD > 0 || *deadlD > 0 {
 			log.Fatal("-watch/-stallafter/-deadline sample the Epiphany chip's progress cells; they do not apply to the Intel reference kernels")
 		}
+	}
+	if *jsonOut && *profF == "-" {
+		log.Fatal("-json and -profile - both write stdout; give -profile a file path")
 	}
 	cfg := report.Default()
 	if *small {
@@ -178,7 +198,7 @@ func main() {
 			m.CPU.SetTracer(tracer)
 		}
 	} else {
-		if *traceF != "" {
+		if *traceF != "" || *profF != "" {
 			tracer = obs.NewTracer(cfg.Epiphany.Clock)
 			tracer.SetCapacity(*traceN)
 			ch.SetTracer(tracer)
@@ -214,9 +234,6 @@ func main() {
 		if *watch || *stallD > 0 || *deadlD > 0 {
 			ch.EnableProgress()
 			ring := obs.NewEventRing(obs.DefaultEventCapacity)
-			if tracer != nil {
-				ring = tracer.Events()
-			}
 			ring.Addf("run start: kernel=%s cores=%d mesh=%s", *kernel, *cores, *mesh)
 			opts := telemetry.Options{
 				Progress: func() telemetry.Sample {
@@ -254,6 +271,7 @@ func main() {
 	var (
 		reg     *obs.Registry
 		runMesh string
+		prof    *profile.Profile
 	)
 	if m.CPU != nil {
 		writeTrace(*traceF, tracer)
@@ -272,6 +290,14 @@ func main() {
 				os.Exit(exitConformFail)
 			}
 			lg.Info("conformance check passed")
+		}
+		if *profF != "" {
+			if prof, err = profile.AnalyzeChip(ch); err != nil {
+				log.Fatal(err)
+			}
+			if *profF != "-" {
+				writeProfile(*profF, prof)
+			}
 		}
 		writeTrace(*traceF, tracer)
 		// The chip's makespan, named so "sarlog trend
@@ -293,7 +319,7 @@ func main() {
 	}
 	tracer.PublishMetrics(reg)
 	sum.Metrics = reg.Snapshot()
-	writeMetrics(*metricF, sum.Metrics)
+	writeFile(*metricF, sum.Metrics.WriteJSON)
 
 	extra := map[string]any{
 		"machine": sum.Machine,
@@ -318,7 +344,9 @@ func main() {
 	recordRun(*ledgerD, e)
 
 	if *jsonOut {
-		writeSummary(sum)
+		if err := writeJSON(os.Stdout, sum); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if m.CPU != nil {
@@ -376,6 +404,29 @@ func main() {
 		fmt.Printf("  (image: %d x %d pixels, %d merge iterations)\n",
 			cfg.Params.NumPulses, cfg.Params.NumBins, log2(cfg.Params.NumPulses))
 	}
+	if *profF == "-" {
+		if err := prof.WriteText(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// writeFile creates path and streams one exporter into it; a no-op when
+// path is "".
+func writeFile(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // writeTrace dumps the tracer to path as trace_event JSON; a no-op when
@@ -384,16 +435,7 @@ func writeTrace(path string, tr *obs.Tracer) {
 	if path == "" || tr == nil {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tr.WriteTraceEvent(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	writeFile(path, tr.WriteTraceEvent)
 	if n := tr.Dropped(); n > 0 {
 		lg.Warn("trace ring overflow", "dropped", n)
 	}
@@ -415,29 +457,26 @@ func sealRunTrace(e *telemetry.Entry, rt *obs.ReqTrace, root *obs.ReqSpan, sim *
 	}
 }
 
-// writeMetrics dumps a snapshot to path as JSON; a no-op when path is "".
-func writeMetrics(path string, snap obs.Snapshot) {
-	if path == "" {
-		return
+// writeProfile writes p to path in the format its extension names, by
+// the rule imageio.Save uses: .html gets the self-contained page, .json
+// the profile document, and any other extension the text report.
+func writeProfile(path string, p *profile.Profile) {
+	write := p.WriteText
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".html":
+		write = p.WriteHTML
+	case ".json":
+		write = func(w io.Writer) error { return writeJSON(w, p) }
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	writeFile(path, write)
+	lg.Info("wrote " + path)
 }
 
-func writeSummary(s summary) {
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON encodes v to w as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		log.Fatal(err)
-	}
+	return enc.Encode(v)
 }
 
 // runArgs carries the flag identity of a run for the ledger manifest.

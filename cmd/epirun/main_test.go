@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"sarmany/internal/bench"
+	"sarmany/internal/profile"
 	"sarmany/internal/telemetry"
 )
 
@@ -40,11 +43,11 @@ dma * 0.5 timeout 50 retries 1
 	return path
 }
 
-// runEpirun re-executes the test binary as epirun and returns its exit
-// code and combined output. A throwaway -ledger directory is injected
-// first so tests never write into the repo's out/runs; later -ledger
-// occurrences in args still win (flag.Parse keeps the last value).
-func runEpirun(t *testing.T, tamper bool, args ...string) (int, string) {
+// epirunCmd re-executes the test binary as epirun. A throwaway -ledger
+// directory is injected first so tests never write into the repo's
+// out/runs; later -ledger occurrences in args still win (flag.Parse keeps
+// the last value).
+func epirunCmd(t *testing.T, tamper bool, args ...string) *exec.Cmd {
 	t.Helper()
 	args = append([]string{"-ledger", t.TempDir()}, args...)
 	cmd := exec.Command(os.Args[0], args...)
@@ -52,7 +55,27 @@ func runEpirun(t *testing.T, tamper bool, args ...string) (int, string) {
 	if tamper {
 		cmd.Env = append(cmd.Env, "EPIRUN_TAMPER=1")
 	}
-	out, err := cmd.CombinedOutput()
+	return cmd
+}
+
+// epirunStdout runs epirun and returns its stdout alone, failing the
+// test unless it exits 0.
+func epirunStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := epirunCmd(t, false, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("epirun %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// runEpirun runs epirun and returns its exit code and combined output.
+func runEpirun(t *testing.T, tamper bool, args ...string) (int, string) {
+	t.Helper()
+	out, err := epirunCmd(t, tamper, args...).CombinedOutput()
 	if err == nil {
 		return 0, string(out)
 	}
@@ -82,16 +105,97 @@ func TestCheckPassesOnFaultedRun(t *testing.T) {
 // TestCheckExitCodeOnConformanceFailure pins the exit status contract:
 // when the conformance checker rejects a faulted run, epirun must exit
 // with status 2 (not 1, the generic usage-error status) so automation can
-// tell model bugs from bad invocations.
+// tell model bugs from bad invocations. -profile analyzes only a run
+// that passed the check, so a profiled run fails the same way.
 func TestCheckExitCodeOnConformanceFailure(t *testing.T) {
-	code, out := runEpirun(t, true,
-		"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t))
-	if code != exitConformFail {
-		t.Fatalf("exit %d; want %d (pinned conformance-failure status)\n%s",
-			code, exitConformFail, out)
+	for _, extra := range [][]string{nil, {"-profile", "-"}} {
+		code, out := runEpirun(t, true, append([]string{
+			"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t)}, extra...)...)
+		if code != exitConformFail {
+			t.Fatalf("%v: exit %d; want %d (pinned conformance-failure status)\n%s",
+				extra, code, exitConformFail, out)
+		}
+		if !strings.Contains(out, "invariant violation") {
+			t.Fatalf("%v: failure output does not name the violation:\n%s", extra, out)
+		}
+		if strings.Contains(out, "profile: epiphany") {
+			t.Fatalf("%v: a run that failed -check was profiled:\n%s", extra, out)
+		}
 	}
-	if !strings.Contains(out, "invariant violation") {
-		t.Fatalf("failure output does not name the violation:\n%s", out)
+}
+
+// TestProfileFaultedRun verifies a degraded run profiles cleanly under
+// -check and reports the fault degradation section.
+func TestProfileFaultedRun(t *testing.T) {
+	code, out := runEpirun(t, false,
+		"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t), "-profile", "-")
+	if code != 0 {
+		t.Fatalf("exit %d; want 0\n%s", code, out)
+	}
+	if !strings.Contains(out, "conformance check passed") {
+		t.Fatalf("no conformance confirmation in output:\n%s", out)
+	}
+	if !strings.Contains(out, "fault degradation") {
+		t.Fatalf("no degradation section in report:\n%s", out)
+	}
+}
+
+// TestProfileFormats pins where -profile writes: "-" appends the text
+// report to the run's usual stdout, and a path gets the format its
+// extension names. -json with -profile - is a usage error, since stdout
+// carries one JSON document.
+func TestProfileFormats(t *testing.T) {
+	run := []string{"-kernel", "ffbp-par", "-small", "-ledger", ""}
+	plain := epirunStdout(t, run...)
+	rest, ok := strings.CutPrefix(epirunStdout(t, append(run, "-profile", "-")...), plain)
+	if !ok || !strings.HasPrefix(rest, "profile: epiphany") {
+		t.Errorf("-profile - stdout is not the plain run's stdout followed by the report:\n%s", rest)
+	}
+
+	dir := t.TempDir()
+	htmlF := filepath.Join(dir, "p.html")
+	epirunStdout(t, append(run, "-profile", htmlF)...)
+	if page, err := os.ReadFile(htmlF); err != nil || !strings.HasPrefix(string(page), "<!DOCTYPE html>") {
+		t.Errorf("%s is not an HTML page (err %v)", htmlF, err)
+	}
+
+	jsonF := filepath.Join(dir, "p.json")
+	var s summary
+	if err := json.Unmarshal([]byte(epirunStdout(t, append(run, "-json", "-profile", jsonF)...)), &s); err != nil {
+		t.Fatalf("decoding summary: %v", err)
+	}
+	raw, err := os.ReadFile(jsonF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p profile.Profile
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatalf("decoding %s: %v", jsonF, err)
+	}
+	if s.Cycles <= 0 || p.RunCycles != s.Cycles {
+		t.Errorf("profile run_cycles %v, summary cycles %v", p.RunCycles, s.Cycles)
+	}
+
+	if code, out := runEpirun(t, false, append(run, "-json", "-profile", "-")...); code != 1 {
+		t.Errorf("-json -profile -: exit %d, want 1\n%s", code, out)
+	}
+}
+
+// TestRejectsNonEpiphanyKernels checks that -profile on an Intel
+// reference kernel and an unknown kernel name are usage errors (status
+// 1).
+func TestRejectsNonEpiphanyKernels(t *testing.T) {
+	for k, want := range map[string]string{
+		"ffbp-intel":     "Intel reference kernels",
+		"no-such-kernel": "unknown kernel",
+	} {
+		code, out := runEpirun(t, false, "-kernel", k, "-small", "-profile", "-")
+		if code != 1 {
+			t.Errorf("-kernel %s: exit %d, want 1\n%s", k, code, out)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("-kernel %s: error output lacks %q:\n%s", k, want, out)
+		}
 	}
 }
 
@@ -220,6 +324,40 @@ func TestZeroCoresMeansAll(t *testing.T) {
 	}
 	if !strings.Contains(out, "16 cores used") || !strings.Contains(out, "\n    15 ") {
 		t.Errorf("text output does not report 16 cores:\n%s", out)
+	}
+}
+
+// TestLedgerRecordsCoresUsed checks that the manifest names the cores the
+// kernel ran on, not the -cores flag: one for a sequential kernel, 13 for
+// the autofocus pipeline, and all 16 of the E16G3 for ffbp-par -cores 0.
+func TestLedgerRecordsCoresUsed(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-kernel", "af-seq"}, 1},
+		{[]string{"-kernel", "af-par"}, 13},
+		{[]string{"-kernel", "ffbp-par", "-cores", "0"}, 16},
+	} {
+		dir := filepath.Join(t.TempDir(), "runs")
+		code, out := runEpirun(t, false, append(c.args, "-small", "-ledger", dir)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", c.args, code, out)
+		}
+		entries, err := telemetry.Open(dir).List()
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%v: entries=%d err=%v", c.args, len(entries), err)
+		}
+		var cfg struct{ Cores int }
+		if err := json.Unmarshal(entries[0].Config, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Cores != c.want {
+			t.Errorf("%v: ledger config records %d cores, want %d", c.args, cfg.Cores, c.want)
+		}
+		if arg := fmt.Sprintf("cores=%d", c.want); !slices.Contains(entries[0].Args, arg) {
+			t.Errorf("%v: ledger args %v lack %s", c.args, entries[0].Args, arg)
+		}
 	}
 }
 

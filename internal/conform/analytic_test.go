@@ -389,6 +389,27 @@ func analyticCases() []analyticCase {
 		},
 	})
 
+	// On a 2x2 array of 4x4 chips the chips are numbered row-major: the
+	// top-left core of chip k (IDs 0, 4, 32, 36 on the 8x8 grid) reads
+	// through chip k's own channel, each set to a distinct dyadic rate.
+	fourChip := emu.E16G3().WithChips(2, 2)
+	fourChip.ExtBytesPerCycleByChip = []float64{0.5, 0.25, 2, 0.125}
+	for k, core := range []int{0, 4, 32, 36} {
+		cases = append(cases, analyticCase{
+			name: fmt.Sprintf("ext-read-2x2-chip%d", k), p: fourChip,
+			run: func(ch *emu.Chip) {
+				c := ch.Cores[core]
+				buf := bufc(ch.Ext(), extNB/8)
+				for i := 0; i < extK; i++ {
+					c.Load(buf.ElemAddr(0), extNB)
+				}
+			},
+			want: func(p emu.Params) float64 {
+				return extK * (p.ExtReadLatency + extNB/p.ExtBytesPerCycleByChip[k])
+			},
+		})
+	}
+
 	// Barrier skew on the chip array: no off-chip traffic, so the phase
 	// algebra is identical to the single-chip case at twice the width.
 	cases = append(cases, analyticCase{

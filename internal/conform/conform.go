@@ -29,9 +29,9 @@
 //     generator of random multi-core programs asserting the invariants
 //     and run-to-run determinism under the race detector.
 //
-// Run the suite via `make conform` (part of `make check`); the facade
-// exports Check as sarmany.CheckChip, and `epirun -check` / `sarprof
-// -check` run it after real FFBP and autofocus workloads.
+// Run the suite via `make conform` (the race step of `make check` runs
+// it too); the facade exports Check as sarmany.CheckChip, and
+// `epirun -check` runs it after real FFBP and autofocus workloads.
 package conform
 
 import (

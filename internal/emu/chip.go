@@ -28,7 +28,6 @@ type Chip struct {
 
 	// Barrier state for the active Run. chipBusy is resolvePhase's
 	// per-chip channel accumulation scratch, reused across phases.
-	active     int
 	bar        *sim.Rendezvous
 	barTimes   []float64
 	barBusy    []float64
@@ -40,9 +39,9 @@ type Chip struct {
 	// operation counts and traffic to individual phases.
 	phaseCum CoreStats
 
-	// ran is the core count of the most recent Run; Time, MaxCycles and
-	// TotalStats aggregate only those cores so results of a narrower run
-	// are not skewed by stale state from a wider earlier one.
+	// ran is the core count of the most recent (or active) Run; Time,
+	// MaxCycles and TotalStats aggregate only those cores so results of a
+	// narrower run are not skewed by stale state from a wider earlier one.
 	ran int
 
 	links []*Link // every link Connect has created, for metrics
@@ -176,11 +175,10 @@ func (ch *Chip) Run(n int, fn func(c *Core)) {
 	if len(live) == 0 {
 		panic(fmt.Sprintf("emu: all %d cores of the run are halted by the fault plan", n))
 	}
-	ch.active = n
 	ch.ran = n
 	ch.bar = sim.NewRendezvous(len(live))
 	ch.phaseStart = 0
-	ch.phaseCum = ch.sumActiveStats()
+	ch.phaseCum = ch.TotalStats()
 	var wg sync.WaitGroup
 	for _, c := range live {
 		wg.Add(1)
@@ -217,7 +215,7 @@ func (ch *Chip) resolvePhase() {
 	for k := range ch.chipBusy {
 		ch.chipBusy[k] = 0
 	}
-	for i := 0; i < ch.active; i++ {
+	for i := 0; i < ch.ran; i++ {
 		if ch.barTimes[i] > maxFinish {
 			maxFinish = ch.barTimes[i]
 		}
@@ -237,7 +235,7 @@ func (ch *Chip) resolvePhase() {
 	// Stats are safe to read here. Barrier-stall cycles are recorded after
 	// the cores are released, so a phase's delta carries the *previous*
 	// barrier's waits; totals over all phases still reconcile exactly.
-	cum := ch.sumActiveStats()
+	cum := ch.TotalStats()
 	delta := SubStats(cum, ch.phaseCum)
 	ch.phaseCum = cum
 	rec := PhaseRecord{
@@ -260,17 +258,6 @@ func (ch *Chip) resolvePhase() {
 	ch.phaseTrack.Span(kind, ch.phaseStart, t)
 	ch.phaseStart = t
 	ch.notePhase()
-}
-
-// sumActiveStats sums the stats of the active cores. It is called from
-// the rendezvous resolution step, where every other participant is parked
-// with its dual-issue window committed.
-func (ch *Chip) sumActiveStats() CoreStats {
-	var sum CoreStats
-	for i := 0; i < ch.active; i++ {
-		sum = AddStats(sum, ch.Cores[i].Stats)
-	}
-	return sum
 }
 
 // CoreTrack returns core i's event-trace track (nil when tracing is

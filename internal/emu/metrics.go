@@ -7,9 +7,9 @@ import (
 )
 
 // coreStatFields is the single source of truth binding CoreStats fields to
-// registry metric names: Metrics publishes through it and TotalStats reads
-// the summed counters back, so the struct view and the registry view
-// cannot drift apart.
+// registry metric names: Metrics publishes through it and AddStats (and
+// so TotalStats) sums through it, so the struct view and the registry
+// view cannot drift apart.
 var coreStatFields = []struct {
 	name string
 	get  func(*CoreStats) float64
@@ -155,22 +155,14 @@ func (ch *Chip) Metrics() *obs.Registry {
 	return reg
 }
 
-// TotalStats sums the per-core statistics of the cores that ran. It is a
-// registry-backed view: the totals are read back from the summed counters
-// Metrics publishes, keeping the struct API and the metric names
-// consistent by construction.
+// TotalStats sums the per-core statistics of the cores that ran with
+// AddStats, in core order, so each field equals the counter Metrics
+// publishes for it. resolvePhase calls it while the other cores are
+// parked at the barrier with their dual-issue windows committed.
 func (ch *Chip) TotalStats() CoreStats {
-	reg := obs.NewRegistry()
-	cores := ch.activeCores()
-	for _, f := range coreStatFields {
-		ctr := reg.Counter("emu." + f.name)
-		for _, c := range cores {
-			ctr.Add(f.get(&c.Stats))
-		}
+	var sum CoreStats
+	for _, c := range ch.activeCores() {
+		sum = AddStats(sum, c.Stats)
 	}
-	var s CoreStats
-	for _, f := range coreStatFields {
-		f.set(&s, reg.Counter("emu."+f.name).Value())
-	}
-	return s
+	return sum
 }

@@ -71,9 +71,6 @@ func (ch *Chip) EnableProgress() {
 	ch.progress = ps
 }
 
-// ProgressEnabled reports whether EnableProgress has been called.
-func (ch *Chip) ProgressEnabled() bool { return ch.progress != nil }
-
 // Progress returns a snapshot of the per-core clocks and the resolved
 // phase count. Safe to call from any goroutine while Run is executing.
 // ok is false (with a zero snapshot) when EnableProgress was not called.

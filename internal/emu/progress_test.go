@@ -11,9 +11,6 @@ import (
 // EnableProgress the chip reports no snapshot and cores carry nil cells.
 func TestProgressDisabledByDefault(t *testing.T) {
 	ch := New(E16G3())
-	if ch.ProgressEnabled() {
-		t.Fatal("progress enabled on a fresh chip")
-	}
 	if _, ok := ch.Progress(); ok {
 		t.Fatal("Progress() ok without EnableProgress")
 	}

@@ -56,7 +56,9 @@ func TestTopologyMapping(t *testing.T) {
 	if tp.NumChips() != 4 || tp.ChipRows() != 2 || tp.ChipCols() != 2 {
 		t.Fatalf("chip array %dx%d / %d chips", tp.ChipRows(), tp.ChipCols(), tp.NumChips())
 	}
-	// Round trip and chip membership at the four chip corners.
+	// Round trip and chip membership at the four chip corners; New
+	// assigns each core its chip.
+	ch := New(E1024())
 	for _, tc := range []struct {
 		coord Coord
 		id    int
@@ -74,12 +76,9 @@ func TestTopologyMapping(t *testing.T) {
 		if c := tp.CoordOf(tc.id); c != tc.coord {
 			t.Errorf("CoordOf(%d) = %v, want %v", tc.id, c, tc.coord)
 		}
-		if chip := tp.ChipOf(tc.id); chip != tc.chip {
-			t.Errorf("ChipOf(%d) = %d, want %d", tc.id, chip, tc.chip)
+		if chip := ch.Cores[tc.id].chipIdx; chip != tc.chip {
+			t.Errorf("core %d on chip %d, want %d", tc.id, chip, tc.chip)
 		}
-	}
-	if c := tp.ChipCoord(2); c != (Coord{1, 0}) {
-		t.Errorf("ChipCoord(2) = %v, want {1 0}", c)
 	}
 	// Distances: hops on the global grid, bridges per chip boundary.
 	for _, tc := range []struct {
@@ -109,7 +108,6 @@ func TestTopologyMapping(t *testing.T) {
 	}
 	mustPanic("CoordOf(1024)", func() { tp.CoordOf(1024) })
 	mustPanic("IDOf(32,0)", func() { tp.IDOf(Coord{32, 0}) })
-	mustPanic("ChipCoord(4)", func() { tp.ChipCoord(4) })
 }
 
 // chippedAndMono build the same 2x4 global grid twice: once as a 1x2

@@ -283,9 +283,6 @@ func MustCompile(p Plan) *Injector {
 	return inj
 }
 
-// Plan returns a copy of the source plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // Empty reports whether the injector changes nothing — the emulator's
 // bit-identical no-op case.
 func (inj *Injector) Empty() bool { return inj.plan.Empty() }

@@ -116,9 +116,17 @@ func TestCompileFillsDefaults(t *testing.T) {
 	if d.TimeoutCycles != DefaultDMATimeout || d.MaxRetries != DefaultDMARetries {
 		t.Errorf("dma defaults not applied: %+v", d)
 	}
-	// Compile must not mutate the caller's plan.
+	// Compile must not mutate the caller's plan, and the injector keeps
+	// its own copy: editing the plan afterwards changes no decision.
 	if p.Links[0].TimeoutCycles != 0 {
 		t.Error("Compile mutated the source plan")
+	}
+	p.Links[0].Rate, p.DMAs[0].Core = 1, 3
+	if l, _ := inj.LinkFaultFor(0, 1); l.Rate != 0.1 {
+		t.Errorf("link rate %v after editing the source plan, want 0.1", l.Rate)
+	}
+	if _, ok := inj.DMAFaultFor(2); !ok {
+		t.Error("dma fault moved with an edit to the source plan")
 	}
 }
 

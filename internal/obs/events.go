@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// DefaultEventCapacity is the event ring capacity a Tracer creates unless
-// SetEventCapacity overrides it.
+// DefaultEventCapacity is the capacity NewEventRing gives a ring when
+// asked for fewer than one event.
 const DefaultEventCapacity = 1024
 
 // Event is one timestamped free-form note in a flight-recorder ring:
@@ -92,16 +92,6 @@ func (r *EventRing) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// Len returns the number of retained events.
-func (r *EventRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
 }
 
 // WriteText renders the retained events one per line with microsecond

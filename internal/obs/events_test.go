@@ -19,9 +19,6 @@ func TestEventRingBoundsAndOrder(t *testing.T) {
 	if r.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", r.Dropped())
 	}
-	if r.Len() != 3 {
-		t.Errorf("len = %d, want 3", r.Len())
-	}
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -37,13 +34,8 @@ func TestEventRingNilSafe(t *testing.T) {
 	var r *EventRing
 	r.Add("x")
 	r.Addf("y %d", 1)
-	if r.Events() != nil || r.Dropped() != 0 || r.Len() != 0 {
+	if r.Events() != nil || r.Dropped() != 0 {
 		t.Error("nil ring not a no-op")
-	}
-	var tr *Tracer
-	tr.Eventf("z")
-	if tr.Events() != nil {
-		t.Error("nil tracer Events() != nil")
 	}
 }
 
@@ -63,8 +55,8 @@ func TestEventRingConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Len() != 64 {
-		t.Errorf("len = %d, want full ring 64", r.Len())
+	if n := len(r.Events()); n != 64 {
+		t.Errorf("len = %d, want full ring 64", n)
 	}
 	if r.Dropped() != 8*100-64 {
 		t.Errorf("dropped = %d, want %d", r.Dropped(), 8*100-64)
@@ -72,8 +64,8 @@ func TestEventRingConcurrent(t *testing.T) {
 }
 
 // TestEventRingConcurrentReaders mixes writers with every read-side
-// method (Events, Len, Dropped, WriteText) so -race pins that readers
-// never observe a torn ring while the writers wrap it.
+// method (Events, Dropped, WriteText) so -race pins that readers never
+// observe a torn ring while the writers wrap it.
 func TestEventRingConcurrentReaders(t *testing.T) {
 	r := NewEventRing(32)
 	var wg sync.WaitGroup
@@ -91,7 +83,7 @@ func TestEventRingConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if got := r.Len(); got < 0 || got > 32 {
+				if got := len(r.Events()); got > 32 {
 					t.Errorf("len = %d outside [0, 32]", got)
 				}
 				_ = r.Dropped()
@@ -102,19 +94,10 @@ func TestEventRingConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 32 {
-		t.Errorf("len = %d, want full ring 32", r.Len())
+	if n := len(r.Events()); n != 32 {
+		t.Errorf("len = %d, want full ring 32", n)
 	}
 	if r.Dropped() != 4*200-32 {
 		t.Errorf("dropped = %d, want %d", r.Dropped(), 4*200-32)
-	}
-}
-
-func TestTracerEventRing(t *testing.T) {
-	tr := NewTracer(1e9)
-	tr.Eventf("phase %d done", 3)
-	ev := tr.Events().Events()
-	if len(ev) != 1 || ev[0].Msg != "phase 3 done" {
-		t.Fatalf("tracer events = %+v", ev)
 	}
 }

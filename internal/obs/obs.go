@@ -205,11 +205,6 @@ const DefaultCapacity = 1 << 14
 type Tracer struct {
 	clockHz float64
 
-	// events is the tracer's flight-recorder ring: recent wall-clock
-	// lifecycle notes (heartbeats, warnings) kept alongside the span
-	// tracks so a post-mortem can replay what the run was doing last.
-	events *EventRing
-
 	mu     sync.Mutex
 	cap    int
 	tracks []*Track
@@ -228,30 +223,11 @@ func NewTracer(clockHz float64) *Tracer {
 		clockHz: clockHz,
 		cap:     DefaultCapacity,
 		procs:   map[int]string{},
-		events:  NewEventRing(DefaultEventCapacity),
 	}
 }
 
 // ClockHz returns the cycle-to-seconds conversion rate.
 func (tr *Tracer) ClockHz() float64 { return tr.clockHz }
-
-// Events returns the tracer's flight-recorder event ring (nil on a nil
-// tracer; every ring method is nil-safe, so callers can chain freely).
-func (tr *Tracer) Events() *EventRing {
-	if tr == nil {
-		return nil
-	}
-	return tr.events
-}
-
-// Eventf records a formatted wall-clock event into the tracer's
-// flight-recorder ring. Safe on a nil tracer.
-func (tr *Tracer) Eventf(format string, args ...any) {
-	if tr == nil {
-		return
-	}
-	tr.events.Addf(format, args...)
-}
 
 // SetCapacity sets the span ring capacity of tracks created afterwards.
 func (tr *Tracer) SetCapacity(n int) {

@@ -115,16 +115,6 @@ func ParseTraceparent(h string) (id TraceID, parent SpanID, sampled, ok bool) {
 	return id, parent, flags[0]&0x01 != 0, true
 }
 
-// Traceparent formats a W3C `traceparent` header value for propagating
-// the trace to a downstream service.
-func Traceparent(id TraceID, span SpanID, sampled bool) string {
-	flags := "00"
-	if sampled {
-		flags = "01"
-	}
-	return "00-" + id.String() + "-" + span.String() + "-" + flags
-}
-
 // DefaultReqSpanCapacity bounds how many finished spans one request
 // trace retains; spans ended past the bound are counted as dropped.
 const DefaultReqSpanCapacity = 512
@@ -171,17 +161,6 @@ func (t *ReqTrace) TraceID() TraceID {
 		return TraceID{}
 	}
 	return t.id
-}
-
-// Dropped returns how many finished spans were discarded because the
-// trace hit its span capacity.
-func (t *ReqTrace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // StartSpan opens a root-level span (parented to the inbound remote
@@ -255,23 +234,6 @@ type ReqSpan struct {
 	mu    sync.Mutex
 	attrs map[string]string
 	ended bool
-}
-
-// Trace returns the owning trace (nil for a nil span).
-func (s *ReqSpan) Trace() *ReqTrace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
-// ID returns the span's identifier (zero for a nil span); combined
-// with the trace ID it forms the traceparent a downstream hop sees.
-func (s *ReqSpan) ID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.id
 }
 
 // Child opens a sub-span. Nil-safe: a nil parent returns nil.

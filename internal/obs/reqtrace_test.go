@@ -9,19 +9,29 @@ import (
 	"time"
 )
 
+// traceparent formats a W3C `traceparent` header value, the form a
+// caller propagating its trace sends.
+func traceparent(id TraceID, span SpanID, sampled bool) string {
+	flags := "00"
+	if sampled {
+		flags = "01"
+	}
+	return "00-" + id.String() + "-" + span.String() + "-" + flags
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
 	id, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
 	var span SpanID
 	copy(span[:], []byte{0x00, 0xf0, 0x67, 0xaa, 0x0b, 0xa9, 0x02, 0xb7})
-	h := Traceparent(id, span, true)
+	h := traceparent(id, span, true)
 	if h != "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01" {
-		t.Fatalf("Traceparent = %q", h)
+		t.Fatalf("traceparent = %q", h)
 	}
 	gid, gparent, sampled, ok := ParseTraceparent(h)
 	if !ok || gid != id || gparent != span || !sampled {
 		t.Fatalf("round trip: id=%v parent=%v sampled=%v ok=%v", gid, gparent, sampled, ok)
 	}
-	if _, _, sampled, ok := ParseTraceparent(Traceparent(id, span, false)); !ok || sampled {
+	if _, _, sampled, ok := ParseTraceparent(traceparent(id, span, false)); !ok || sampled {
 		t.Fatalf("unsampled round trip: sampled=%v ok=%v", sampled, ok)
 	}
 }
@@ -148,7 +158,7 @@ func TestReqTraceRemoteParent(t *testing.T) {
 
 func TestReqTraceNilSafe(t *testing.T) {
 	var tr *ReqTrace
-	if !tr.TraceID().IsZero() || tr.Dropped() != 0 {
+	if !tr.TraceID().IsZero() {
 		t.Error("nil trace not a no-op")
 	}
 	tr.SetRemoteParent(SpanID{1})
@@ -162,9 +172,6 @@ func TestReqTraceNilSafe(t *testing.T) {
 	}
 	s.End()
 	s.AttachSim(NewTracer(1e9), time.Now())
-	if s.Trace() != nil || !s.ID().IsZero() {
-		t.Error("nil span accessors not zero")
-	}
 	if doc := tr.Doc(); doc.TraceID != "" || len(doc.Spans) != 0 {
 		t.Errorf("nil trace doc = %+v", doc)
 	}
@@ -279,8 +286,8 @@ func TestAttachSim(t *testing.T) {
 	if simSpan.Name == "" {
 		t.Fatalf("no sim.core0 span in %+v", doc.Spans)
 	}
-	if simSpan.Parent != root.ID().String() {
-		t.Errorf("sim span parent = %q, want %q", simSpan.Parent, root.ID())
+	if simSpan.Parent != root.id.String() {
+		t.Errorf("sim span parent = %q, want %q", simSpan.Parent, root.id)
 	}
 	if simSpan.StartUnixNs != base.UnixNano() {
 		t.Errorf("sim span start = %d, want %d", simSpan.StartUnixNs, base.UnixNano())

@@ -156,29 +156,6 @@ func NormCorr(a, b *mat.F) float64 {
 	return sab / math.Sqrt(saa*sbb)
 }
 
-// RMSDiff returns the root-mean-square difference between two images of
-// identical shape after peak-normalizing each (so overall gain differences
-// do not count). It panics on a shape mismatch.
-func RMSDiff(a, b *mat.F) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("quality: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	_, _, pa := Peak(a)
-	_, _, pb := Peak(b)
-	if pa == 0 || pb == 0 {
-		return math.Inf(1)
-	}
-	var sum float64
-	for r := 0; r < a.Rows; r++ {
-		ra, rb := a.Row(r), b.Row(r)
-		for i := range ra {
-			d := float64(ra[i])/float64(pa) - float64(rb[i])/float64(pb)
-			sum += d * d
-		}
-	}
-	return math.Sqrt(sum / float64(a.Rows*a.Cols))
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -5,7 +5,7 @@
 //
 // Table I's six implementations are named once, in Impls: each row's
 // -kernel name, label, case study and machine kind, with Impl.Run binding
-// it to its kernel call. RunTable1, cmd/epirun, cmd/sarprof and the root
+// it to its kernel call. RunTable1, cmd/epirun and the root
 // BenchmarkTable1 all read that table.
 package report
 
@@ -148,7 +148,7 @@ const (
 
 // Impl is one implementation of Table I: a case study on a machine.
 type Impl struct {
-	Kernel string // the -kernel name of cmd/epirun and cmd/sarprof
+	Kernel string // the -kernel name of cmd/epirun
 	Label  string // the row label in Table I
 	Study  Study
 	Kind   Kind

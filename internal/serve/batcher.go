@@ -47,17 +47,6 @@ func (r *Request) deliver(res sweep.JobResult) {
 	}
 }
 
-// Wait blocks until the request resolves or ctx is done. The job error
-// (if any) is returned alongside the result, mirroring sweep.JobResult.
-func (r *Request) Wait(ctx context.Context) (sweep.JobResult, error) {
-	select {
-	case res := <-r.done:
-		return res, res.Err
-	case <-ctx.Done():
-		return sweep.JobResult{}, ctx.Err()
-	}
-}
-
 // QueueFullError is the typed admission failure for a saturated batcher
 // queue: the client should back off and retry after the hint.
 type QueueFullError struct {
@@ -191,15 +180,6 @@ func (b *Batcher) timedFlush(gen int) {
 		return
 	}
 	b.flushLocked()
-}
-
-// Flush forces the pending partial batch out immediately.
-func (b *Batcher) Flush() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.pending) > 0 {
-		b.flushLocked()
-	}
 }
 
 // flushLocked hands the pending batch to Exec on a fresh goroutine.

@@ -27,6 +27,17 @@ func collectExec(mu *sync.Mutex, batches *[][]string) ExecFunc {
 	}
 }
 
+// wait reads r's delivered result, or gives up when ctx is done: it
+// returns the job's error, or ctx's.
+func wait(ctx context.Context, r *Request) error {
+	select {
+	case res := <-r.done:
+		return res.Err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // TestBatcherSizeFlush: the batch flushes as soon as BatchSize requests
 // are pending, without waiting for MaxWait.
 func TestBatcherSizeFlush(t *testing.T) {
@@ -47,7 +58,7 @@ func TestBatcherSizeFlush(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, r := range reqs {
-		if _, err := r.Wait(ctx); err != nil {
+		if err := wait(ctx, r); err != nil {
 			t.Fatalf("wait %s: %v", r.ID, err)
 		}
 	}
@@ -75,7 +86,7 @@ func TestBatcherMaxWaitPartialFlush(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := r.Wait(ctx); err != nil {
+	if err := wait(ctx, r); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -112,7 +123,7 @@ func TestBatcherQueuedCancellation(t *testing.T) {
 
 	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer wcancel()
-	if _, err := r.Wait(wctx); !errors.Is(err, context.Canceled) {
+	if err := wait(wctx, r); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait err = %v, want context.Canceled", err)
 	}
 	if got := executed.Load(); got != 0 {
@@ -123,7 +134,7 @@ func TestBatcherQueuedCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ok.Wait(wctx); err != nil {
+	if err := wait(wctx, ok); err != nil {
 		t.Fatalf("post-cancel submit: %v", err)
 	}
 }

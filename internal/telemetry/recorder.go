@@ -68,7 +68,6 @@ type Recorder struct {
 	done  chan struct{}
 
 	mu       sync.Mutex
-	last     Sample
 	stalled  bool
 	dumpPath string
 }
@@ -121,13 +120,6 @@ func (r *Recorder) PostmortemFile() string {
 	return r.dumpPath
 }
 
-// Last returns the most recent heartbeat sample.
-func (r *Recorder) Last() Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
-}
-
 func (r *Recorder) loop() {
 	defer close(r.done)
 	tick := time.NewTicker(r.opt.Interval)
@@ -151,10 +143,6 @@ func (r *Recorder) loop() {
 		if moving {
 			lastMove = now
 		}
-		r.mu.Lock()
-		r.last = s
-		r.mu.Unlock()
-
 		r.opt.Events.Addf("heartbeat: phases=%d max=%.0fcy total=%.0fcy moving=%v",
 			s.Phases, s.Max, s.Total, moving)
 		if r.opt.Status != nil {

@@ -526,7 +526,7 @@ type (
 	// RunProfile is the post-hoc analysis of a traced chip run: critical
 	// path with per-cause attribution, per-phase energy rows, roofline
 	// classification, and mesh heatmaps. WriteText and WriteHTML render
-	// it; cmd/sarprof is the CLI front end.
+	// it; `epirun -profile` is the CLI front end.
 	RunProfile = profile.Profile
 )
 
