@@ -105,22 +105,34 @@ func TestCheckPassesOnFaultedRun(t *testing.T) {
 // TestCheckExitCodeOnConformanceFailure pins the exit status contract:
 // when the conformance checker rejects a faulted run, epirun must exit
 // with status 2 (not 1, the generic usage-error status) so automation can
-// tell model bugs from bad invocations. -profile analyzes only a run
-// that passed the check, so a profiled run fails the same way.
+// tell model bugs from bad invocations.
 func TestCheckExitCodeOnConformanceFailure(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-profile", "-"}} {
-		code, out := runEpirun(t, true, append([]string{
-			"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t)}, extra...)...)
-		if code != exitConformFail {
-			t.Fatalf("%v: exit %d; want %d (pinned conformance-failure status)\n%s",
-				extra, code, exitConformFail, out)
-		}
-		if !strings.Contains(out, "invariant violation") {
-			t.Fatalf("%v: failure output does not name the violation:\n%s", extra, out)
-		}
-		if strings.Contains(out, "profile: epiphany") {
-			t.Fatalf("%v: a run that failed -check was profiled:\n%s", extra, out)
-		}
+	code, out := runEpirun(t, true,
+		"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t))
+	if code != exitConformFail {
+		t.Fatalf("exit %d; want %d (pinned conformance-failure status)\n%s",
+			code, exitConformFail, out)
+	}
+	if !strings.Contains(out, "invariant violation") {
+		t.Fatalf("failure output does not name the violation:\n%s", out)
+	}
+}
+
+// TestProfileCheckExitCodeOnConformanceFailure holds -profile to the same
+// contract: it analyzes only a run that passed -check, so a profiled run
+// the checker rejects exits 2 and prints no profile.
+func TestProfileCheckExitCodeOnConformanceFailure(t *testing.T) {
+	code, out := runEpirun(t, true,
+		"-kernel", "ffbp-par", "-small", "-check", "-faults", writePlan(t), "-profile", "-")
+	if code != exitConformFail {
+		t.Fatalf("exit %d; want %d (pinned conformance-failure status)\n%s",
+			code, exitConformFail, out)
+	}
+	if !strings.Contains(out, "invariant violation") {
+		t.Fatalf("failure output does not name the violation:\n%s", out)
+	}
+	if strings.Contains(out, "profile: epiphany") {
+		t.Fatalf("a run that failed -check was profiled:\n%s", out)
 	}
 }
 
