@@ -7,7 +7,7 @@ all: check
 # check runs the full verification gate: formatting, static analysis,
 # build, package-doc coverage, the race-enabled test suite (which covers
 # the chaos and conformance suites), one pass of every root benchmark, a
-# fuzz smoke pass over the fault-plan parser, the emu-coverage guard, the
+# fuzz smoke pass over every fuzz target, the emu-coverage guard, the
 # sweep, profiler, job-server, fused-kernel and scale-up measurements,
 # the benchmark regression diff against the committed baselines, the
 # repository benchmark's own test suite, the paper-scale Table I goldens,
@@ -49,10 +49,14 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|EmptyPlan' \
 		./internal/emu ./internal/kernels ./internal/conform ./cmd/epirun
 
-# fuzzsmoke gives the fault-plan parser fuzzer a short budget on top of
-# replaying its committed corpus.
+# fuzzsmoke gives each fuzz target a short budget on top of replaying its
+# committed corpus: the fault-plan parser, the .sar dataset reader, the
+# core-assignment check and the 1-D interpolator.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/dataio
+	$(GO) test -run '^$$' -fuzz '^FuzzAssignments$$' -fuzztime 5s ./internal/emu
+	$(GO) test -run '^$$' -fuzz '^FuzzAt1$$' -fuzztime 5s ./internal/interp
 
 # conform runs the simulator conformance harness under the race detector:
 # the invariant checker over real kernel runs, the analytic differential
@@ -74,17 +78,17 @@ conformguard:
 # offered loads plus a warm-cache rerun) as out/BENCH_sweep.json,
 # out/BENCH_profile.json and out/BENCH_serve.json. Like kernelbench and
 # scalebench they run without the race detector, which would distort
-# the wall-clock leaves; the race step runs every other test of these
-# packages, and the three envelope tests skip unless their output
-# variable is set.
+# the wall-clock leaves. Each runs only its envelope test, which skips
+# unless its output variable is set; the race step runs every other test
+# of these packages.
 sweepbench:
-	SWEEPBENCH_OUT=$(CURDIR)/out $(GO) test -run TestSweep -count=1 ./internal/sweep
+	SWEEPBENCH_OUT=$(CURDIR)/out $(GO) test -run '^TestSweepThroughput$$' -count=1 ./internal/sweep
 
 profbench:
-	PROFBENCH_OUT=$(CURDIR)/out $(GO) test -run TestProfile -count=1 ./internal/profile
+	PROFBENCH_OUT=$(CURDIR)/out $(GO) test -run '^TestProfileThroughput$$' -count=1 ./internal/profile
 
 servebench:
-	SERVEBENCH_OUT=$(CURDIR)/out $(GO) test -run TestServeSaturation -count=1 ./internal/serve
+	SERVEBENCH_OUT=$(CURDIR)/out $(GO) test -run '^TestServeSaturation$$' -count=1 ./internal/serve
 
 # kernelbench measures the fused back-projection hot paths against their
 # retained references at paper scale and records the result as

@@ -16,7 +16,8 @@
 //	sarsim -cache-dir .sarcache -o data.sar   # reuse a previously built dataset
 //
 // -j fans the per-pulse synthesis across a worker pool (the output is
-// bit-identical for any worker count). -cache-dir keys the finished
+// bit-identical for any worker count). It governs synthesis only: -chirp's
+// pulse compression always spreads over GOMAXPROCS workers. -cache-dir keys the finished
 // dataset by a content address of every generation parameter, so
 // repeating an invocation copies the cached file instead of resimulating.
 package main
@@ -63,7 +64,7 @@ func main() {
 		rfiFreq  = flag.Float64("rfi-freq", 0.21, "interference frequency (cycles/sample)")
 		notch    = flag.Float64("notch", 0, "notch-filter threshold (0 = no filtering; typical 4-8)")
 		jsonOut  = flag.Bool("json", false, "print dataset metadata as JSON instead of text")
-		workers  = flag.Int("j", 0, "pulse-synthesis workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("j", 0, "pulse-synthesis workers (0 = GOMAXPROCS); -chirp compression always uses GOMAXPROCS")
 		cacheDir = flag.String("cache-dir", "", "dataset cache directory (empty = no caching)")
 		ledgerD  = flag.String("ledger", telemetry.DefaultDir, "run-ledger directory; empty disables recording")
 	)

@@ -1,6 +1,7 @@
 // Package fft implements an iterative radix-2 fast Fourier transform over
-// complex64 data, plus the fast-convolution helpers the SAR front end uses
-// for pulse compression (matched filtering of the received chirp).
+// complex64 data, plus the amplitude tapers (windows) that weight the chirp
+// replica for sidelobe control. The SAR front end builds its pulse
+// compression (matched filtering of the received chirp) on these plans.
 //
 // The transforms are deliberately plain: single precision, power-of-two
 // lengths, no SIMD — they model the arithmetic a signal-processing chain
@@ -114,43 +115,4 @@ func NextPow2(n int) int {
 		return 1
 	}
 	return 1 << (bits.Len(uint(n - 1)))
-}
-
-// Convolve returns the full linear convolution of a and b (length
-// len(a)+len(b)-1) computed by FFT. Either input being empty yields nil.
-func Convolve(a, b []complex64) []complex64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	n := NextPow2(outLen)
-	p := MustPlan(n)
-	fa := make([]complex64, n)
-	fb := make([]complex64, n)
-	copy(fa, a)
-	copy(fb, b)
-	p.Forward(fa)
-	p.Forward(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	p.Inverse(fa)
-	return fa[:outLen]
-}
-
-// Correlate returns the cross-correlation of x with the reference ref:
-// out[k] = sum_j x[j+k] * conj(ref[j]) for k in [0, len(x)-len(ref)].
-// This is the matched-filter operation of pulse compression. It returns
-// nil if ref is longer than x or either is empty.
-func Correlate(x, ref []complex64) []complex64 {
-	if len(ref) == 0 || len(x) < len(ref) {
-		return nil
-	}
-	rc := make([]complex64, len(ref))
-	for i, v := range ref {
-		rc[len(ref)-1-i] = cf.Conj(v)
-	}
-	full := Convolve(x, rc)
-	// Valid part: lags 0 .. len(x)-len(ref).
-	return full[len(ref)-1 : len(x)]
 }

@@ -174,70 +174,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func naiveConvolve(a, b []complex64) []complex64 {
-	out := make([]complex64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-func TestConvolveMatchesNaive(t *testing.T) {
-	for _, c := range []struct{ na, nb int }{{1, 1}, {4, 3}, {17, 5}, {100, 33}} {
-		a := randVec(c.na, int64(c.na))
-		b := randVec(c.nb, int64(c.nb)+50)
-		got := Convolve(a, b)
-		want := naiveConvolve(a, b)
-		if len(got) != len(want) {
-			t.Fatalf("length %d want %d", len(got), len(want))
-		}
-		if e := maxErr(got, want); e > 1e-2 {
-			t.Errorf("na=%d nb=%d: error %v", c.na, c.nb, e)
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, randVec(3, 1)) != nil {
-		t.Error("Convolve(nil, x) should be nil")
-	}
-	if Convolve(randVec(3, 1), nil) != nil {
-		t.Error("Convolve(x, nil) should be nil")
-	}
-}
-
-func TestCorrelatePeakAtLag(t *testing.T) {
-	// Embed a reference chirp at offset 20 in noise-free zeros; the matched
-	// filter must peak exactly at lag 20.
-	ref := randVec(16, 9)
-	x := make([]complex64, 100)
-	copy(x[20:], ref)
-	out := Correlate(x, ref)
-	if len(out) != len(x)-len(ref)+1 {
-		t.Fatalf("output length %d", len(out))
-	}
-	best, bestV := -1, float32(-1)
-	for i, v := range out {
-		if m := cf.Abs2(v); m > bestV {
-			best, bestV = i, m
-		}
-	}
-	if best != 20 {
-		t.Errorf("peak at lag %d, want 20", best)
-	}
-}
-
-func TestCorrelateDegenerate(t *testing.T) {
-	if Correlate(randVec(3, 1), randVec(5, 2)) != nil {
-		t.Error("ref longer than x should give nil")
-	}
-	if Correlate(randVec(3, 1), nil) != nil {
-		t.Error("empty ref should give nil")
-	}
-}
-
 func BenchmarkFFT1024(b *testing.B) {
 	p := MustPlan(1024)
 	x := randVec(1024, 1)
@@ -245,15 +181,5 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
-	}
-}
-
-func BenchmarkConvolve1001x128(b *testing.B) {
-	x := randVec(1001, 1)
-	h := randVec(128, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Convolve(x, h)
 	}
 }

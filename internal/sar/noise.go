@@ -85,27 +85,11 @@ func RandomScene(n int, seed int64, uMin, uMax, yMin, yMax float64) []Target {
 // with the Taylor window) at the cost of a slightly wider mainlobe and
 // the window's coherent gain. Output is normalized like Compress, with
 // the window's gain compensated so target peaks keep ~their amplitude.
+// It shares Compress's path, which builds one FFT plan and one replica
+// spectrum per call and spreads the pulses over GOMAXPROCS workers; the
+// output is bit-identical for any worker count.
 func CompressWindowed(p Params, ch Chirp, raw *mat.C, kind fft.WindowKind) *mat.C {
 	ref := ch.Reference()
-	w := fft.Window(kind, len(ref))
-	fft.ApplyWindow(ref, w)
-	if raw.Cols != p.NumBins+ch.Samples-1 {
-		panic("sar: raw width does not match params")
-	}
-	out := mat.NewC(raw.Rows, p.NumBins)
-	// Normalize by the weighted pulse energy scaled back by the coherent
-	// gain, so a unit target compresses to ~unit amplitude.
-	var energy float32
-	for _, v := range ref {
-		energy += cf.Abs2(v)
-	}
-	inv := 1 / energy
-	for i := 0; i < raw.Rows; i++ {
-		comp := fft.Correlate(raw.Row(i), ref)
-		dst := out.Row(i)
-		for j := range dst {
-			dst[j] = cf.Scale(inv, comp[j])
-		}
-	}
-	return out
+	fft.ApplyWindow(ref, fft.Window(kind, len(ref)))
+	return compress(p, ref, raw, 0)
 }

@@ -16,8 +16,10 @@ func SimulatePar(p Params, targets []Target, pathErr PathError, workers int) *ma
 		panic(err)
 	}
 	data := mat.NewC(p.NumPulses, p.NumBins)
-	parallelRows(p.NumPulses, workers, func(i int) {
-		simulatePulse(data, p, i, targets, pathErr)
+	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			simulatePulse(data, p, i, targets, pathErr)
+		}
 	})
 	return data
 }
@@ -30,42 +32,34 @@ func SimulateRawPar(p Params, ch Chirp, targets []Target, pathErr PathError, wor
 	}
 	ref := ch.Reference()
 	raw := mat.NewC(p.NumPulses, p.NumBins+ch.Samples-1)
-	parallelRows(p.NumPulses, workers, func(i int) {
-		simulateRawPulse(raw, p, ref, i, targets, pathErr)
+	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			simulateRawPulse(raw, p, ref, i, targets, pathErr)
+		}
 	})
 	return raw
 }
 
-// parallelRows runs fn(i) for i in [0, n) across a bounded worker pool.
-// Each worker takes a contiguous chunk of rows; rows touch disjoint
-// memory, so no synchronization beyond the final join is needed.
-func parallelRows(n, workers int, fn func(i int)) {
+// parallelRows splits the rows [0, n) into one contiguous band per
+// worker (<= 0 means runtime.GOMAXPROCS(0)) and calls fn once per band,
+// on the caller's goroutine when there is only one. fn may keep scratch
+// across its band; rows touch disjoint memory, so no synchronization
+// beyond the final join is needed.
+func parallelRows(n, workers int, fn func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+	if workers = min(workers, n); workers <= 1 {
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for _, sl := range mat.Partition(n, workers) {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(sl mat.Slice) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
+			fn(sl.Lo, sl.Hi)
+		}(sl)
 	}
 	wg.Wait()
 }

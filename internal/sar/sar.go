@@ -280,23 +280,50 @@ func simulateRawPulse(raw *mat.C, p Params, ref []complex64, i int, targets []Ta
 // Compress matched-filters each row of raw against the chirp replica,
 // returning NumPulses x NumBins pulse-compressed data normalized by the
 // pulse energy so target peaks have approximately their Amp magnitude.
+// It builds one FFT plan and one replica spectrum per call and spreads
+// the pulses over GOMAXPROCS workers; the output is bit-identical for any
+// worker count.
 func Compress(p Params, ch Chirp, raw *mat.C) *mat.C {
-	ref := ch.Reference()
-	if raw.Cols != p.NumBins+ch.Samples-1 {
-		panic(fmt.Sprintf("sar: raw width %d does not match params (%d)", raw.Cols, p.NumBins+ch.Samples-1))
+	return compress(p, ch.Reference(), raw, 0)
+}
+
+// compress is the fast-convolution matched filter behind Compress and
+// CompressWindowed, on workers goroutines (<= 0 means GOMAXPROCS). The
+// plan and the spectrum of the conjugated, reversed replica are built
+// once; each worker reuses one plan-length buffer. Per row it runs a
+// forward FFT of the zero-padded row, the product with the replica
+// spectrum, an inverse FFT and the 1/energy scale: the arithmetic of a
+// fresh per-row correlation, so the result does not depend on workers.
+func compress(p Params, ref []complex64, raw *mat.C, workers int) *mat.C {
+	if len(ref) == 0 || raw.Cols != p.NumBins+len(ref)-1 {
+		panic(fmt.Sprintf("sar: raw width %d does not match %d bins and a %d-sample chirp", raw.Cols, p.NumBins, len(ref)))
 	}
-	out := mat.NewC(raw.Rows, p.NumBins)
 	var energy float32
 	for _, v := range ref {
 		energy += cf.Abs2(v)
 	}
 	inv := 1 / energy
-	for i := 0; i < raw.Rows; i++ {
-		comp := fft.Correlate(raw.Row(i), ref)
-		dst := out.Row(i)
-		for j := range dst {
-			dst[j] = cf.Scale(inv, comp[j])
-		}
+	plan := fft.MustPlan(fft.NextPow2(raw.Cols + len(ref) - 1))
+	spec := make([]complex64, plan.N())
+	for i, v := range ref {
+		spec[len(ref)-1-i] = cf.Conj(v)
 	}
+	plan.Forward(spec)
+	out := mat.NewC(raw.Rows, p.NumBins)
+	parallelRows(raw.Rows, workers, func(lo, hi int) {
+		buf := make([]complex64, plan.N())
+		for i := lo; i < hi; i++ {
+			clear(buf[copy(buf, raw.Row(i)):])
+			plan.Forward(buf)
+			for j := range buf {
+				buf[j] *= spec[j]
+			}
+			plan.Inverse(buf)
+			dst := out.Row(i)
+			for j := range dst {
+				dst[j] = cf.Scale(inv, buf[len(ref)-1+j])
+			}
+		}
+	})
 	return out
 }

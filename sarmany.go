@@ -104,7 +104,10 @@ func SimulateRaw(p Params, ch Chirp, targets []Target, pathErr PathError) *Image
 	return sar.SimulateRaw(p, ch, targets, pathErr)
 }
 
-// Compress matched-filters raw echo data against the chirp replica.
+// Compress matched-filters raw echo data against the chirp replica. It
+// builds one FFT plan and one replica spectrum per call and spreads the
+// pulses over GOMAXPROCS workers; the output is bit-identical for any
+// worker count.
 func Compress(p Params, ch Chirp, raw *Image) *Image { return sar.Compress(p, ch, raw) }
 
 // WindowKind selects an amplitude taper for sidelobe control.
