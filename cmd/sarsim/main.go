@@ -17,9 +17,10 @@
 //
 // -j fans the per-pulse synthesis across a worker pool (the output is
 // bit-identical for any worker count). It governs synthesis only: -chirp's
-// pulse compression always spreads over GOMAXPROCS workers. -cache-dir keys the finished
-// dataset by a content address of every generation parameter, so
-// repeating an invocation copies the cached file instead of resimulating.
+// pulse compression always spreads over GOMAXPROCS workers. -cache-dir
+// keys the finished dataset by a content address of every generation
+// parameter, so repeating an invocation copies the cached file instead of
+// resimulating.
 package main
 
 import (

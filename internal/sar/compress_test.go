@@ -15,9 +15,8 @@ import (
 // correlateRef is the per-row matched filter that compress is pinned
 // against: out[k] = sum_j x[j+k] * conj(ref[j]) for k in
 // [0, len(x)-len(ref)], by fast convolution of x with the conjugated,
-// reversed replica. Like the per-row path Compress ran before it kept one
-// plan and one replica spectrum per call, it builds a fresh plan and
-// transforms the replica again on every call.
+// reversed replica. It builds a fresh plan and transforms the replica
+// again on every call, so no state is shared between rows.
 func correlateRef(x, ref []complex64) []complex64 {
 	n := fft.NextPow2(len(x) + len(ref) - 1)
 	p := fft.MustPlan(n)
