@@ -1,18 +1,20 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
+.PHONY: all check fmt vet build test race papertests bench benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
 
 all: check
 
 # check runs the full verification gate: formatting, static analysis,
-# build, package-doc coverage, the race-enabled test suite (which covers
-# the chaos and conformance suites), one pass of every root benchmark, a
-# fuzz smoke pass over every fuzz target, the emu-coverage guard, the
+# build, package-doc and reachability coverage, the race-enabled test
+# suite at -short (which covers the chaos and conformance suites), the
+# tests -short skips once without -race, one pass of every root
+# benchmark, a fuzz smoke pass over every fuzz target, the emu-coverage
+# guard, the
 # sweep, profiler, job-server, fused-kernel and scale-up measurements,
 # the benchmark regression diff against the committed baselines, the
 # repository benchmark's own test suite, the paper-scale Table I goldens,
 # and the sarserve end-to-end and request-tracing smoke tests.
-check: fmt vet build docscheck race benchsmoke fuzzsmoke conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
+check: fmt vet build docscheck race papertests benchsmoke fuzzsmoke conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,8 +29,18 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector at -short. Exactly two
+# tests skip there, both paper-scale runs whose goroutine and barrier
+# structure the Small() runs share; papertests runs them.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
+
+# papertests runs the tests -short skips, once and without the race
+# detector: the paper-scale Table I reproduction bands and the facade's
+# Fig. 7 image set.
+papertests:
+	$(GO) test -count=1 -run '^TestTable1PaperShape$$' ./internal/report
+	$(GO) test -count=1 -run '^TestPublicWriteFigure7$$' .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -51,12 +63,14 @@ chaos:
 
 # fuzzsmoke gives each fuzz target a short budget on top of replaying its
 # committed corpus: the fault-plan parser, the .sar dataset reader, the
-# core-assignment check and the 1-D interpolator.
+# core-assignment check, the 1-D interpolator and the job server's
+# submission endpoint.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/dataio
 	$(GO) test -run '^$$' -fuzz '^FuzzAssignments$$' -fuzztime 5s ./internal/emu
 	$(GO) test -run '^$$' -fuzz '^FuzzAt1$$' -fuzztime 5s ./internal/interp
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 5s ./internal/serve
 
 # conform runs the simulator conformance harness under the race detector:
 # the invariant checker over real kernel runs, the analytic differential
@@ -164,7 +178,9 @@ baseline: sweepbench profbench servebench kernelbench scalebench
 	for f in BENCH_*.json; do cp out/$$f $$f || exit 1; done
 
 # docscheck fails when any package (cmd/ binaries included) lacks a doc
-# comment, or when the serving layer exports an undocumented identifier.
+# comment or a row in ARCHITECTURE.md's package map, when the serving
+# layer exports an undocumented identifier, or when an exported function
+# is reached by no binary (scripts/checkreach).
 docscheck:
 	./scripts/checkdocs.sh
 

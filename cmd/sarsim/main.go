@@ -12,15 +12,13 @@
 //	sarsim -patherr-amp 1.5 -patherr-period 400 -o data.sar
 //	sarsim -o data.sar -png raw.png           # also render the raw data
 //	sarsim -o data.sar -json                  # print dataset metadata as JSON
-//	sarsim -j 8 -o data.sar                   # synthesize pulses on 8 workers
 //	sarsim -cache-dir .sarcache -o data.sar   # reuse a previously built dataset
 //
-// -j fans the per-pulse synthesis across a worker pool (the output is
-// bit-identical for any worker count). It governs synthesis only: -chirp's
-// pulse compression always spreads over GOMAXPROCS workers. -cache-dir
-// keys the finished dataset by a content address of every generation
-// parameter, so repeating an invocation copies the cached file instead of
-// resimulating.
+// Synthesis and -chirp's pulse compression spread the pulses over
+// GOMAXPROCS workers; the output is bit-identical for any worker count.
+// -cache-dir keys the finished dataset by a content address of every
+// generation parameter, so repeating an invocation copies the cached file
+// instead of resimulating.
 package main
 
 import (
@@ -65,7 +63,6 @@ func main() {
 		rfiFreq  = flag.Float64("rfi-freq", 0.21, "interference frequency (cycles/sample)")
 		notch    = flag.Float64("notch", 0, "notch-filter threshold (0 = no filtering; typical 4-8)")
 		jsonOut  = flag.Bool("json", false, "print dataset metadata as JSON instead of text")
-		workers  = flag.Int("j", 0, "pulse-synthesis workers (0 = GOMAXPROCS); -chirp compression always uses GOMAXPROCS")
 		cacheDir = flag.String("cache-dir", "", "dataset cache directory (empty = no caching)")
 		ledgerD  = flag.String("ledger", telemetry.DefaultDir, "run-ledger directory; empty disables recording")
 	)
@@ -106,9 +103,8 @@ func main() {
 		}
 	}
 
-	// The cache key covers every parameter that shapes the dataset bytes;
-	// -j deliberately stays out (synthesis is bit-identical per worker
-	// count), as do output paths.
+	// The cache key covers every parameter that shapes the dataset bytes,
+	// and no output path.
 	key := ""
 	if *cacheDir != "" {
 		key = datasetKey(p, scene, *peAmp, *pePer, *chirp, *noise, *rfi, *rfiFreq, *notch)
@@ -125,10 +121,10 @@ func main() {
 	if data == nil {
 		if *chirp {
 			ch := p.DefaultChirp()
-			raw := sar.SimulateRawPar(p, ch, scene, pathErr, *workers)
+			raw := sar.SimulateRaw(p, ch, scene, pathErr)
 			data = sar.Compress(p, ch, raw)
 		} else {
-			data = sar.SimulatePar(p, scene, pathErr, *workers)
+			data = sar.Simulate(p, scene, pathErr)
 		}
 		if *rfi != 0 {
 			sar.InjectRFI(data, *rfiFreq, float32(*rfi), 0.7)

@@ -25,6 +25,6 @@
 //     cache for batch sweeps over all of the above ([RunSweep]).
 //
 // See the examples/ directory for runnable walkthroughs, ARCHITECTURE.md
-// for the package map and dataflow, and DESIGN.md for the system
-// inventory and experiment index.
+// for the package map (one row per package) and dataflow, and DESIGN.md
+// for the design decisions and experiment index.
 package sarmany

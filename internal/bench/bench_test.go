@@ -41,11 +41,15 @@ func TestRunFigure7Relations(t *testing.T) {
 
 func TestFigure7WritesFiles(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := Experiment(context.Background(), "fig7", &buf, report.Small(), "", dir); err != nil {
+	res, err := Compute(context.Background(), "fig7", report.Small(), dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"wrote " + dir, "sharpness", "correlation"} {
+	var buf bytes.Buffer
+	if err := PrintResult(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sharpness", "correlation"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
 		}

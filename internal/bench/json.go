@@ -56,7 +56,7 @@ const EnvelopeSalt = "sarmany-bench-v1"
 func Filename(name string) string { return "BENCH_" + name + ".json" }
 
 // Marshal renders the envelope in the canonical on-disk form (indented
-// JSON, trailing newline) — the exact bytes WriteFile stores and the
+// JSON, trailing newline) — the exact bytes WriteFileRaw stores and the
 // sweep cache replays, so a cached result is byte-identical to a fresh
 // one.
 func Marshal(r Result) ([]byte, error) {
@@ -65,16 +65,6 @@ func Marshal(r Result) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// WriteFile writes r as indented JSON to dir/BENCH_<r.Name>.json and
-// returns the path.
-func WriteFile(dir string, r Result) (string, error) {
-	b, err := Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	return WriteFileRaw(dir, r.Name, b)
 }
 
 // WriteFileRaw writes pre-marshaled envelope bytes (as produced by
@@ -337,30 +327,4 @@ func PrintResult(w io.Writer, res Result) error {
 		res.Data = v
 	}
 	return e.print(w, res.Data)
-}
-
-// Experiment runs the experiment selected by key, prints its
-// human-readable table to w and, when jsonDir is non-empty, also writes
-// the machine-readable envelope to jsonDir/BENCH_<name>.json. Each
-// experiment computes exactly once; imgDir receives the fig7 image set.
-func Experiment(ctx context.Context, key string, w io.Writer, cfg report.Config, jsonDir, imgDir string) error {
-	res, err := Compute(ctx, key, cfg, imgDir)
-	if err != nil {
-		return err
-	}
-	if key == "fig7" && imgDir != "" {
-		fmt.Fprintf(w, "wrote %s\n", imgDir)
-	}
-	if err := PrintResult(w, res); err != nil {
-		return err
-	}
-	if jsonDir == "" {
-		return nil
-	}
-	path, err := WriteFile(jsonDir, res)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,10 +16,14 @@ func TestResultRoundTrip(t *testing.T) {
 		{Cores: 1, Seconds: 2.5, Speedup: 1},
 		{Cores: 16, Seconds: 0.25, Speedup: 10},
 	}
-	path, err := WriteFile(dir, Result{
+	b, err := Marshal(Result{
 		Name: "scaling", Title: "FFBP speedup vs core count",
 		Pulses: 128, Bins: 251, Data: pts,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := WriteFileRaw(dir, "scaling", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Errorf("path %q, want %q", path, want)
 	}
 
-	b, err := os.ReadFile(path)
+	b, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestExperimentUnknownKey(t *testing.T) {
-	if err := Experiment(context.Background(), "nope", io.Discard, report.Small(), "", ""); err == nil {
+	if _, err := Compute(context.Background(), "nope", report.Small(), ""); err == nil {
 		t.Error("no error for unknown experiment key")
 	}
 }

@@ -49,7 +49,11 @@ func TestKernelThroughput(t *testing.T) {
 		Pulses: cfg.Params.NumPulses, Bins: cfg.Params.NumBins,
 		Data: res,
 	}
-	path, err := WriteFile(out, env)
+	b, err := Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := WriteFileRaw(out, env.Name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,11 @@ func TestScaleBench(t *testing.T) {
 		Pulses: scalePulses, Bins: scaleBins,
 		Data: pts,
 	}
-	path, err := WriteFile(out, env)
+	b, err := Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := WriteFileRaw(out, env.Name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

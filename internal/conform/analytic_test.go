@@ -65,10 +65,11 @@ func analyticCases() []analyticCase {
 	// Stalling remote reads, parameterized by the exact mesh distance on
 	// any topology: round-trip base, two hop terms per mesh hop, two eLink
 	// terms per chip boundary the XY route crosses, and the NoC streaming
-	// time of the payload.
+	// time of the payload. From core 0 at (0,0) the route to (row,col)
+	// takes row+col hops and crosses row/Rows chip rows and col/Cols chip
+	// columns.
 	remoteRead := func(name string, p emu.Params, row, col int) analyticCase {
-		tp := p.Topology()
-		hops, bridges := tp.Dist(0, tp.IDOf(emu.Coord{Row: row, Col: col}))
+		hops, bridges := row+col, row/p.Rows+col/p.Cols
 		const k, nb = 10, 16
 		return analyticCase{
 			name: name, p: p,

@@ -46,68 +46,53 @@ func TestArrayConstructorShapes(t *testing.T) {
 
 // TestTopologyMapping pins the array-level coordinate algebra on the
 // E1024 2x2 array of 16x16 chips: core IDs are row-major over the global
-// 32x32 grid, chips are row-major over the chip array, and Dist counts
-// both mesh hops and eLink bridge crossings.
+// 32x32 grid, chips are row-major over the chip array, and the XY route
+// between two cores counts both mesh hops and eLink bridge crossings.
 func TestTopologyMapping(t *testing.T) {
-	tp := E1024().Topology()
-	if tp.GridRows() != 32 || tp.GridCols() != 32 || tp.NumCores() != 1024 {
-		t.Fatalf("grid %dx%d / %d cores", tp.GridRows(), tp.GridCols(), tp.NumCores())
+	p := E1024()
+	if p.chipRows() != 2 || p.chipCols() != 2 {
+		t.Fatalf("chip array %dx%d, want 2x2", p.chipRows(), p.chipCols())
 	}
-	if tp.NumChips() != 4 || tp.ChipRows() != 2 || tp.ChipCols() != 2 {
-		t.Fatalf("chip array %dx%d / %d chips", tp.ChipRows(), tp.ChipCols(), tp.NumChips())
-	}
-	// Round trip and chip membership at the four chip corners; New
-	// assigns each core its chip.
-	ch := New(E1024())
+	// Grid position and chip membership at the four chip corners; New
+	// assigns each core both.
+	ch := New(p)
 	for _, tc := range []struct {
-		coord Coord
-		id    int
-		chip  int
+		row, col int
+		id       int
+		chip     int
 	}{
-		{Coord{0, 0}, 0, 0},
-		{Coord{0, 16}, 16, 1},
-		{Coord{16, 0}, 512, 2},
-		{Coord{16, 16}, 528, 3},
-		{Coord{31, 31}, 1023, 3},
+		{0, 0, 0, 0},
+		{0, 16, 16, 1},
+		{16, 0, 512, 2},
+		{16, 16, 528, 3},
+		{31, 31, 1023, 3},
 	} {
-		if id := tp.IDOf(tc.coord); id != tc.id {
-			t.Errorf("IDOf(%v) = %d, want %d", tc.coord, id, tc.id)
+		c := ch.Cores[tc.id]
+		if c.ID != tc.id || c.Row != tc.row || c.Col != tc.col {
+			t.Errorf("core %d at (%d,%d) with ID %d, want (%d,%d)", tc.id, c.Row, c.Col, c.ID, tc.row, tc.col)
 		}
-		if c := tp.CoordOf(tc.id); c != tc.coord {
-			t.Errorf("CoordOf(%d) = %v, want %v", tc.id, c, tc.coord)
-		}
-		if chip := ch.Cores[tc.id].chipIdx; chip != tc.chip {
-			t.Errorf("core %d on chip %d, want %d", tc.id, chip, tc.chip)
+		if c.chipIdx != tc.chip {
+			t.Errorf("core %d on chip %d, want %d", tc.id, c.chipIdx, tc.chip)
 		}
 	}
-	// Distances: hops on the global grid, bridges per chip boundary.
+	// Distances between core pages: hops on the global grid, bridges per
+	// chip boundary.
 	for _, tc := range []struct {
-		a, b          Coord
+		a, b          [2]int
 		hops, bridges int
 	}{
-		{Coord{0, 0}, Coord{0, 15}, 15, 0},  // within chip 0
-		{Coord{0, 0}, Coord{0, 16}, 16, 1},  // east across one bridge
-		{Coord{0, 0}, Coord{16, 16}, 32, 2}, // diagonal: two bridges
-		{Coord{0, 0}, Coord{31, 31}, 62, 2},
-		{Coord{15, 15}, Coord{16, 16}, 2, 2}, // adjacent across the corner
+		{[2]int{0, 0}, [2]int{0, 15}, 15, 0},  // within chip 0
+		{[2]int{0, 0}, [2]int{0, 16}, 16, 1},  // east across one bridge
+		{[2]int{0, 0}, [2]int{16, 16}, 32, 2}, // diagonal: two bridges
+		{[2]int{0, 0}, [2]int{31, 31}, 62, 2},
+		{[2]int{15, 15}, [2]int{16, 16}, 2, 2}, // adjacent across the corner
 	} {
-		hops, bridges := tp.Dist(tp.IDOf(tc.a), tp.IDOf(tc.b))
+		hops, bridges := p.dist(p.coreBase(tc.a[0], tc.a[1]), p.coreBase(tc.b[0], tc.b[1]))
 		if hops != tc.hops || bridges != tc.bridges {
-			t.Errorf("Dist(%v,%v) = %d hops / %d bridges, want %d / %d",
+			t.Errorf("dist(%v,%v) = %d hops / %d bridges, want %d / %d",
 				tc.a, tc.b, hops, bridges, tc.hops, tc.bridges)
 		}
 	}
-	// Out-of-range lookups panic rather than aliasing a wrong core.
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("CoordOf(1024)", func() { tp.CoordOf(1024) })
-	mustPanic("IDOf(32,0)", func() { tp.IDOf(Coord{32, 0}) })
 }
 
 // chippedAndMono build the same 2x4 global grid twice: once as a 1x2

@@ -29,9 +29,6 @@ func TestZeroGuards(t *testing.T) {
 	if EfficiencyRatio(Estimate{Seconds: 1, Watts: 1, WorkUnits: 1}, Estimate{}) != 0 {
 		t.Error("ratio against zero baseline")
 	}
-	if Speedup(Estimate{}, Estimate{Seconds: 1}) != 0 {
-		t.Error("speedup of zero-time estimate")
-	}
 }
 
 func TestPaperStyleRatios(t *testing.T) {
@@ -42,14 +39,6 @@ func TestPaperStyleRatios(t *testing.T) {
 	got := EfficiencyRatio(epi, intel)
 	if math.Abs(got-78.1) > 0.5 {
 		t.Errorf("efficiency ratio %v, want ~78", got)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	a := Estimate{Seconds: 0.305}
-	b := Estimate{Seconds: 1.295}
-	if got := Speedup(a, b); math.Abs(got-4.246) > 0.01 {
-		t.Errorf("speedup %v", got)
 	}
 }
 

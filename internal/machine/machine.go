@@ -136,13 +136,13 @@ func (b *BufF) Store(m Machine, i int, v float32) {
 // concurrent use: shared regions (a chip's external SDRAM) are allocated
 // from by several simulated cores at once.
 type Bump struct {
-	mu                sync.Mutex
-	base, next, limit uint32
+	mu          sync.Mutex
+	next, limit uint32
 }
 
 // NewBump returns a bump allocator over the given region.
 func NewBump(base uint32, size int) *Bump {
-	return &Bump{base: base, next: base, limit: base + uint32(size)}
+	return &Bump{next: base, limit: base + uint32(size)}
 }
 
 // Alloc reserves n bytes, 8-byte aligned.
@@ -155,14 +155,6 @@ func (b *Bump) Alloc(n int) (uint32, error) {
 	}
 	b.next = a + uint32(n)
 	return a, nil
-}
-
-// Used returns the number of bytes allocated so far (including alignment
-// padding).
-func (b *Bump) Used() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int(b.next - b.base)
 }
 
 // ErrOutOfMemory is returned when an allocation does not fit its region —

@@ -37,8 +37,9 @@ func TestBumpAllocAligned(t *testing.T) {
 	if err != nil || a2 != 0x1008 {
 		t.Fatalf("second alloc %#x (want 8-byte aligned) err %v", a2, err)
 	}
-	if b.Used() != 16 {
-		t.Errorf("Used = %d", b.Used())
+	// 3 bytes and 5 of padding, then 8: the next block starts 16 bytes in.
+	if a3, err := b.Alloc(1); err != nil || a3 != 0x1010 {
+		t.Errorf("third alloc %#x err %v, want 0x1010", a3, err)
 	}
 }
 

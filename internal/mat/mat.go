@@ -42,12 +42,6 @@ func (m *C) Set(r, c int, v complex64) {
 	m.Data[r*m.Stride+c] = v
 }
 
-// Add accumulates v into the element at (r, c).
-func (m *C) Add(r, c int, v complex64) {
-	m.check(r, c)
-	m.Data[r*m.Stride+c] += v
-}
-
 func (m *C) check(r, c int) {
 	if r < 0 || r >= m.Rows || c < 0 || c >= m.Cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", r, c, m.Rows, m.Cols))
@@ -83,16 +77,6 @@ func (m *C) Clone() *C {
 		copy(out.Row(r), m.Row(r))
 	}
 	return out
-}
-
-// Zero sets every element of m (including through views) to zero.
-func (m *C) Zero() {
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for i := range row {
-			row[i] = 0
-		}
-	}
 }
 
 // Fill sets every element of m to v.

@@ -16,15 +16,11 @@ func TestNewCZeroed(t *testing.T) {
 	}
 }
 
-func TestSetAtAdd(t *testing.T) {
+func TestSetAt(t *testing.T) {
 	m := NewC(2, 2)
 	m.Set(1, 0, complex(1, 2))
 	if got := m.At(1, 0); got != complex(1, 2) {
 		t.Errorf("At = %v", got)
-	}
-	m.Add(1, 0, complex(2, -1))
-	if got := m.At(1, 0); got != complex(3, 1) {
-		t.Errorf("after Add = %v", got)
 	}
 }
 
@@ -99,12 +95,12 @@ func TestZeroFillThroughView(t *testing.T) {
 	m := NewC(3, 3)
 	m.Fill(complex(1, 1))
 	v := m.View(1, 1, 2, 2)
-	v.Zero()
+	v.Fill(0)
 	if m.At(0, 0) != complex(1, 1) {
-		t.Error("Zero on view touched outside region")
+		t.Error("Fill on view touched outside region")
 	}
 	if m.At(1, 1) != 0 || m.At(2, 2) != 0 {
-		t.Error("Zero on view did not clear region")
+		t.Error("Fill on view did not clear region")
 	}
 }
 

@@ -46,8 +46,8 @@ func buildHeatmap(ch *emu.Chip) Heatmap {
 		CoreCycles: make([]float64, ch.P.NumCores()),
 		Links:      ch.LinkStats(),
 	}
-	if t := ch.Topology(); t.NumChips() > 1 {
-		h.ChipRows, h.ChipCols = t.ChipRows(), t.ChipCols()
+	if ch.P.NumChips() > 1 {
+		h.ChipRows, h.ChipCols = ch.P.GridRows()/ch.P.Rows, ch.P.GridCols()/ch.P.Cols
 	}
 	run := ch.MaxCycles()
 	for i, c := range ch.Cores {

@@ -87,8 +87,7 @@ func AnalyzeChip(ch *emu.Chip) (*Profile, error) {
 		DroppedSpans: tr.Dropped(),
 	}
 	if ch.P.NumChips() > 1 {
-		t := ch.Topology()
-		p.ChipRows, p.ChipCols = t.ChipRows(), t.ChipCols()
+		p.ChipRows, p.ChipCols = ch.P.GridRows()/ch.P.Rows, ch.P.GridCols()/ch.P.Cols
 	}
 	p.TotalEnergy = energy.EpiphanyBreakdown(p.Total, p.Seconds)
 	p.Phases = attributePhases(ch)

@@ -363,7 +363,11 @@ func TestProfileThroughput(t *testing.T) {
 			AnalyzeSeconds: sec, SpansPerSec: float64(spans) / sec,
 		},
 	}
-	path, err := bench.WriteFile(out, env)
+	b, err := bench.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := bench.WriteFileRaw(out, env.Name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,21 +162,28 @@ func (p Params) envelope(d float64) float64 {
 // contributes its envelope centred on the exact slant range, carrying the
 // two-way carrier phase exp(-i*4*pi*R/lambda). This is the direct synthesis
 // path; SimulateRaw + Compress produce the same data through an explicit
-// chirp + matched-filter front end.
+// chirp + matched-filter front end. The pulses are spread over GOMAXPROCS
+// workers; the output is bit-identical for any worker count.
 func Simulate(p Params, targets []Target, pathErr PathError) *mat.C {
+	return simulate(p, targets, pathErr, 0)
+}
+
+// simulate is Simulate on workers goroutines (<= 0 means GOMAXPROCS).
+func simulate(p Params, targets []Target, pathErr PathError, workers int) *mat.C {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	data := mat.NewC(p.NumPulses, p.NumBins)
-	for i := 0; i < p.NumPulses; i++ {
-		simulatePulse(data, p, i, targets, pathErr)
-	}
+	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			simulatePulse(data, p, i, targets, pathErr)
+		}
+	})
 	return data
 }
 
 // simulatePulse synthesizes the compressed range profile of pulse i into
-// its row of data. Rows are independent, which is what SimulatePar
-// exploits.
+// its row of data. Rows are independent, so workers share nothing.
 func simulatePulse(data *mat.C, p Params, i int, targets []Target, pathErr PathError) {
 	k := 4 * math.Pi / p.Wavelength
 	u := p.TrackPos(i)
@@ -241,22 +248,30 @@ func (c Chirp) Reference() []complex64 {
 // delayed copy of the chirp with the two-way carrier phase. Row i has
 // NumBins + Chirp.Samples - 1 samples so that compression with Compress
 // yields exactly NumBins bins; sample j of the raw row corresponds to a
-// two-way range of R0 + (j - Samples/2)*DR at the chirp centre.
+// two-way range of R0 + (j - Samples/2)*DR at the chirp centre. Like
+// Simulate, it spreads the pulses over GOMAXPROCS workers.
 func SimulateRaw(p Params, ch Chirp, targets []Target, pathErr PathError) *mat.C {
+	return simulateRaw(p, ch, targets, pathErr, 0)
+}
+
+// simulateRaw is SimulateRaw on workers goroutines (<= 0 means
+// GOMAXPROCS).
+func simulateRaw(p Params, ch Chirp, targets []Target, pathErr PathError, workers int) *mat.C {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	ref := ch.Reference()
 	raw := mat.NewC(p.NumPulses, p.NumBins+ch.Samples-1)
-	for i := 0; i < p.NumPulses; i++ {
-		simulateRawPulse(raw, p, ref, i, targets, pathErr)
-	}
+	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			simulateRawPulse(raw, p, ref, i, targets, pathErr)
+		}
+	})
 	return raw
 }
 
 // simulateRawPulse synthesizes the raw chirp echoes of pulse i into its
-// row of raw. Rows are independent, which is what SimulateRawPar
-// exploits.
+// row of raw. Rows are independent, so workers share nothing.
 func simulateRawPulse(raw *mat.C, p Params, ref []complex64, i int, targets []Target, pathErr PathError) {
 	k := 4 * math.Pi / p.Wavelength
 	u := p.TrackPos(i)

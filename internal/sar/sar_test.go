@@ -1,6 +1,7 @@
 package sar
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -192,6 +193,35 @@ func TestSimulatePathErrorShiftsRange(t *testing.T) {
 	p1 := peak(d1.Row(mid))
 	if p0-p1 != 4 {
 		t.Errorf("path error shifted peak by %d bins, want 4", p0-p1)
+	}
+}
+
+// TestSimulateBitIdenticalAcrossWorkers pins Simulate and SimulateRaw to
+// their one-worker output, bit for bit, at 1, 2 and 7 workers and at
+// GOMAXPROCS: at an odd shape under a path error, where 9 pulses split
+// into uneven bands, and at paper scale.
+func TestSimulateBitIdenticalAcrossWorkers(t *testing.T) {
+	odd := smallParams()
+	odd.NumPulses, odd.NumBins = 9, 101
+	paper := DefaultParams()
+	pathErr := func(u float64) float64 { return 0.4 * math.Sin(u/9) }
+	for _, c := range []struct {
+		name    string
+		p       Params
+		targets []Target
+	}{
+		{"9x101", odd, RandomScene(4, 7, -20, 20, odd.R0+10*odd.DR, odd.R0+90*odd.DR)},
+		{"paper", paper, SixTargetScene(paper)},
+	} {
+		ch := c.p.DefaultChirp()
+		want := simulate(c.p, c.targets, pathErr, 1)
+		wantRaw := simulateRaw(c.p, ch, c.targets, pathErr, 1)
+		for _, w := range []int{1, 2, 7} {
+			sameBits(t, fmt.Sprintf("%s Simulate on %d workers", c.name, w), simulate(c.p, c.targets, pathErr, w), want)
+			sameBits(t, fmt.Sprintf("%s SimulateRaw on %d workers", c.name, w), simulateRaw(c.p, ch, c.targets, pathErr, w), wantRaw)
+		}
+		sameBits(t, c.name+" Simulate", Simulate(c.p, c.targets, pathErr), want)
+		sameBits(t, c.name+" SimulateRaw", SimulateRaw(c.p, ch, c.targets, pathErr), wantRaw)
 	}
 }
 

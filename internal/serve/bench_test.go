@@ -203,7 +203,11 @@ func TestServeSaturation(t *testing.T) {
 		Pulses: 64, Bins: 61,
 		Data: data,
 	}
-	path, err := bench.WriteFile(out, env)
+	b, err := bench.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := bench.WriteFileRaw(out, env.Name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -67,14 +68,19 @@ const maxSpecBytes = 64 << 10
 // answer 202 with the job record (200 when attaching to an existing
 // one). With ?wait=1 the handler blocks until the job resolves and
 // answers 200 with the final record — the synchronous mode load
-// generators use to measure end-to-end latency.
+// generators use to measure end-to-end latency. The body is read whole
+// before decoding, so one over maxSpecBytes answers 413 whatever it
+// holds.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	if _, next := dec.Token(); err == nil && next != io.EOF { // more than whitespace follows
-		err = cmp.Or(next, errors.New("data after the job spec"))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&spec)
+		if _, next := dec.Token(); err == nil && next != io.EOF { // more than whitespace follows
+			err = cmp.Or(next, errors.New("data after the job spec"))
+		}
 	}
 	if err != nil {
 		status := http.StatusBadRequest

@@ -424,7 +424,11 @@ func TestSweepThroughput(t *testing.T) {
 			RaceEnabled bool    `json:"race_enabled"`
 		}{len(jobs), runtime.GOMAXPROCS(0), t1.Seconds(), t8.Seconds(), speedup, jobsPerSec, raceEnabled},
 	}
-	path, err := bench.WriteFile(out, env)
+	b, err := bench.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := bench.WriteFileRaw(out, env.Name, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
-	"time"
 
 	"sarmany/internal/autofocus"
 	"sarmany/internal/bench"
@@ -30,10 +30,8 @@ import (
 	"sarmany/internal/refcpu"
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
-	"sarmany/internal/serve"
 	"sarmany/internal/sizing"
 	"sarmany/internal/sweep"
-	"sarmany/internal/telemetry"
 )
 
 // Radar front end.
@@ -335,22 +333,12 @@ type (
 	Fig7Metrics = bench.Fig7Result
 )
 
-// PaperExperiment returns the paper-scale experiment configuration;
-// SmallExperiment a fast reduced-scale one.
-func PaperExperiment() ExperimentConfig { return report.Default() }
-
 // SmallExperiment returns a reduced-scale experiment configuration.
 func SmallExperiment() ExperimentConfig { return report.Small() }
 
 // RunTable1 reruns all six Table I implementations.
 func RunTable1(cfg ExperimentConfig) (*Table1, error) {
 	return report.RunTable1(context.Background(), cfg)
-}
-
-// RunTable1Ctx is RunTable1 with a caller-supplied context: cancellation
-// (or a deadline) stops the experiment at the next simulation boundary.
-func RunTable1Ctx(ctx context.Context, cfg ExperimentConfig) (*Table1, error) {
-	return report.RunTable1(ctx, cfg)
 }
 
 // RunFigure7 recomputes the Fig. 7 image set (raw data, GBP, FFBP on both
@@ -365,7 +353,12 @@ func WriteFigure7(w io.Writer, cfg ExperimentConfig, dir string) error {
 	if dir == "" {
 		return errors.New("sarmany: WriteFigure7 needs an image directory")
 	}
-	return bench.Experiment(context.Background(), "fig7", w, cfg, "", dir)
+	res, err := bench.Compute(context.Background(), "fig7", cfg, dir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", dir)
+	return bench.PrintResult(w, res)
 }
 
 // Concurrent experiment sweeps.
@@ -384,18 +377,7 @@ type (
 	// BenchResult is the machine-readable experiment envelope
 	// (the BENCH_<name>.json form).
 	BenchResult = bench.Result
-	// MetricsRegistry collects named counters, gauges, and histograms;
-	// see SweepOptions.Metrics.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry's metrics
-	// (MetricsRegistry.Snapshot): the input of WritePrometheus,
-	// WriteExpvar, and the ledger's metric maps.
-	MetricsSnapshot = obs.Snapshot
 )
-
-// NewMetricsRegistry returns an empty metrics registry (for
-// SweepOptions.Metrics and the other instrumented subsystems).
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // RunSweep fans the jobs out across a bounded worker pool and returns
 // their results in input order. Each job runs with panic recovery and an
@@ -405,30 +387,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func RunSweep(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]SweepJobResult, error) {
 	return sweep.Run(ctx, jobs, opt)
 }
-
-// Serving layer (cmd/sarserve; see docs/API.md and docs/OPERATIONS.md).
-type (
-	// JobServer is the SAR-as-a-service core: batching, admission
-	// control, content-addressed job store, and the HTTP handler set
-	// (Handler). cmd/sarserve wraps it in a daemon.
-	JobServer = serve.Server
-	// JobServerOptions configures a JobServer: worker pool, cache
-	// directory, batching policy, queue bound, tenant quotas, job
-	// timeout, and ledger directory.
-	JobServerOptions = serve.Options
-	// JobServerSpec is one submission: experiment key, scale, tenant,
-	// tag, and optional timeout — the POST /v1/jobs body.
-	JobServerSpec = serve.JobSpec
-	// JobServerInfo is a job's externally visible record: its
-	// content-addressed ID, status, timing, and run-ledger reference.
-	JobServerInfo = serve.JobInfo
-	// TenantQuota is the per-tenant token-bucket admission budget.
-	TenantQuota = serve.QuotaConfig
-)
-
-// NewJobServer assembles a job server; mount its Handler on an
-// http.Server and call Drain on shutdown.
-func NewJobServer(opt JobServerOptions) *JobServer { return serve.NewServer(opt) }
 
 // SweepData returns a sweep result's experiment data as its concrete
 // type, decoding the raw payload when the envelope was replayed from the
@@ -558,17 +516,7 @@ type (
 	// rows for retransmission, DMA timeouts, derating and remapping that
 	// sum to the measured whole-run overhead (RunProfile.Faults).
 	DegradationReport = profile.Degradation
-	// ChaosPoint is one fault-severity measurement of RunChaosSweep.
-	ChaosPoint = bench.ChaosPoint
 )
-
-// ParseFaultPlan reads the line-oriented fault-plan text format (see
-// internal/fault: "halt 5", "derate 3 1.5", "link 0 1 0.1 timeout 500",
-// "dma * 0.02", "ext-derate 0.5", "seed 42").
-func ParseFaultPlan(text string) (FaultPlan, error) { return fault.Parse(text) }
-
-// ParseFaultPlanFile reads and parses a fault-plan file.
-func ParseFaultPlanFile(path string) (FaultPlan, error) { return fault.ParseFile(path) }
 
 // CompileFaultPlan validates a plan and compiles it into an injector;
 // attach the result with Epiphany.SetFaults before running a kernel. An
@@ -583,63 +531,3 @@ func CompileFaultPlan(p FaultPlan) (*FaultInjector, error) { return p.Compile() 
 func ChaosFaultPlan(severity float64, cores int) FaultPlan {
 	return bench.ChaosPlan(severity, cores)
 }
-
-// RunChaosSweep measures parallel FFBP under a grid of fault severities —
-// the degradation curve of graceful completion. Every point records
-// modeled time, energy, retry/remap counts and whether the degraded run
-// still passed the conformance checker.
-func RunChaosSweep(ctx context.Context, cfg ExperimentConfig, severities []float64) ([]ChaosPoint, error) {
-	return bench.RunChaos(ctx, cfg, severities)
-}
-
-// Run ledger and telemetry exposition.
-type (
-	// RunLedger is the append-only, content-addressed store of run
-	// manifests the CLIs write under out/runs/; query it programmatically
-	// or with cmd/sarlog.
-	RunLedger = telemetry.Ledger
-	// RunManifest is one ledger entry: the full provenance of a run
-	// (parameters, seed, fault plan, code version, host) plus its metric
-	// snapshot and optional bench envelope.
-	RunManifest = telemetry.Entry
-	// FlightRecorder samples a live chip's per-core progress on a
-	// heartbeat, renders a status line, and dumps a post-mortem when a
-	// stall watchdog or wall-clock deadline fires.
-	FlightRecorder = telemetry.Recorder
-	// FlightRecorderOptions configures the recorder: the progress probe,
-	// heartbeat interval, stall/deadline watchdogs, status writer, and
-	// post-mortem path.
-	FlightRecorderOptions = telemetry.Options
-)
-
-// OpenRunLedger opens (lazily creating) the run ledger in dir.
-func OpenRunLedger(dir string) *RunLedger { return telemetry.Open(dir) }
-
-// NewRunManifest assembles the shared provenance fields of a manifest:
-// tool, args, wall clock, code version, host shape, and the
-// content-hashed configuration document.
-func NewRunManifest(tool string, start time.Time, config any, args ...string) (RunManifest, error) {
-	return telemetry.NewEntry(tool, start, config, args...)
-}
-
-// RecordRun appends a manifest to the ledger in dir and returns the run
-// ID; an empty dir disables recording and returns an empty ID.
-func RecordRun(dir string, e RunManifest) (string, error) { return telemetry.Record(dir, e) }
-
-// StartFlightRecorder starts the heartbeat goroutine; call Stop on the
-// returned recorder when the run completes. Attach the chip's progress
-// probe by enabling Epiphany progress cells first (EnableProgress).
-func StartFlightRecorder(opt FlightRecorderOptions) *FlightRecorder {
-	return telemetry.Start(opt)
-}
-
-// WritePrometheus renders a metric snapshot in Prometheus text
-// exposition format (histograms as cumulative buckets with p50/p90/p99
-// quantile gauges alongside).
-func WritePrometheus(w io.Writer, snap MetricsSnapshot, namespace string) error {
-	return telemetry.WritePrometheus(w, snap, namespace)
-}
-
-// WriteExpvar renders a metric snapshot as one expvar-compatible JSON
-// object.
-func WriteExpvar(w io.Writer, snap MetricsSnapshot) error { return telemetry.WriteExpvar(w, snap) }

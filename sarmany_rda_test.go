@@ -68,6 +68,11 @@ func TestPublicWriteFigure7(t *testing.T) {
 	if err := sarmany.WriteFigure7(&buf, sarmany.SmallExperiment(), dir); err != nil {
 		t.Fatal(err)
 	}
+	for _, want := range []string{"wrote " + dir, "sharpness", "correlation"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
 	for _, name := range []string{"fig7a_raw.png", "fig7b_gbp.png", "fig7c_ffbp_intel.png", "fig7d_ffbp_epiphany.png"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing %s: %v", name, err)

@@ -2,10 +2,13 @@
 # checkdocs fails when any package lacks a doc comment: library packages
 # need "// Package <name> ..." above the package clause, commands under
 # cmd/ need a comment block directly above "package main" (the godoc
-# synopsis for the binary). Packages whose exported surface is a public
-# contract (internal/serve) additionally require a doc comment on every
-# exported identifier, via scripts/checkexported. Run via `make
-# docscheck`; part of `make check`.
+# synopsis for the binary). Every internal package and command needs
+# exactly one row in ARCHITECTURE.md's package map. Packages whose
+# exported surface is a public contract (internal/serve) additionally
+# require a doc comment on every exported identifier, via
+# scripts/checkexported. Last, scripts/checkreach fails on an exported
+# function that no binary reaches. Run via `make docscheck`; part of
+# `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,7 +51,26 @@ if [ -n "$missing" ] || [ -n "$cmd_missing" ]; then
 	exit 1
 fi
 
+# Package map: one row per internal package and command, in the section
+# of ARCHITECTURE.md that starts at "## Package map".
+map=$(awk '/^## Package map/ { on = 1; next } /^## / { on = 0 } on' ARCHITECTURE.md)
+unmapped=$(go list -f '{{.ImportPath}}' ./internal/... ./cmd/... | sed 's|^sarmany/||' | \
+while read -r rel; do
+	n=$(printf '%s\n' "$map" | grep -c "^| \`$rel\` |" || true)
+	if [ "$n" -ne 1 ]; then
+		echo "$rel ($n rows)"
+	fi
+done)
+if [ -n "$unmapped" ]; then
+	echo "checkdocs: packages without exactly one row in ARCHITECTURE.md's package map:"
+	echo "$unmapped" | sed 's/^/  /'
+	exit 1
+fi
+
 # Exported-identifier coverage for the serving layer's public surface.
 go run ./scripts/checkexported internal/serve
 
-echo "checkdocs: all packages and exported identifiers documented"
+# Reachability: every exported function is reached by some binary.
+go run ./scripts/checkreach
+
+echo "checkdocs: all packages documented and mapped, every exported function reached"
