@@ -9,11 +9,11 @@ all: check
 # suite at -short (which covers the chaos and conformance suites), the
 # tests -short skips once without -race, one pass of every root
 # benchmark, a fuzz smoke pass over every fuzz target, the emu-coverage
-# guard, the
-# sweep, profiler, job-server, fused-kernel and scale-up measurements,
-# the benchmark regression diff against the committed baselines, the
-# repository benchmark's own test suite, the paper-scale Table I goldens,
-# and the sarserve end-to-end and request-tracing smoke tests.
+# guard, the sweep, profiler, job-server, fused-kernel and scale-up
+# measurements, the benchmark regression diff against the committed
+# baselines, the repository benchmark's own test suite, the paper-scale
+# Table I goldens, and the sarserve end-to-end and request-tracing smoke
+# tests.
 check: fmt vet build docscheck race papertests benchsmoke fuzzsmoke conformguard sweepbench profbench servebench kernelbench scalebench benchdiff perfsmoke papergolden servesmoke tracesmoke
 
 fmt:
@@ -30,8 +30,9 @@ test:
 	$(GO) test ./...
 
 # race runs every test under the race detector at -short. Exactly two
-# tests skip there, both paper-scale runs whose goroutine and barrier
-# structure the Small() runs share; papertests runs them.
+# tests skip there: the paper-scale Table I run, whose goroutine and
+# barrier structure the Small() runs share, and the facade's Fig. 7
+# image set. papertests runs them.
 race:
 	$(GO) test -race -short ./...
 
