@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"strings"
 	"time"
 
@@ -69,7 +68,7 @@ func main() {
 	}
 	data := sar.Simulate(p, []sar.Target{tg}, pathErr)
 
-	fMinus, fPlus, grid, err := halfApertureBlocks(data, p, box)
+	fMinus, fPlus, err := halfApertureBlocks(data, p, box)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,13 +81,11 @@ func main() {
 
 	fmt.Printf("injected path error: %.2f m (%.2f range pixels)\n", displacement, displacement/p.DR)
 	fmt.Printf("%10s  %14s\n", "shift(px)", "criterion")
-	_, _, peak := maxScore(all)
 	for _, r := range all {
-		bar := strings.Repeat("#", int(40*r.Score/peak))
+		bar := strings.Repeat("#", int(40*r.Score/best.Score))
 		fmt.Printf("%10.2f  %14.5g  %s\n", r.Shift.DRange, r.Score, bar)
 	}
 	fmt.Printf("best compensation: %.2f pixels (%.2f m)\n", best.Shift.DRange, best.Shift.DRange*p.DR)
-	_ = grid
 
 	// Record the criterion sweep in the run ledger: the injected error
 	// and sweep shape as config, the best compensation and its score as
@@ -117,51 +114,29 @@ func main() {
 	}
 }
 
-func maxScore(rs []autofocus.Result) (int, autofocus.Result, float64) {
-	bi, bv := 0, math.Inf(-1)
-	for i, r := range rs {
-		if r.Score > bv {
-			bi, bv = i, r.Score
-		}
-	}
-	return bi, rs[bi], bv
-}
-
 // halfApertureBlocks runs FFBP up to the last merge, producing the two
 // contributing half-aperture images, and extracts a 6x6 block around the
 // brightest pixel of each (at the same nominal position).
-func halfApertureBlocks(data *mat.C, p sar.Params, box geom.SceneBox) (m, q autofocus.Block, g geom.PolarGrid, err error) {
+func halfApertureBlocks(data *mat.C, p sar.Params, box geom.SceneBox) (m, q autofocus.Block, err error) {
 	s, err := ffbp.InitialStage(data, p, box)
 	if err != nil {
-		return m, q, g, err
+		return m, q, err
 	}
 	cfg := ffbp.Config{Interp: interp.Cubic}
 	for s.NumSubapertures() > 2 {
 		if s, err = ffbp.Merge(s, box, cfg); err != nil {
-			return m, q, g, err
+			return m, q, err
 		}
 	}
 	a, b := s.Images[0], s.Images[1]
 	ra, ca, _ := quality.Peak(quality.Mag(a))
 	// Use the same window in both images so a shift appears as content
 	// displacement, and clamp so the 6x6 block stays inside.
-	r0 := clamp(ra-autofocus.BlockSize/2, 0, a.Rows-autofocus.BlockSize)
-	c0 := clamp(ca-autofocus.BlockSize/2, 0, a.Cols-autofocus.BlockSize)
+	r0 := min(max(ra-autofocus.BlockSize/2, 0), a.Rows-autofocus.BlockSize)
+	c0 := min(max(ca-autofocus.BlockSize/2, 0), a.Cols-autofocus.BlockSize)
 	if m, err = autofocus.BlockFrom(a, r0, c0); err != nil {
-		return m, q, g, err
+		return m, q, err
 	}
-	if q, err = autofocus.BlockFrom(b, r0, c0); err != nil {
-		return m, q, g, err
-	}
-	return m, q, s.Grids[0], nil
-}
-
-func clamp(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+	q, err = autofocus.BlockFrom(b, r0, c0)
+	return m, q, err
 }

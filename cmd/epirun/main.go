@@ -71,6 +71,7 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -402,7 +403,7 @@ func main() {
 	}
 	if im.Study == report.FFBP {
 		fmt.Printf("  (image: %d x %d pixels, %d merge iterations)\n",
-			cfg.Params.NumPulses, cfg.Params.NumBins, log2(cfg.Params.NumPulses))
+			cfg.Params.NumPulses, cfg.Params.NumBins, bits.Len(uint(cfg.Params.NumPulses))-1)
 	}
 	if *profF == "-" {
 		if err := prof.WriteText(os.Stdout); err != nil {
@@ -526,13 +527,4 @@ func recordRun(dir string, e telemetry.Entry) {
 	if id != "" {
 		lg.Info(fmt.Sprintf("run %s recorded in %s", id, dir), "run_id", id, "trace_id", e.TraceID)
 	}
-}
-
-func log2(n int) int {
-	k := 0
-	for n > 1 {
-		n >>= 1
-		k++
-	}
-	return k
 }

@@ -237,9 +237,6 @@ func (c *Core) Cycles() float64 {
 	return c.now + d
 }
 
-// ClockHz returns the core clock frequency.
-func (c *Core) ClockHz() float64 { return c.chip.P.Clock }
-
 type location int
 
 const (

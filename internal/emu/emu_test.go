@@ -388,10 +388,13 @@ func TestTotalStatsAggregates(t *testing.T) {
 	}
 }
 
+// TestTimeSeconds checks Chip.Time, the chip's one conversion of core
+// cycles to seconds: the slowest core's cycles over the chip clock,
+// exactly.
 func TestTimeSeconds(t *testing.T) {
 	ch := New(E16G3())
 	ch.Cores[0].Charge(machine.Ops{FMA: 1000})
-	if got := ch.Time(); math.Abs(got-1e-6) > 1e-12 {
-		t.Errorf("Time = %v, want 1 µs", got)
+	if got, want := ch.Time(), ch.Cores[0].Cycles()/ch.P.Clock; got != want || got != 1e-6 {
+		t.Errorf("Time = %v, want %v = 1 µs", got, want)
 	}
 }

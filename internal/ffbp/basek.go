@@ -2,8 +2,6 @@ package ffbp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"sarmany/internal/geom"
 	"sarmany/internal/interp"
@@ -46,39 +44,25 @@ func MergeK(s *Stage, box geom.SceneBox, cfg Config, k int) (*Stage, error) {
 	// parent of the stage).
 	offsets := geom.ChildOffsets(k, s.Apertures[0].Length)
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := len(parents) * ntheta
-	var wg sync.WaitGroup
-	for _, sl := range mat.Partition(total, workers) {
-		if sl.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sl mat.Slice) {
-			defer wg.Done()
-			for gb := sl.Lo; gb < sl.Hi; gb++ {
-				j := gb / ntheta
-				bt := gb % ntheta
-				pg := out.Grids[j]
-				theta := pg.Theta(bt)
-				row := out.Images[j].Row(bt)
-				for bi := 0; bi < nr; bi++ {
-					r := pg.Range(bi)
-					var acc complex64
-					for i := 0; i < k; i++ {
-						rc, thc := geom.ShiftCoords(r, theta, offsets[i])
-						g := s.Grids[k*j+i]
-						acc += interp.At2(s.Images[k*j+i], g.ThetaIndex(thc), g.RangeIndex(rc), cfg.Interp)
-					}
-					row[bi] = acc
+	mat.Parallel(len(parents)*ntheta, cfg.Workers, func(lo, hi int) {
+		for gb := lo; gb < hi; gb++ {
+			j := gb / ntheta
+			bt := gb % ntheta
+			pg := out.Grids[j]
+			theta := pg.Theta(bt)
+			row := out.Images[j].Row(bt)
+			for bi := 0; bi < nr; bi++ {
+				r := pg.Range(bi)
+				var acc complex64
+				for i := 0; i < k; i++ {
+					rc, thc := geom.ShiftCoords(r, theta, offsets[i])
+					g := s.Grids[k*j+i]
+					acc += interp.At2(s.Images[k*j+i], g.ThetaIndex(thc), g.RangeIndex(rc), cfg.Interp)
 				}
+				row[bi] = acc
 			}
-		}(sl)
-	}
-	wg.Wait()
+		}
+	})
 	return out, nil
 }
 

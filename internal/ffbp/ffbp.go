@@ -17,8 +17,6 @@ package ffbp
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"sarmany/internal/autofocus"
 	"sarmany/internal/cf"
@@ -104,15 +102,11 @@ func Merge(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 
 // merge is the shared merge-iteration driver: grid/image setup and the
 // flattened (parent, beam) fan-out, parameterized by the beam kernel.
-// Each goroutine owns one child-index scratch of 4*NR values, which the
+// Each band of work owns one child-index scratch of 4*NR values, which the
 // beam kernel may use for every beam it computes.
 func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, idx []float64)) (*Stage, error) {
 	if len(s.Images)%2 != 0 {
 		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures", len(s.Images))
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	parents := geom.MergeStage(s.Apertures)
 	ntheta := s.Grids[0].NTheta * 2
@@ -130,28 +124,18 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 	// Work unit: one (parent, beam) pair; partition the flattened list so
 	// every stage parallelizes evenly regardless of how many parents
 	// remain.
-	total := len(parents) * ntheta
-	var wg sync.WaitGroup
-	for _, sl := range mat.Partition(total, workers) {
-		if sl.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sl mat.Slice) {
-			defer wg.Done()
-			idx := make([]float64, 4*nr)
-			for gb := sl.Lo; gb < sl.Hi; gb++ {
-				j := gb / ntheta
-				bt := gb % ntheta
-				var comp autofocus.Shift
-				if cfg.comps != nil {
-					comp = cfg.comps[j]
-				}
-				beam(s, out, j, bt, cfg.Interp, comp, idx)
+	mat.Parallel(len(parents)*ntheta, cfg.Workers, func(lo, hi int) {
+		idx := make([]float64, 4*nr)
+		for gb := lo; gb < hi; gb++ {
+			j := gb / ntheta
+			bt := gb % ntheta
+			var comp autofocus.Shift
+			if cfg.comps != nil {
+				comp = cfg.comps[j]
 			}
-		}(sl)
-	}
-	wg.Wait()
+			beam(s, out, j, bt, cfg.Interp, comp, idx)
+		}
+	})
 	return out, nil
 }
 

@@ -79,8 +79,8 @@ func EstimatePairShift(minus, plus *mat.C, f PairFrames, maxShift float64, candi
 			minus.Rows, minus.Cols, autofocus.BlockSize)
 	}
 	pr, pc, _ := quality.Peak(quality.Mag(minus))
-	r0 := clampInt(pr-autofocus.BlockSize/2, 0, minus.Rows-autofocus.BlockSize)
-	c0 := clampInt(pc-autofocus.BlockSize/2, 0, minus.Cols-autofocus.BlockSize)
+	r0 := min(max(pr-autofocus.BlockSize/2, 0), minus.Rows-autofocus.BlockSize)
+	c0 := min(max(pc-autofocus.BlockSize/2, 0), minus.Cols-autofocus.BlockSize)
 
 	// Map the anchor pixel (the peak — the content the criterion will
 	// lock onto) through the scene: minus-frame pixel -> scene point ->
@@ -96,8 +96,8 @@ func EstimatePairShift(minus, plus *mat.C, f PairFrames, maxShift float64, candi
 	colP := f.GridPlus.RangeIndex(rP) - float64(pc-c0)
 
 	// Integer plus-block origin plus the fractional geometric baseline.
-	r0P := clampInt(int(math.Round(rowP)), 0, plus.Rows-autofocus.BlockSize)
-	c0P := clampInt(int(math.Round(colP)), 0, plus.Cols-autofocus.BlockSize)
+	r0P := min(max(int(math.Round(rowP)), 0), plus.Rows-autofocus.BlockSize)
+	c0P := min(max(int(math.Round(colP)), 0), plus.Cols-autofocus.BlockSize)
 	baseBeam := rowP - float64(r0P)
 	baseRange := colP - float64(c0P)
 
@@ -116,7 +116,7 @@ func EstimatePairShift(minus, plus *mat.C, f PairFrames, maxShift float64, candi
 		math.Min(baseRange+maxShift, 1.45),
 		candidates)
 	for i := range cands {
-		cands[i].DBeam = clampF(baseBeam, -1.45, 1.45)
+		cands[i].DBeam = min(max(baseBeam, -1.45), 1.45)
 	}
 	best, _, err := autofocus.Search(&bm, &bp, cands)
 	if err != nil {
@@ -134,16 +134,6 @@ func EstimatePairShift(minus, plus *mat.C, f PairFrames, maxShift float64, candi
 	return autofocus.Shift{DRange: best.Shift.DRange - baseRange}, best.Score, nil
 }
 
-func clampF(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // MergeCompensated performs one merge iteration like Merge, but displaces
 // the plus-child sampling positions of pair j by comps[j] (in pixels) —
 // applying a flight-path compensation during element combining. comps may
@@ -154,16 +144,6 @@ func MergeCompensated(s *Stage, box geom.SceneBox, cfg Config, comps []autofocus
 	}
 	cfg.comps = comps
 	return Merge(s, box, cfg)
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // FocusedImage runs the complete factorization with autofocus: from merge

@@ -22,8 +22,6 @@ package gbp
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"sarmany/internal/cf"
 	"sarmany/internal/geom"
@@ -52,7 +50,7 @@ type Config struct {
 // Zero interpolated samples contribute exactly nothing to the accumulator
 // in both paths — see the skip-policy note on backproject.
 func Image(data *mat.C, p sar.Params, grid geom.PolarGrid, cfg Config) *mat.C {
-	workers := imageSetup(data, p, cfg)
+	checkShape(data, p)
 	img := mat.NewC(grid.NTheta, grid.NR)
 	k := 4 * math.Pi / p.Wavelength
 
@@ -75,22 +73,13 @@ func Image(data *mat.C, p sar.Params, grid geom.PolarGrid, cfg Config) *mat.C {
 	// Flatten the (beam, range-bin) loops into one pixel index space so
 	// the tiles stay balanced even when NTheta < workers (the beam-sliced
 	// fan-out of ImageRef idles workers there).
-	var wg sync.WaitGroup
-	for _, s := range mat.Partition(grid.NTheta*grid.NR, workers) {
-		if s.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s mat.Slice) {
-			defer wg.Done()
-			backprojectFused(rows, img, grid, us, cts, sts, k, s, cfg.Interp)
-		}(s)
-	}
-	wg.Wait()
+	mat.Parallel(grid.NTheta*grid.NR, cfg.Workers, func(lo, hi int) {
+		backprojectFused(rows, img, grid, us, cts, sts, k, lo, hi, cfg.Interp)
+	})
 	return img
 }
 
-// backprojectFused computes the flattened pixel range [s.Lo, s.Hi) of img.
+// backprojectFused computes the flattened pixel range [lo, hi) of img.
 // Pixel px maps to beam px/NR, range bin px%NR. The per-pulse inner loop
 // is the fused hot path: one sqrt for the range history and one fused
 // interpolate+rotate per sample, accumulating in pulse order — the same
@@ -103,7 +92,7 @@ func Image(data *mat.C, p sar.Params, grid geom.PolarGrid, cfg Config) *mat.C {
 // interp.At1's expressions verbatim (guard bound, index rounding, lerp
 // form), which the equivalence suite pins against ImageRef. The remaining
 // kernels go through the generic fused primitive.
-func backprojectFused(rows [][]complex64, img *mat.C, grid geom.PolarGrid, us, cts, sts []float64, k float64, s mat.Slice, kind interp.Kind) {
+func backprojectFused(rows [][]complex64, img *mat.C, grid geom.PolarGrid, us, cts, sts []float64, k float64, lo, hi int, kind interp.Kind) {
 	nr := grid.NR
 	r0 := grid.R0
 	// Reciprocal multiply for the bin index: differs from the reference's
@@ -111,7 +100,7 @@ func backprojectFused(rows [][]complex64, img *mat.C, grid geom.PolarGrid, us, c
 	// class of last-ULP drift as sqrt-vs-hypot, covered by the pinned
 	// equivalence bound.
 	invDR := 1 / grid.DR
-	for px := s.Lo; px < s.Hi; px++ {
+	for px := lo; px < hi; px++ {
 		bt := px / nr
 		bi := px - bt*nr
 		r := grid.Range(bi)
@@ -185,7 +174,7 @@ func backprojectFused(rows [][]complex64, img *mat.C, grid geom.PolarGrid, us, c
 // ground truth the fused path and the simulator kernels are pinned
 // against.
 func ImageRef(data *mat.C, p sar.Params, grid geom.PolarGrid, cfg Config) *mat.C {
-	workers := imageSetup(data, p, cfg)
+	checkShape(data, p)
 	img := mat.NewC(grid.NTheta, grid.NR)
 	k := 4 * math.Pi / p.Wavelength
 
@@ -195,32 +184,17 @@ func ImageRef(data *mat.C, p sar.Params, grid geom.PolarGrid, cfg Config) *mat.C
 		us[i] = p.TrackPos(i)
 	}
 
-	var wg sync.WaitGroup
-	for _, s := range mat.Partition(grid.NTheta, workers) {
-		if s.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s mat.Slice) {
-			defer wg.Done()
-			backproject(data, img, grid, us, k, s, cfg.Interp)
-		}(s)
-	}
-	wg.Wait()
+	mat.Parallel(grid.NTheta, cfg.Workers, func(lo, hi int) {
+		backproject(data, img, grid, us, k, lo, hi, cfg.Interp)
+	})
 	return img
 }
 
-// imageSetup validates the data shape against the params and resolves the
-// worker count shared by both implementations.
-func imageSetup(data *mat.C, p sar.Params, cfg Config) int {
+// checkShape panics unless data has the shape the params describe.
+func checkShape(data *mat.C, p sar.Params) {
 	if data.Rows != p.NumPulses || data.Cols != p.NumBins {
 		panic("gbp: data dimensions do not match params")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
 }
 
 // backproject is the reference inner loop (beam-major, unfused).
@@ -234,8 +208,8 @@ func imageSetup(data *mat.C, p sar.Params, cfg Config) int {
 // can never produce -0 from there (+0 + -0 is +0 in round-to-nearest).
 // TestZeroSkipPolicyBitIdentical pins this, so the fused path (whose
 // At1Fused returns literal 0 for zero samples) agrees sample-for-sample.
-func backproject(data, img *mat.C, grid geom.PolarGrid, us []float64, k float64, s mat.Slice, kind interp.Kind) {
-	for bt := s.Lo; bt < s.Hi; bt++ {
+func backproject(data, img *mat.C, grid geom.PolarGrid, us []float64, k float64, lo, hi int, kind interp.Kind) {
+	for bt := lo; bt < hi; bt++ {
 		theta := grid.Theta(bt)
 		ct, st := math.Cos(theta), math.Sin(theta)
 		row := img.Row(bt)

@@ -35,48 +35,35 @@ const (
 	PipelineCores = 13
 )
 
-// resampleBlock runs the charged two-stage Neville interpolation of one
-// block under shift s, matching autofocus.Resample bit for bit. The block
-// values are assumed already loaded into registers/local storage (the
-// caller charges the loads).
-func resampleBlock(m machine.Machine, b *autofocus.Block, s autofocus.Shift) autofocus.Interpolated {
-	// Range stage: 6 rows x 3 sliding windows.
-	var mid [autofocus.BlockSize][interpN]complex64
-	for r := 0; r < autofocus.BlockSize; r++ {
-		m.Charge(machine.Ops{FMA: 1}) // off = DRange + Tilt*r
-		off := s.DRange + s.Tilt*float64(r)
-		for j := 0; j < interpN; j++ {
-			var taps [4]complex64
-			copy(taps[:], b[r][j:j+4])
-			m.Charge(machine.Ops{IOp: 2})
-			mid[r][j] = neville4(m, taps, float32(1.5+off))
+// chargeCriterion charges m for one autofocus.Criterion evaluation, one
+// call per step in the order the criterion takes them. Each block's range
+// stage charges, per row, the offset FMA and then per window the tap
+// addressing (IOp 2) and the four-tap Neville kernel (six complex lerps
+// of four scalar FMAs, and six coefficient products: FMA 24, Flop 6); its
+// beam stage charges the tap addressing and the Neville kernel per
+// window. The correlation charges, per pixel, two |z|^2 (a multiply and
+// an FMA each) and the multiply-accumulate. refcpu prices each call on
+// its own, so the calls, not only their sum, are the model.
+func chargeCriterion(m machine.Machine) {
+	tap, neville := machine.Ops{IOp: 2}, machine.Ops{FMA: 24, Flop: 6}
+	for range 2 {
+		for r := 0; r < autofocus.BlockSize; r++ {
+			m.Charge(machine.Ops{FMA: 1}) // off = DRange + Tilt*r
+			for j := 0; j < interpN; j++ {
+				m.Charge(tap)
+				m.Charge(neville)
+			}
+		}
+		for k := 0; k < interpN*interpN; k++ {
+			m.Charge(tap)
+			m.Charge(neville)
 		}
 	}
-	// Beam stage: 3 columns x 3 sliding windows.
-	var out autofocus.Interpolated
-	for i := 0; i < interpN; i++ {
-		for j := 0; j < interpN; j++ {
-			taps := [4]complex64{mid[i][j], mid[i+1][j], mid[i+2][j], mid[i+3][j]}
-			m.Charge(machine.Ops{IOp: 2})
-			out[i][j] = neville4(m, taps, float32(1.5+s.DBeam))
-		}
+	for k := 0; k < interpN*interpN; k++ {
+		m.Charge(machine.Ops{FMA: 2})
+		m.Charge(machine.Ops{FMA: 2})
+		m.Charge(machine.Ops{FMA: 1})
 	}
-	return out
-}
-
-// correlate runs the charged focus-criterion summation (paper eq. 6) over
-// two interpolated subimages, matching autofocus.Correlate exactly.
-func correlate(m machine.Machine, a, b *autofocus.Interpolated) float64 {
-	var sum float64
-	for i := 0; i < interpN; i++ {
-		for j := 0; j < interpN; j++ {
-			pa := abs2(m, a[i][j])
-			pb := abs2(m, b[i][j])
-			m.Charge(machine.Ops{FMA: 1})
-			sum += float64(pa) * float64(pb)
-		}
-	}
-	return sum
 }
 
 // loadBlock charges the loads that bring one 6x6 block from buf (packed
@@ -111,7 +98,8 @@ func packPairs(mem machine.Alloc, pairs []BlockPair) (*machine.BufC, error) {
 
 // SeqAutofocus evaluates the criterion of every block pair under every
 // candidate shift sequentially on machine m, with the input pixel blocks
-// streamed from mem. It returns Scores[pair][shift].
+// streamed from mem. Each score is autofocus.Criterion's, charged by
+// chargeCriterion. It returns Scores[pair][shift].
 func SeqAutofocus(m machine.Machine, mem machine.Alloc, pairs []BlockPair, shifts []autofocus.Shift) ([][]float64, error) {
 	if len(pairs) == 0 || len(shifts) == 0 {
 		return nil, fmt.Errorf("kernels: autofocus needs at least one pair and one shift")
@@ -126,9 +114,8 @@ func SeqAutofocus(m machine.Machine, mem machine.Alloc, pairs []BlockPair, shift
 		plus := loadBlock(m, buf, (2*i+1)*blockPx)
 		scores[i] = make([]float64, len(shifts))
 		for j, s := range shifts {
-			a := resampleBlock(m, &minus, autofocus.Shift{})
-			b := resampleBlock(m, &plus, s)
-			scores[i][j] = correlate(m, &a, &b)
+			chargeCriterion(m)
+			scores[i][j] = autofocus.Criterion(&minus, &plus, s)
 		}
 	}
 	return scores, nil

@@ -6,11 +6,15 @@
 // and a parallel variant (runs on an emu.Chip).
 //
 // Kernels perform the real arithmetic — producing images and criterion
-// values bit-identical to the host implementations in packages ffbp and
-// autofocus — while charging their machine for every modeled operation.
-// The FFBP kernels hold no copy of the host arithmetic: their child
-// indices come from geom.ChildIndices and their rotations from cf.Expi,
-// the functions ffbp calls, and the kernels add only the charges.
+// values bit-identical to the host implementations in packages ffbp, gbp
+// and autofocus — while charging their machine for every modeled
+// operation. No kernel holds a copy of the host arithmetic: the FFBP
+// kernels take their child indices from geom.ChildIndices and their
+// rotations from cf.Expi, the functions ffbp calls; SeqAutofocus scores
+// with autofocus.Criterion, and the pipeline nodes with interp.Neville4
+// and autofocus.Correlate; SeqGBP's loop makes gbp.ImageRef's
+// math.Hypot, RangeIndex and cf.Expi calls. The kernels add the charges
+// and the modeled loads and stores.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and
@@ -21,7 +25,6 @@ import (
 	"math"
 
 	"sarmany/internal/geom"
-	"sarmany/internal/interp"
 	"sarmany/internal/machine"
 )
 
@@ -53,12 +56,12 @@ var (
 // the unit performs, priced to the same bits as charging them one at a
 // time, since between two link transfers a core only adds integers. A
 // range node's window per shift is six rows, each an offset FMA, the tap
-// addressing (IOp 2) and neville4 (FMA 24, Flop 6); a beam node's column
-// per shift is three windows of tap addressing and neville4; the
-// correlation node's criterion is nine pixels of two abs2 (FMA 2 each)
-// and a multiply-accumulate. SeqAutofocus also runs on refcpu, whose
-// fractional IOp price would round a batch differently, so it keeps
-// charging per call.
+// addressing (IOp 2) and the Neville kernel (FMA 24, Flop 6); a beam
+// node's column per shift is three windows of tap addressing and the
+// Neville kernel; the correlation node's criterion is nine pixels of two
+// |z|^2 (FMA 2 each) and a multiply-accumulate. SeqAutofocus also runs on
+// refcpu, whose fractional IOp price would round a batch differently, so
+// chargeCriterion charges the same steps one call each.
 var (
 	rangeShift    = machine.Ops{FMA: 6 * (1 + 24), Flop: 6 * 6, IOp: 6 * 2}
 	beamShift     = machine.Ops{FMA: 3 * 24, Flop: 3 * 6, IOp: 3 * 2}
@@ -79,22 +82,4 @@ func sampleNN(m machine.Machine, img *machine.BufC, base int, g geom.PolarGrid, 
 		return 0
 	}
 	return img.Load(m, base+t*g.NR+r)
-}
-
-// neville4 evaluates the four-tap Neville cubic interpolation kernel on
-// values already held in registers, charging its FPU work: six first-order
-// combinations, each a complex scale-and-accumulate (paper ref. [16]; the
-// autofocus interpolators run this in both the range and beam stages).
-func neville4(m machine.Machine, s [4]complex64, t float32) complex64 {
-	// 6 Neville steps x 4 scalar FMAs (complex lerp), and 6 coefficient
-	// computations u*invW.
-	m.Charge(machine.Ops{FMA: 24, Flop: 6})
-	return interp.Neville4(s, t)
-}
-
-// abs2 charges and evaluates |z|^2 (a multiply and a fused multiply-add).
-func abs2(m machine.Machine, z complex64) float32 {
-	m.Charge(machine.Ops{FMA: 2})
-	re, im := real(z), imag(z)
-	return re*re + im*im
 }

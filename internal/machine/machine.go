@@ -46,17 +46,6 @@ type Machine interface {
 	Load(addr uint32, n int)
 	// Store charges a write of n bytes at addr.
 	Store(addr uint32, n int)
-	// Cycles returns the cycles elapsed so far on this machine, including
-	// any pending dual-issue window.
-	Cycles() float64
-	// ClockHz returns the machine's clock frequency, for converting
-	// cycles to seconds.
-	ClockHz() float64
-}
-
-// Seconds returns m's elapsed time in seconds.
-func Seconds(m Machine) float64 {
-	return m.Cycles() / m.ClockHz()
 }
 
 // Alloc hands out address ranges in some region of a machine's address

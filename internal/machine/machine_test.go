@@ -24,8 +24,6 @@ func (c *countMachine) Store(addr uint32, n int) {
 	c.storeB += n
 	c.lastSt = addr
 }
-func (c *countMachine) Cycles() float64  { return 0 }
-func (c *countMachine) ClockHz() float64 { return 1e9 }
 
 func TestBumpAllocAligned(t *testing.T) {
 	b := NewBump(0x1000, 64)
@@ -101,12 +99,5 @@ func TestNewBufTooLarge(t *testing.T) {
 	}
 	if _, err := NewBufF(NewBump(0, 8), 10); err == nil {
 		t.Error("oversized BufF accepted")
-	}
-}
-
-func TestSeconds(t *testing.T) {
-	m := &countMachine{}
-	if s := Seconds(m); s != 0 {
-		t.Errorf("Seconds = %v", s)
 	}
 }

@@ -10,7 +10,11 @@
 // the two upper local-memory banks of each Epiphany core).
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // C is a dense row-major matrix of complex64 values.
 type C struct {
@@ -207,4 +211,31 @@ func Partition(n, p int) []Slice {
 		lo += size
 	}
 	return out
+}
+
+// Parallel calls fn(lo, hi) once for each non-empty band of
+// Partition(n, workers), each on its own goroutine, and returns when every
+// call has returned; workers <= 0 means runtime.GOMAXPROCS(0). A single
+// band runs on the caller's goroutine. The bands are disjoint, so fn may
+// keep scratch across its band and needs no synchronization beyond the
+// final join.
+func Parallel(n, workers int, fn func(lo, hi int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, b := range Partition(n, workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(b.Lo, b.Hi)
+		}()
+	}
+	wg.Wait()
 }

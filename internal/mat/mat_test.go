@@ -1,6 +1,9 @@
 package mat
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +200,45 @@ func TestPartitionInvalid(t *testing.T) {
 			}()
 			Partition(c.n, c.p)
 		}()
+	}
+}
+
+// TestParallelBands checks that Parallel covers every index of [0, n) in
+// exactly one call, and that its calls are the non-empty bands of
+// Partition(n, workers), workers <= 0 meaning GOMAXPROCS.
+func TestParallelBands(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1001} {
+		for _, workers := range []int{-1, 0, 1, 2, 7, 64} {
+			var mu sync.Mutex
+			var got []Slice
+			hits := make([]int, n)
+			Parallel(n, workers, func(lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				got = append(got, Slice{Lo: lo, Hi: hi})
+				for i := lo; i < hi; i++ {
+					hits[i]++
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Errorf("Parallel(%d, %d): index %d covered %d times", n, workers, i, h)
+				}
+			}
+			p := workers
+			if p <= 0 {
+				p = runtime.GOMAXPROCS(0)
+			}
+			var want []Slice
+			for _, b := range Partition(n, p) {
+				if b.Len() > 0 {
+					want = append(want, b)
+				}
+			}
+			slices.SortFunc(got, func(a, b Slice) int { return a.Lo - b.Lo })
+			if !slices.Equal(got, want) {
+				t.Errorf("Parallel(%d, %d) bands %v, want %v", n, workers, got, want)
+			}
+		}
 	}
 }

@@ -475,38 +475,24 @@ func (d TraceDoc) WriteTree(w io.Writer) error {
 // complete ("ph":"X") event per span with microsecond timestamps
 // relative to the earliest span, and attributes in args.
 func (d TraceDoc) WriteTraceEvent(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-	emit(fmt.Sprintf(`{"ph":"M","pid":1,"name":"process_name","args":{"name":%q}}`,
-		"trace "+d.TraceID))
 	var t0 int64
 	for i, s := range d.Spans {
 		if i == 0 || s.StartUnixNs < t0 {
 			t0 = s.StartUnixNs
 		}
 	}
-	for _, s := range d.Spans {
-		args := fmt.Sprintf(`{"span":%q,"parent":%q`, s.ID, s.Parent)
-		for _, kv := range s.sortedAttrs() {
-			k, v, _ := strings.Cut(kv, "=")
-			args += fmt.Sprintf(`,%q:%q`, k, v)
+	return writeTraceEvents(w, func(emit func(string)) {
+		emit(fmt.Sprintf(`{"ph":"M","pid":1,"name":"process_name","args":{"name":%q}}`,
+			"trace "+d.TraceID))
+		for _, s := range d.Spans {
+			args := fmt.Sprintf(`{"span":%q,"parent":%q`, s.ID, s.Parent)
+			for _, kv := range s.sortedAttrs() {
+				k, v, _ := strings.Cut(kv, "=")
+				args += fmt.Sprintf(`,%q:%q`, k, v)
+			}
+			args += "}"
+			emit(fmt.Sprintf(`{"ph":"X","pid":1,"tid":1,"cat":"request","name":%q,"ts":%.3f,"dur":%.3f,"args":%s}`,
+				s.Name, float64(s.StartUnixNs-t0)/1e3, float64(s.DurNs)/1e3, args))
 		}
-		args += "}"
-		emit(fmt.Sprintf(`{"ph":"X","pid":1,"tid":1,"cat":"request","name":%q,"ts":%.3f,"dur":%.3f,"args":%s}`,
-			s.Name, float64(s.StartUnixNs-t0)/1e3, float64(s.DurNs)/1e3, args))
-	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	})
 }

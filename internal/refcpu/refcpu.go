@@ -214,8 +214,5 @@ func (c *CPU) access(addr uint32, n int) {
 // Cycles returns the elapsed cycle count.
 func (c *CPU) Cycles() float64 { return c.cycles }
 
-// ClockHz returns the clock frequency.
-func (c *CPU) ClockHz() float64 { return c.P.Clock }
-
 // Seconds returns the elapsed time in seconds.
 func (c *CPU) Seconds() float64 { return c.cycles / c.P.Clock }

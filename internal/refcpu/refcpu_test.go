@@ -182,7 +182,4 @@ func TestSecondsUsesClock(t *testing.T) {
 	if math.Abs(c.Seconds()-want) > 1e-15 {
 		t.Errorf("Seconds = %v, want %v", c.Seconds(), want)
 	}
-	if machine.Seconds(c) != c.Seconds() {
-		t.Error("machine.Seconds disagrees")
-	}
 }

@@ -174,7 +174,7 @@ func simulate(p Params, targets []Target, pathErr PathError, workers int) *mat.C
 		panic(err)
 	}
 	data := mat.NewC(p.NumPulses, p.NumBins)
-	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+	mat.Parallel(p.NumPulses, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			simulatePulse(data, p, i, targets, pathErr)
 		}
@@ -262,7 +262,7 @@ func simulateRaw(p Params, ch Chirp, targets []Target, pathErr PathError, worker
 	}
 	ref := ch.Reference()
 	raw := mat.NewC(p.NumPulses, p.NumBins+ch.Samples-1)
-	parallelRows(p.NumPulses, workers, func(lo, hi int) {
+	mat.Parallel(p.NumPulses, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			simulateRawPulse(raw, p, ref, i, targets, pathErr)
 		}
@@ -325,7 +325,7 @@ func compress(p Params, ref []complex64, raw *mat.C, workers int) *mat.C {
 	}
 	plan.Forward(spec)
 	out := mat.NewC(raw.Rows, p.NumBins)
-	parallelRows(raw.Rows, workers, func(lo, hi int) {
+	mat.Parallel(raw.Rows, workers, func(lo, hi int) {
 		buf := make([]complex64, plan.N())
 		for i := lo; i < hi; i++ {
 			clear(buf[copy(buf, raw.Row(i)):])
