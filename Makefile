@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race papertests bench benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke clean
+.PHONY: all check fmt vet build test race papertests bench benchsmoke chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench perfsmoke papergolden servesmoke tracesmoke benchdiff baseline docscheck ledgersmoke mutants clean
 
 all: check
 
@@ -29,19 +29,22 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs every test under the race detector at -short. Exactly two
+# race runs every test under the race detector at -short. Exactly three
 # tests skip there: the paper-scale Table I run, whose goroutine and
-# barrier structure the Small() runs share, and the facade's Fig. 7
-# image set. papertests runs them.
+# barrier structure the Small() runs share, the facade's Fig. 7 image
+# set, and the paper-scale check of geom.NearestBins, which is
+# single-goroutine arithmetic. papertests runs them.
 race:
 	$(GO) test -race -short ./...
 
 # papertests runs the tests -short skips, once and without the race
-# detector: the paper-scale Table I reproduction bands and the facade's
-# Fig. 7 image set.
+# detector: the paper-scale Table I reproduction bands, the facade's
+# Fig. 7 image set, and geom.NearestBins against geom.ChildIndices on
+# every paper-scale merge pixel.
 papertests:
 	$(GO) test -count=1 -run '^TestTable1PaperShape$$' ./internal/report
 	$(GO) test -count=1 -run '^TestPublicWriteFigure7$$' .
+	$(GO) test -count=1 -run '^TestNearestBinsPaperScale$$' ./internal/geom
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -205,6 +208,14 @@ ledgersmoke:
 	$(GO) run ./cmd/benchtab -exp kernels -small -ledger out/ledgersmoke
 	$(GO) run ./cmd/benchtab -exp kernels -small -ledger out/ledgersmoke
 	$(GO) run ./cmd/sarlog diff -dir out/ledgersmoke -gate @-2 @-1
+
+# mutants runs the mutation catalog (scripts/mutants.sh): every patch
+# under scripts/mutants/ is a deliberate bug that must still apply to
+# HEAD, build, and fail each check its "# must fail:" header names. It
+# stays out of check, to keep check's running time down; CI runs it as
+# its own job.
+mutants:
+	./scripts/mutants.sh
 
 clean:
 	rm -rf out

@@ -67,8 +67,8 @@ func MergeK(s *Stage, box geom.SceneBox, cfg Config, k int) (*Stage, error) {
 }
 
 // ImageK runs the complete base-k factorization. NumPulses must be a
-// power of k. ImageK(_, _, _, cfg, 2) matches Image except that the
-// single-threaded merge path is used.
+// power of k. MergeK hands base 2 to Merge, so ImageK(_, _, _, cfg, 2) is
+// Image's computation, fanned out over cfg.Workers the same way.
 func ImageK(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config, k int) (*mat.C, geom.PolarGrid, error) {
 	if k < 2 {
 		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: merge base %d < 2", k)

@@ -20,13 +20,15 @@ func TestMergeKBase2MatchesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MergeK(s, box, Config{Interp: interp.Nearest, Workers: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Images {
-		if !a.Images[i].Equal(b.Images[i]) {
-			t.Fatalf("base-2 MergeK differs from Merge at image %d", i)
+	for _, workers := range []int{1, 0} {
+		b, err := MergeK(s, box, Config{Interp: interp.Nearest, Workers: workers}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Images {
+			if !a.Images[i].Equal(b.Images[i]) {
+				t.Fatalf("Workers %d: base-2 MergeK differs from Merge at image %d", workers, i)
+			}
 		}
 	}
 }

@@ -7,11 +7,12 @@
 // that is ten iterations ending in a 1024x1001-pixel image.
 //
 // Each merge maps every parent pixel (r, theta) onto its two child images
-// through the cosine-theorem geometry of geom.ChildIndices (paper eqs.
-// 1-4) and combines the interpolated child samples (paper eq. 5). The
-// interpolation kernel is configurable; the paper's implementation uses
-// simplified nearest-neighbour interpolation, which is faster but degrades
-// the image relative to GBP (paper Fig. 7).
+// through the cosine-theorem geometry of paper eqs. 1-4 and combines the
+// interpolated child samples (paper eq. 5). The interpolation kernel is
+// configurable; the paper's implementation uses simplified
+// nearest-neighbour interpolation, which is faster but degrades the image
+// relative to GBP (paper Fig. 7), and needs only the rounded child indices
+// that geom.NearestBins computes; the other kernels use geom.ChildIndices.
 package ffbp
 
 import (
@@ -102,11 +103,16 @@ func Merge(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 
 // merge is the shared merge-iteration driver: grid/image setup and the
 // flattened (parent, beam) fan-out, parameterized by the beam kernel.
-// Each band of work owns one child-index scratch of 4*NR values, which the
-// beam kernel may use for every beam it computes.
-func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, idx []float64)) (*Stage, error) {
+// Each band of work owns one beamScratch, which the beam kernel may use
+// for every beam it computes.
+func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, sc *beamScratch)) (*Stage, error) {
 	if len(s.Images)%2 != 0 {
 		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures", len(s.Images))
+	}
+	for i, img := range s.Images {
+		if g := s.Grids[i]; img.Rows != g.NTheta || img.Cols != g.NR {
+			return nil, fmt.Errorf("ffbp: image %d is %dx%d, its grid %dx%d", i, img.Rows, img.Cols, g.NTheta, g.NR)
+		}
 	}
 	parents := geom.MergeStage(s.Apertures)
 	ntheta := s.Grids[0].NTheta * 2
@@ -125,7 +131,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 	// every stage parallelizes evenly regardless of how many parents
 	// remain.
 	mat.Parallel(len(parents)*ntheta, cfg.Workers, func(lo, hi int) {
-		idx := make([]float64, 4*nr)
+		var sc beamScratch
 		for gb := lo; gb < hi; gb++ {
 			j := gb / ntheta
 			bt := gb % ntheta
@@ -133,10 +139,17 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 			if cfg.comps != nil {
 				comp = cfg.comps[j]
 			}
-			beam(s, out, j, bt, cfg.Interp, comp, idx)
+			beam(s, out, j, bt, cfg.Interp, comp, &sc)
 		}
 	})
 	return out, nil
+}
+
+// beamScratch is one band's child-index scratch for geom.NearestBins and
+// geom.ChildIndices, each slice allocated by the first beam that uses it.
+type beamScratch struct {
+	bins []int32
+	idx  []float64
 }
 
 // mergeBeam computes beam bt of parent j: the element combining of paper
@@ -145,35 +158,40 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 // merge; the zero Shift reproduces the plain merge.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
-// TestFusedMergeBitIdentical): geom.ChildIndices writes the beam's child
-// indices into idx with the per-beam cos/sin hoisted, and the paper's
-// nearest-neighbour sampling of both children is inlined, eliminating the
-// two interp.At2 calls per pixel. The simulator kernels (internal/kernels)
-// take their child indices from the same geom.ChildIndices, which is what
-// keeps them bit-identical to ffbp.Image.
-func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, idx []float64) {
+// TestFusedMergeBitIdentical). An uncompensated Nearest merge loads each
+// child sample at the offset geom.NearestBins writes, or takes zero: the
+// two interp.At2 calls per pixel, inlined. The simulator kernels read the
+// same geom.NearestBins, which keeps them bit-identical to ffbp.Image.
+// Every other merge samples with interp.At2 at the fractional indices of
+// geom.ChildIndices, whose per-beam cos/sin are hoisted.
+func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, sc *beamScratch) {
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
-	geom.ChildIndices(idx, out.Grids[j], bt, s.Apertures[2*j].Length,
-		s.Grids[2*j], s.Grids[2*j+1], comp.DBeam, comp.DRange)
 	row := out.Images[j].Row(bt)
-	if kind == interp.Nearest {
-		// Inlined interp.At2 Nearest on each child: round both fractional
-		// indices, in-range sample or zero.
+	if kind == interp.Nearest && comp == (autofocus.Shift{}) {
+		if sc.bins == nil {
+			sc.bins = make([]int32, 2*len(row))
+		}
+		geom.NearestBins(sc.bins, out.Grids[j], bt, s.Apertures[2*j].Length,
+			s.Grids[2*j], s.Grids[2*j+1], img0.Stride, img1.Stride)
 		for bi := range row {
-			c := (*[4]float64)(idx[4*bi:])
 			var v1, v2 complex64
-			if r, cc := int(math.Round(c[0])), int(math.Round(c[1])); uint(r) < uint(img0.Rows) && uint(cc) < uint(img0.Cols) {
-				v1 = img0.At(r, cc)
+			if o := sc.bins[2*bi]; o >= 0 {
+				v1 = img0.Data[o]
 			}
-			if r, cc := int(math.Round(c[2])), int(math.Round(c[3])); uint(r) < uint(img1.Rows) && uint(cc) < uint(img1.Cols) {
-				v2 = img1.At(r, cc)
+			if o := sc.bins[2*bi+1]; o >= 0 {
+				v2 = img1.Data[o]
 			}
 			row[bi] = v1 + v2
 		}
 		return
 	}
+	if sc.idx == nil {
+		sc.idx = make([]float64, 4*len(row))
+	}
+	geom.ChildIndices(sc.idx, out.Grids[j], bt, s.Apertures[2*j].Length,
+		s.Grids[2*j], s.Grids[2*j+1], comp.DBeam, comp.DRange)
 	for bi := range row {
-		c := (*[4]float64)(idx[4*bi:])
+		c := (*[4]float64)(sc.idx[4*bi:])
 		row[bi] = interp.At2(img0, c[0], c[1], kind) + interp.At2(img1, c[2], c[3], kind)
 	}
 }
@@ -181,7 +199,7 @@ func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift,
 // mergeBeamRef is the retained unfused reference for mergeBeam: per-pixel
 // geom.ChildCoords and interp.At2 calls, the literal transcription of
 // paper eq. 5. The fused path is pinned bit-identical to it.
-func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, _ []float64) {
+func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, _ *beamScratch) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
@@ -223,16 +241,4 @@ func Image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, ge
 		}
 	}
 	return s.Images[0], s.Grids[0], nil
-}
-
-// NumIterations returns the number of merge iterations FFBP performs for
-// np pulses with merge base 2 (log2(np)); the paper's 1024-pulse data set
-// takes ten.
-func NumIterations(np int) int {
-	n := 0
-	for np > 1 {
-		np >>= 1
-		n++
-	}
-	return n
 }

@@ -22,15 +22,6 @@ func testParams() (sar.Params, geom.SceneBox) {
 	return p, box
 }
 
-func TestNumIterations(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 4: 2, 1024: 10, 64: 6}
-	for np, want := range cases {
-		if got := NumIterations(np); got != want {
-			t.Errorf("NumIterations(%d) = %d, want %d", np, got, want)
-		}
-	}
-}
-
 func TestInitialStageShape(t *testing.T) {
 	p, box := testParams()
 	data := sar.Simulate(p, nil, nil)
@@ -123,6 +114,22 @@ func TestMergeOddSubaperturesFails(t *testing.T) {
 	}
 	if _, err := Merge(s, geom.SceneBox{}, Config{}); err == nil {
 		t.Error("expected error for odd subaperture count")
+	}
+}
+
+// TestMergeRejectsImageGridMismatch checks that Merge refuses a stage
+// whose image shape differs from its grid: the Nearest merge reads child
+// samples at offsets computed on the grid.
+func TestMergeRejectsImageGridMismatch(t *testing.T) {
+	p, box := testParams()
+	p.NumPulses = 4
+	s, err := InitialStage(sar.Simulate(p, nil, nil), p, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Images[1] = s.Images[1].View(0, 0, 1, p.NumBins-1)
+	if _, err := Merge(s, box, Config{Interp: interp.Nearest}); err == nil {
+		t.Error("expected an error for an image narrower than its grid")
 	}
 }
 

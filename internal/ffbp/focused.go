@@ -3,6 +3,7 @@ package ffbp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sarmany/internal/autofocus"
 	"sarmany/internal/geom"
@@ -43,13 +44,9 @@ type FocusConfig struct {
 // so their block correlations are less reliable; set FromLevel lower to
 // autofocus every late merge as the paper describes.
 func DefaultFocusConfig(np int) FocusConfig {
-	from := NumIterations(np) - 1
-	if from < 0 {
-		from = 0
-	}
 	return FocusConfig{
 		Config:     Config{Interp: interp.Cubic},
-		FromLevel:  from,
+		FromLevel:  max(bits.Len(uint(np))-2, 0),
 		MaxShift:   1.2,
 		Candidates: 21,
 	}

@@ -22,16 +22,18 @@ func stepError(d float64) sar.PathError {
 	}
 }
 
+// TestDefaultFocusConfig checks that the default compensation is
+// estimated at the final merge level, log2(np) - 1, clamped at 0 for
+// apertures of one or two pulses.
 func TestDefaultFocusConfig(t *testing.T) {
 	fc := DefaultFocusConfig(1024)
-	if fc.FromLevel != 9 {
-		t.Errorf("FromLevel %d, want 9", fc.FromLevel)
-	}
 	if fc.Candidates < 2 || fc.MaxShift <= 0 || fc.MaxShift > 1.5 {
 		t.Errorf("bad defaults %+v", fc)
 	}
-	if DefaultFocusConfig(2).FromLevel != 0 {
-		t.Error("FromLevel not clamped for tiny apertures")
+	for np, want := range map[int]int{1: 0, 2: 0, 4: 1, 64: 5, 1024: 9} {
+		if got := DefaultFocusConfig(np).FromLevel; got != want {
+			t.Errorf("DefaultFocusConfig(%d).FromLevel = %d, want %d", np, got, want)
+		}
 	}
 }
 

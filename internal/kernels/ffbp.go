@@ -72,51 +72,49 @@ func (pl *ffbpPlan) stage0Pixel(m machine.Machine, v complex64, c int) complex64
 	return v * cf.Expi(float32(pl.k*r))
 }
 
-// idxPool recycles the FFBP kernels' child-index scratch (a *[]float64)
+// idxPool recycles the FFBP kernels' child-bin scratch (a *[]int32)
 // across runs, so sweeps of many short runs allocate none once warm; each
 // buffer is held by one SeqFFBP call or one simulated core at a time.
-var idxPool = sync.Pool{New: func() any { return new([]float64) }}
+var idxPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// getIdx returns a scratch of n float64s from idxPool.
-func getIdx(n int) *[]float64 {
-	p := idxPool.Get().(*[]float64)
+// getIdx returns a scratch of n int32s from idxPool.
+func getIdx(n int) *[]int32 {
+	p := idxPool.Get().(*[]int32)
 	if cap(*p) < n {
-		*p = make([]float64, n)
+		*p = make([]int32, n)
 	}
 	*p = (*p)[:n]
 	return p
 }
 
-// childIndices fills idx, 4*NumBins values, with the child indices of
-// beam bt of parent j at merge s: host arithmetic that charges nothing.
-func (pl *ffbpPlan) childIndices(idx []float64, s, j, bt int) {
-	geom.ChildIndices(idx, pl.grids[s+1][j], bt, pl.stages[s][2*j].Length,
-		pl.grids[s][2*j], pl.grids[s][2*j+1], 0, 0)
+// nearestBins fills bins, 2*NumBins values, with the child sample offsets
+// of beam bt of parent j at merge s: host arithmetic that charges nothing.
+func (pl *ffbpPlan) nearestBins(bins []int32, s, j, bt int) {
+	g0, g1 := pl.grids[s][2*j], pl.grids[s][2*j+1]
+	geom.NearestBins(bins, pl.grids[s+1][j], bt, pl.stages[s][2*j].Length, g0, g1, g0.NR, g1.NR)
 }
 
 // mergeBeam computes (and charges) beam bt of parent j at merge s
 // (children at stage s): the element combining of paper eq. 5 along one
 // output beam, stored to dst. The minus and plus children are read from
 // src0 and src1 starting at elements base0 and base1, which lets the
-// caller choose local-bank or external storage. idx holds the beam's
-// child indices from childIndices.
+// caller choose local-bank or external storage. bins holds the beam's
+// child sample offsets from nearestBins.
 //
 // The charges follow the paper's kernel: the hoisted per-beam setup once,
 // then per pixel the range step and the cosine-theorem index generation,
 // the two nearest-neighbour samples, the combining add and the store — in
 // that order, which the modeled cycles depend on.
-func (pl *ffbpPlan) mergeBeam(m machine.Machine, idx []float64, s, j, bt int,
+func (pl *ffbpPlan) mergeBeam(m machine.Machine, bins []int32, s, j, bt int,
 	src0 *machine.BufC, base0 int, src1 *machine.BufC, base1 int, dst *machine.BufC) {
 	m.Charge(beamSetup)
 	pg := pl.grids[s+1][j]
-	g0, g1 := pl.grids[s][2*j], pl.grids[s][2*j+1]
 	out := pl.imageOff(s+1, j) + bt*pg.NR
 	for bi := 0; bi < pg.NR; bi++ {
-		c := (*[4]float64)(idx[4*bi:])
 		m.Charge(toMinusLoad)
-		v1 := sampleNN(m, src0, base0, g0, c[0], c[1])
+		v1 := sampleNN(m, src0, base0, bins[2*bi])
 		m.Charge(sampleLookup)
-		v2 := sampleNN(m, src1, base1, g1, c[2], c[3])
+		v2 := sampleNN(m, src1, base1, bins[2*bi+1])
 		m.Charge(toStore)
 		dst.Store(m, out+bi, v1+v2)
 	}
@@ -128,20 +126,20 @@ const lookahead = 4
 
 // seqMerges runs SeqFFBP's merge iterations on m: merge s reads
 // bufs[s%2] and writes the other buffer, and the final image's buffer is
-// returned. One helper goroutine computes the beams' child indices, up to
+// returned. One helper goroutine computes the beams' child bins, up to
 // lookahead beams ahead, on scratch from idxPool; the caller's goroutine
 // charges the beams in order. The helper exits on every return path, a
 // panic inside m included.
 func (pl *ffbpPlan) seqMerges(m machine.Machine, bufs [2]*machine.BufC) *machine.BufC {
 	type beamIdx struct {
 		s, j, bt int
-		idx      *[]float64
+		idx      *[]int32
 	}
 	// Both channels hold every scratch buffer at once, so only the
 	// helper's receive from free and the caller's from ready can block.
-	free := make(chan *[]float64, lookahead+1)
+	free := make(chan *[]int32, lookahead+1)
 	for range cap(free) {
-		free <- getIdx(4 * pl.p.NumBins)
+		free <- getIdx(2 * pl.p.NumBins)
 	}
 	ready, done := make(chan beamIdx, cap(free)), make(chan struct{})
 	defer func() {
@@ -158,13 +156,13 @@ func (pl *ffbpPlan) seqMerges(m machine.Machine, bufs [2]*machine.BufC) *machine
 		for s := 0; s < pl.numMerges(); s++ {
 			for j := range pl.stages[s+1] {
 				for bt := 0; bt < pl.grids[s+1][j].NTheta; bt++ {
-					var idx *[]float64
+					var idx *[]int32
 					select {
 					case idx = <-free:
 					case <-done:
 						return
 					}
-					pl.childIndices(*idx, s, j, bt)
+					pl.nearestBins(*idx, s, j, bt)
 					ready <- beamIdx{s, j, bt, idx}
 				}
 			}
@@ -292,14 +290,14 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		slots := slotsByCore[c.ID]
 
 		// Per-core local buffers: the two upper data banks (banks 2 and 3),
-		// and the host-side child-index scratch of mergeBeam.
+		// and the host-side child-bin scratch of mergeBeam.
 		bankA, errA := machine.NewBufC(c.Bank(2), nb)
 		bankB, errB := machine.NewBufC(c.Bank(3), nb)
 		if errA != nil || errB != nil {
 			kernelErr = fmt.Errorf("kernels: local bank allocation failed")
 			return
 		}
-		idx := getIdx(4 * nb)
+		idx := getIdx(2 * nb)
 		defer idxPool.Put(idx)
 
 		// Stage 0: each slot carrier-removes its slice of pulses, double-
@@ -340,7 +338,7 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 				c.DMAWait(d0)
 				c.DMAWait(d1)
 				for bt := 0; bt < 2; bt++ {
-					pl.childIndices(*idx, 0, j, bt)
+					pl.nearestBins(*idx, 0, j, bt)
 					pl.mergeBeam(c, *idx, 0, j, bt, bankA, 0, bankB, 0, next)
 				}
 			}
@@ -358,7 +356,7 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 				for u := units.Lo; u < units.Hi; u++ {
 					j := u / ntheta
 					bt := u % ntheta
-					pl.childIndices(*idx, s, j, bt)
+					pl.nearestBins(*idx, s, j, bt)
 					pl.mergeBeam(c, *idx, s, j, bt, curL, pl.imageOff(s, 2*j), curL, pl.imageOff(s, 2*j+1), nextL)
 				}
 			}

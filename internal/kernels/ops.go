@@ -9,7 +9,7 @@
 // values bit-identical to the host implementations in packages ffbp, gbp
 // and autofocus — while charging their machine for every modeled
 // operation. No kernel holds a copy of the host arithmetic: the FFBP
-// kernels take their child indices from geom.ChildIndices and their
+// kernels take their child samples from geom.NearestBins and their
 // rotations from cf.Expi, the functions ffbp calls; SeqAutofocus scores
 // with autofocus.Criterion, and the pipeline nodes with interp.Neville4
 // and autofocus.Correlate; SeqGBP's loop makes gbp.ImageRef's
@@ -21,12 +21,7 @@
 // Neville cubic interpolation for autofocus.
 package kernels
 
-import (
-	"math"
-
-	"sarmany/internal/geom"
-	"sarmany/internal/machine"
-)
+import "sarmany/internal/machine"
 
 // beamSetup is the per-beam hoisted work of the back-projection inner
 // loops (paper: the optimization of using scalar variables to maximize
@@ -68,18 +63,15 @@ var (
 	corrCriterion = machine.Ops{FMA: 9 * (2 + 2 + 1)}
 )
 
-// sampleNN performs the nearest-neighbour interpolation lookup of one
-// child-subaperture sample at fractional (beam, range) index (ti, ri):
-// the rounding, the out-of-range test (the paper's "skip the additions
-// with zero when the indices are out of range"), and the 64-bit load of
-// the complex pixel, which is the only charge; the caller charges the
-// lookup's index work. img holds the child image row-major on grid g,
-// starting at element base. The arithmetic matches interp.At2(...,
-// interp.Nearest) exactly.
-func sampleNN(m machine.Machine, img *machine.BufC, base int, g geom.PolarGrid, ti, ri float64) complex64 {
-	t, r := int(math.Round(ti)), int(math.Round(ri))
-	if t < 0 || t >= g.NTheta || r < 0 || r >= g.NR {
+// sampleNN performs the nearest-neighbour lookup of one child sample:
+// off is its element offset past base in img, from geom.NearestBins, or
+// -1 when it lies outside the child's grid (the paper's "skip the
+// additions with zero when the indices are out of range"). The load is
+// its only charge; the caller charges the index work, rounding and
+// bounds test included. It matches interp.At2(..., interp.Nearest).
+func sampleNN(m machine.Machine, img *machine.BufC, base int, off int32) complex64 {
+	if off < 0 {
 		return 0
 	}
-	return img.Load(m, base+t*g.NR+r)
+	return img.Load(m, base+int(off))
 }

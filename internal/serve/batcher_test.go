@@ -13,17 +13,20 @@ import (
 )
 
 // collectExec returns an ExecFunc that records every batch it receives
-// and delivers a trivial success to each request.
+// and then delivers a trivial success to each request: a test that has
+// waited for a result finds its batch recorded.
 func collectExec(mu *sync.Mutex, batches *[][]string) ExecFunc {
 	return func(batch []*Request) {
 		ids := make([]string, len(batch))
 		for i, r := range batch {
 			ids[i] = r.ID
-			r.deliver(sweep.JobResult{Job: r.Job, Result: bench.Result{Name: r.ID}})
 		}
 		mu.Lock()
 		*batches = append(*batches, ids)
 		mu.Unlock()
+		for _, r := range batch {
+			r.deliver(sweep.JobResult{Job: r.Job, Result: bench.Result{Name: r.ID}})
+		}
 	}
 }
 
