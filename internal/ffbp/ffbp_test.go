@@ -2,6 +2,7 @@ package ffbp
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"sarmany/internal/geom"
@@ -20,6 +21,35 @@ func testParams() (sar.Params, geom.SceneBox) {
 	p.R0 = 500
 	box := geom.SceneBox{UMin: -40, UMax: 40, YMin: 510, YMax: 610, ThetaPad: 0.05}
 	return p, box
+}
+
+// TestNumIterations checks that FFBP merges np pulses down to one
+// subaperture in log2(np) iterations, each doubling the beams: the
+// bits.Len(np) - 1 count that cmd/epirun prints and DefaultFocusConfig
+// places its final level by. The paper's 1024 pulses take ten.
+func TestNumIterations(t *testing.T) {
+	for np, want := range map[int]int{1: 0, 2: 1, 4: 2, 64: 6, 1024: 10} {
+		p, box := testParams()
+		p.NumPulses = np
+		p.NumBins = 8
+		s, err := InitialStage(sar.Simulate(p, nil, nil), p, box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for s.NumSubapertures() > 1 {
+			if s, err = Merge(s, box, Config{Interp: interp.Nearest, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if n != want || n != bits.Len(uint(np))-1 {
+			t.Errorf("%d pulses: %d merge iterations, want %d", np, n, want)
+		}
+		if s.Grids[0].NTheta != np {
+			t.Errorf("%d pulses: final image has %d beams, want %d", np, s.Grids[0].NTheta, np)
+		}
+	}
 }
 
 func TestInitialStageShape(t *testing.T) {
