@@ -54,17 +54,8 @@ func (s *Stage) NumSubapertures() int { return len(s.Images) }
 
 // InitialStage builds stage 0 of the factorization from pulse-compressed
 // data: one single-beam image per pulse, with the two-way carrier phase
-// removed (multiplication by exp(+i*4*pi*r/lambda)) so that subsequent
-// merges combine coherently.
-//
-// Precision contract: the phase argument k*r is evaluated in float64 and
-// rounded to float32 once, at the cf.Expi call. At paper-scale ranges
-// (k*r up to ~4e3 rad) that single rounding costs at most half a float32
-// ULP of the argument, ~2.5e-4 rad — two orders of magnitude below the
-// merge interpolation error — and the downstream float32 pixels carry no
-// further phase arithmetic. TestInitialStagePhaseContract pins this
-// against the closed form; the simulator kernels (kernels.stage0Pixel)
-// evaluate k*r the same way and rotate with the same cf.Expi.
+// removed (multiplication by CarrierRow) so that subsequent merges combine
+// coherently. The pulses are spread over GOMAXPROCS workers.
 func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -79,19 +70,43 @@ func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) 
 		Grids:     make([]geom.PolarGrid, len(aps)),
 		Images:    make([]*mat.C, len(aps)),
 	}
-	k := 4 * math.Pi / p.Wavelength
 	for i, a := range aps {
 		s.Grids[i] = box.GridFor(a, 1, p.NumBins, p.R0, p.DR)
-		img := mat.NewC(1, p.NumBins)
-		src := data.Row(i)
-		dst := img.Row(0)
-		for c := range dst {
-			r := p.R0 + float64(c)*p.DR
-			dst[c] = src[c] * cf.Expi(float32(k*r))
-		}
-		s.Images[i] = img
 	}
+	carrier := CarrierRow(p)
+	mat.Parallel(len(aps), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			img := mat.NewC(1, p.NumBins)
+			src, dst := data.Row(i), img.Row(0)
+			for c := range dst {
+				dst[c] = src[c] * carrier[c]
+			}
+			s.Images[i] = img
+		}
+	})
 	return s, nil
+}
+
+// CarrierRow returns the stage-0 carrier rotation of every range bin c:
+// exp(+i*k*r) with k = 4*pi/lambda and r = R0 + c*DR, the factor by which
+// InitialStage multiplies each pulse. The simulator kernels multiply by
+// the same row.
+//
+// Precision contract: the phase argument k*r is evaluated in float64 and
+// rounded to float32 once, at the cf.Expi call. At paper-scale ranges
+// (k*r up to ~4e3 rad) that single rounding costs at most half a float32
+// ULP of the argument, ~2.5e-4 rad — two orders of magnitude below the
+// merge interpolation error — and the downstream float32 pixels carry no
+// further phase arithmetic. TestInitialStagePhaseContract pins this
+// against the closed form.
+func CarrierRow(p sar.Params) []complex64 {
+	k := 4 * math.Pi / p.Wavelength
+	row := make([]complex64, p.NumBins)
+	for c := range row {
+		r := p.R0 + float64(c)*p.DR
+		row[c] = cf.Expi(float32(k * r))
+	}
+	return row
 }
 
 // Merge performs one merge-base-2 iteration, combining subaperture pairs

@@ -48,18 +48,12 @@ func checkNearest(t *testing.T, pg PolarGrid, bt int, l float64, minus, plus Pol
 	return bad, out
 }
 
-// TestNearestBinsPaperScale checks every merge pixel of the paper-scale
-// factorization (report.Default's geometry: 1024 pulses spaced 1 m, 1001
-// range bins from 2000 m spaced 0.5 m, the central scene box) against
-// the oracle, and the count of out-of-range samples against the closed
-// form the Table I op counts rest on.
-func TestNearestBinsPaperScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper scale: 10,250,240 merge pixels")
-	}
+// paperBeams calls fn for every merge beam of the paper-scale
+// factorization: report.Default's geometry, 1024 pulses spaced 1 m and
+// 1001 range bins from 2000 m spaced 0.5 m, with the central scene box.
+func paperBeams(fn func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid)) {
 	const np, nr, r0, dr = 1024, 1001, 2000.0, 0.5
 	box := SceneBox{UMin: -0.15 * np, UMax: 0.15 * np, YMin: r0 + 100, YMax: r0 + 400, ThetaPad: 0.05}
-	var bad, out int
 	kids := Stage0(np, -np/2, 1)
 	for ntheta := 1; len(kids) > 1; ntheta *= 2 {
 		parents := MergeStage(kids)
@@ -68,12 +62,25 @@ func TestNearestBinsPaperScale(t *testing.T) {
 			g0 := box.GridFor(kids[2*j], ntheta, nr, r0, dr)
 			g1 := box.GridFor(kids[2*j+1], ntheta, nr, r0, dr)
 			for bt := 0; bt < pg.NTheta; bt++ {
-				b, o := checkNearest(t, pg, bt, kids[2*j].Length, g0, g1, nr, nr)
-				bad, out = bad+b, out+o
+				fn(pg, bt, kids[2*j].Length, g0, g1)
 			}
 		}
 		kids = parents
 	}
+}
+
+// TestNearestBinsPaperScale checks every paper-scale merge pixel against
+// the oracle, and the count of out-of-range samples against the closed
+// form the Table I op counts rest on.
+func TestNearestBinsPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper scale: 10,250,240 merge pixels")
+	}
+	var bad, out int
+	paperBeams(func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid) {
+		b, o := checkNearest(t, pg, bt, l, minus, plus, minus.NR, plus.NR)
+		bad, out = bad+b, out+o
+	})
 	if bad != 0 {
 		t.Errorf("%d bins differ from ChildIndices + Round", bad)
 	}
@@ -82,10 +89,23 @@ func TestNearestBinsPaperScale(t *testing.T) {
 	}
 }
 
+// BenchmarkNearestBinsPaperScale times one pass of NearestBins over every
+// paper-scale merge beam (10,240 beams of 1001 pixels) per operation.
+func BenchmarkNearestBinsPaperScale(b *testing.B) {
+	bins := make([]int32, 2*1001)
+	for b.Loop() {
+		paperBeams(func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid) {
+			NearestBins(bins, pg, bt, l, minus, plus, minus.NR, plus.NR)
+		})
+	}
+}
+
 // TestNearestBinsRandomGrids checks seeded random beams against the
 // oracle: zero-length children, row strides wider than the grid, children
-// lying wholly outside the beam's angles or ranges, and grids with edges
-// outside [0, pi], which take the exact path.
+// lying wholly outside the beam's angles or ranges, and beams that take
+// the exact path: grids with edges outside [0, pi], children whose DR
+// differs from the parent's, and parent ranges below the child
+// half-length.
 func TestNearestBinsRandomGrids(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	randGrid := func(nr int, r0, dr float64) PolarGrid {
@@ -112,6 +132,34 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 		}
 		stride0, stride1 := minus.NR+rng.Intn(3), plus.NR+rng.Intn(3)
 		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, stride0, stride1)
+		bad += b
+	}
+	// Beams that take the exact arithmetic: children whose DR is below
+	// the parent's (even i), where the range index minus the parent bin
+	// falls and then rises near the child half-length, and parent ranges
+	// that start below it (odd i), where the range index does the same.
+	// The children cover nearly [0, pi] with a few wide beams and ranges
+	// from near zero, so their bins hold long runs.
+	for i := 0; i < 2000; i++ {
+		nr := 2 + rng.Intn(300)
+		l := 20 + 200*rng.Float64()
+		r0, dr := l/2*(1+0.5*rng.Float64()), 0.05+2*rng.Float64()
+		if i%2 == 1 {
+			r0 = l / 2 * rng.Float64()
+		}
+		lo := 0.05 + 1.2*rng.Float64()
+		pg := NewPolarGrid(nr, r0, dr, 1+rng.Intn(16), lo, lo+0.05+0.2*rng.Float64())
+		child := func() PolarGrid {
+			g := NewPolarGrid(nr+rng.Intn(300), 0.15*l*rng.Float64(), dr, 1+rng.Intn(4), 0.02, 3.1)
+			if i%2 == 0 {
+				g.DR = dr / (1 + 0.5*rng.Float64())
+			} else {
+				g.NR = 1 + rng.Intn(int(l/2/dr)+1)
+			}
+			return g
+		}
+		minus, plus := child(), child()
+		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, minus.NR, plus.NR)
 		bad += b
 	}
 	if bad != 0 {

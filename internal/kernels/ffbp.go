@@ -2,11 +2,10 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
-	"sarmany/internal/cf"
 	"sarmany/internal/emu"
+	"sarmany/internal/ffbp"
 	"sarmany/internal/geom"
 	"sarmany/internal/machine"
 	"sarmany/internal/mat"
@@ -14,13 +13,14 @@ import (
 )
 
 // ffbpPlan precomputes the factorization structure shared by the FFBP
-// kernels: the aperture list and polar grid of every stage.
+// kernels: the aperture list and polar grid of every stage, and the
+// stage-0 carrier row.
 type ffbpPlan struct {
-	p      sar.Params
-	box    geom.SceneBox
-	stages [][]geom.Aperture  // stages[s][i]
-	grids  [][]geom.PolarGrid // grids[s][i]
-	k      float64            // 4*pi/lambda
+	p       sar.Params
+	box     geom.SceneBox
+	stages  [][]geom.Aperture  // stages[s][i]
+	grids   [][]geom.PolarGrid // grids[s][i]
+	carrier []complex64        // ffbp.CarrierRow(p)
 }
 
 func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error) {
@@ -34,7 +34,7 @@ func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error
 	if p.NumPulses&(p.NumPulses-1) != 0 {
 		return nil, fmt.Errorf("kernels: NumPulses %d is not a power of two", p.NumPulses)
 	}
-	pl := &ffbpPlan{p: p, box: box, k: 4 * math.Pi / p.Wavelength}
+	pl := &ffbpPlan{p: p, box: box, carrier: ffbp.CarrierRow(p)}
 	aps := geom.Stage0(p.NumPulses, -p.ApertureLength()/2, p.PulseSpacing)
 	ntheta := 1
 	for {
@@ -63,13 +63,13 @@ func (pl *ffbpPlan) imageOff(s, i int) int {
 }
 
 // stage0Pixel computes (and charges) one carrier-removal output of the
-// initial stage: a_0(r_c) = d(r_c) * exp(+i*k*r_c). The arithmetic matches
-// ffbp.InitialStage exactly.
+// initial stage: a_0(r_c) = d(r_c) * exp(+i*k*r_c), the product
+// ffbp.InitialStage forms with the same carrier row.
 func (pl *ffbpPlan) stage0Pixel(m machine.Machine, v complex64, c int) complex64 {
-	// r = R0 + c*DR and the complex multiply (FMA 1+4); one sincos.
+	// The modeled core computes r = R0 + c*DR and the complex multiply
+	// (FMA 1+4) and one sincos per pixel; the host reads the row.
 	m.Charge(machine.Ops{FMA: 1 + 4, Trig: 1})
-	r := pl.p.R0 + float64(c)*pl.p.DR
-	return v * cf.Expi(float32(pl.k*r))
+	return v * pl.carrier[c]
 }
 
 // idxPool recycles the FFBP kernels' child-bin scratch (a *[]int32)

@@ -10,11 +10,11 @@
 // and autofocus — while charging their machine for every modeled
 // operation. No kernel holds a copy of the host arithmetic: the FFBP
 // kernels take their child samples from geom.NearestBins and their
-// rotations from cf.Expi, the functions ffbp calls; SeqAutofocus scores
-// with autofocus.Criterion, and the pipeline nodes with interp.Neville4
-// and autofocus.Correlate; SeqGBP's loop makes gbp.ImageRef's
-// math.Hypot, RangeIndex and cf.Expi calls. The kernels add the charges
-// and the modeled loads and stores.
+// stage-0 rotations from ffbp.CarrierRow, the functions ffbp calls;
+// SeqAutofocus scores with autofocus.Criterion, and the pipeline nodes
+// with interp.Neville4 and autofocus.Correlate; SeqGBP's loop makes
+// gbp.ImageRef's math.Hypot, RangeIndex and cf.Expi calls. The kernels
+// add the charges and the modeled loads and stores.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and
