@@ -1,8 +1,9 @@
 // Package ffbp implements fast factorized back-projection (FFBP), the
 // paper's memory-intensive case study. The whole aperture initially
-// consists of single-pulse subapertures with one wide beam each; merge
-// iterations pairwise combine subapertures, doubling the angular resolution
-// each time (paper Fig. 3a), until one full-aperture image remains. With
+// consists of single-pulse subapertures with one wide beam each (the
+// pulse times CarrierRow); merge iterations pairwise combine
+// subapertures, doubling the angular resolution each time (paper
+// Fig. 3a), until one full-aperture image remains. With
 // the paper's configuration — 1024 pulses x 1001 range bins, merge base 2 —
 // that is ten iterations ending in a 1024x1001-pixel image.
 //
@@ -11,8 +12,9 @@
 // interpolated child samples (paper eq. 5). The interpolation kernel is
 // configurable; the paper's implementation uses simplified
 // nearest-neighbour interpolation, which is faster but degrades the image
-// relative to GBP (paper Fig. 7), and needs only the rounded child indices
-// that geom.NearestBins computes; the other kernels use geom.ChildIndices.
+// relative to GBP (paper Fig. 7), and needs only the rounded child indices,
+// which geom.NearestBins finds run by run along each output beam; the
+// other kernels use geom.ChildIndices.
 package ffbp
 
 import (

@@ -93,7 +93,8 @@ func TestNearestBinsPaperScale(t *testing.T) {
 // paper-scale merge beam (10,240 beams of 1001 pixels) per operation.
 func BenchmarkNearestBinsPaperScale(b *testing.B) {
 	bins := make([]int32, 2*1001)
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		paperBeams(func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid) {
 			NearestBins(bins, pg, bt, l, minus, plus, minus.NR, plus.NR)
 		})
@@ -134,12 +135,15 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, stride0, stride1)
 		bad += b
 	}
-	// Beams that take the exact arithmetic: children whose DR is below
-	// the parent's (even i), where the range index minus the parent bin
-	// falls and then rises near the child half-length, and parent ranges
-	// that start below it (odd i), where the range index does the same.
-	// The children cover nearly [0, pi] with a few wide beams and ranges
-	// from near zero, so their bins hold long runs.
+	// Beams that take the exact arithmetic. Even i: children whose DR is
+	// below the parent's, where the range index minus the parent bin
+	// falls and then rises near the child half-length. Odd i: parent
+	// ranges that start below the child half-length, where the range
+	// index itself falls and then rises, over child grids short enough
+	// for it to leave and re-enter them. The children cover nearly
+	// [0, pi] with a few wide beams and ranges from near zero, so their
+	// bins hold long runs, and a run finder that skipped either
+	// precondition would write wrong bins here.
 	for i := 0; i < 2000; i++ {
 		nr := 2 + rng.Intn(300)
 		l := 20 + 200*rng.Float64()
