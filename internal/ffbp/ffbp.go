@@ -12,8 +12,9 @@
 // interpolated child samples (paper eq. 5). The interpolation kernel is
 // configurable; the paper's implementation uses simplified
 // nearest-neighbour interpolation, which is faster but degrades the image
-// relative to GBP (paper Fig. 7), and needs only the rounded child indices,
-// which geom.NearestBins finds run by run along each output beam; the
+// relative to GBP (paper Fig. 7), and needs only the rounded child indices.
+// Along an output beam those form runs of consecutive child samples,
+// which geom.NearestRuns finds and the merge copies and adds whole; the
 // other kernels use geom.ChildIndices.
 package ffbp
 
@@ -162,11 +163,12 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 	return out, nil
 }
 
-// beamScratch is one band's child-index scratch for geom.NearestBins and
-// geom.ChildIndices, each slice allocated by the first beam that uses it.
+// beamScratch is one band's child-index scratch: the runs of
+// geom.NearestRuns, which grow to the longest beam's, and the indices of
+// geom.ChildIndices, allocated by the first beam that uses them.
 type beamScratch struct {
-	bins []int32
-	idx  []float64
+	minus, plus [][3]int32
+	idx         []float64
 }
 
 // mergeBeam computes beam bt of parent j: the element combining of paper
@@ -175,30 +177,40 @@ type beamScratch struct {
 // merge; the zero Shift reproduces the plain merge.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
-// TestFusedMergeBitIdentical). An uncompensated Nearest merge loads each
-// child sample at the offset geom.NearestBins writes, or takes zero: the
-// two interp.At2 calls per pixel, inlined. The simulator kernels read the
-// same geom.NearestBins, which keeps them bit-identical to ffbp.Image.
-// Every other merge samples with interp.At2 at the fractional indices of
+// TestFusedMergeBitIdentical). An uncompensated Nearest merge gathers the
+// runs of geom.NearestRuns: it copies each minus run's samples into the
+// row, or clears the run outside the minus grid, then adds each plus
+// run's samples, or +0 outside the plus grid. Every pixel is then the
+// v1 + v2 of the two interp.At2 calls, signed zeros included, with no
+// per-pixel offset or branch. The simulator kernels load the same
+// samples pixel by pixel from geom.NearestBins, which writes out the same
+// runs, and so stay bit-identical to ffbp.Image. Every other merge
+// samples with interp.At2 at the fractional indices of
 // geom.ChildIndices, whose per-beam cos/sin are hoisted.
 func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, sc *beamScratch) {
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	row := out.Images[j].Row(bt)
 	if kind == interp.Nearest && comp == (autofocus.Shift{}) {
-		if sc.bins == nil {
-			sc.bins = make([]int32, 2*len(row))
+		sc.minus, sc.plus = geom.NearestRuns(sc.minus[:0], sc.plus[:0], out.Grids[j], bt,
+			s.Apertures[2*j].Length, s.Grids[2*j], s.Grids[2*j+1], img0.Stride, img1.Stride)
+		for _, r := range sc.minus {
+			if dst := row[r[0] : r[1]+1]; r[2] < 0 {
+				clear(dst)
+			} else {
+				copy(dst, img0.Data[r[2]:])
+			}
 		}
-		geom.NearestBins(sc.bins, out.Grids[j], bt, s.Apertures[2*j].Length,
-			s.Grids[2*j], s.Grids[2*j+1], img0.Stride, img1.Stride)
-		for bi := range row {
-			var v1, v2 complex64
-			if o := sc.bins[2*bi]; o >= 0 {
-				v1 = img0.Data[o]
+		for _, r := range sc.plus {
+			dst := row[r[0] : r[1]+1]
+			if r[2] < 0 {
+				for i := range dst {
+					dst[i] += 0 // v1 + 0 turns a -0 component into +0
+				}
+			} else {
+				for i, v := range img1.Data[r[2]:][:len(dst)] {
+					dst[i] += v
+				}
 			}
-			if o := sc.bins[2*bi+1]; o >= 0 {
-				v2 = img1.Data[o]
-			}
-			row[bi] = v1 + v2
 		}
 		return
 	}

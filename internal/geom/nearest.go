@@ -2,7 +2,7 @@ package geom
 
 import "math"
 
-// Margins of NearestBins' fast tests: an edge cross product within
+// Margins of the run finder's fast tests: an edge cross product within
 // beamMargin*(|x|+y) of zero (about 1e-9 rad), or a range index within
 // rangeMargin of a rounding edge, fails the test. The float64 error of
 // either path is about 1e-15 rad on the beam and 1e-15 bins per unit of
@@ -13,45 +13,83 @@ const (
 	maxRangeIndex = 1e6
 )
 
-// NearestBins writes the rounded child samples of beam bt of the parent
-// grid pg, whose children have length l and are sampled on the grids minus
-// and plus, for the paper's nearest-neighbour merge. For every range bin
-// bi, bins[2*bi] is the minus child's sample offset t*stride0 + r and
-// bins[2*bi+1] the plus child's t*stride1 + r, or -1 when either rounded
-// index lies outside that child's grid. bins must hold 2*pg.NR values;
-// the strides are the children's row strides in elements.
+// NearestRuns appends the runs of beam bt's rounded child samples to
+// minusRuns and plusRuns, for the paper's nearest-neighbour merge of the
+// parent grid pg, whose children have length l, are sampled on the grids
+// minus and plus, and have row strides stride0 and stride1 in elements.
+// A run {first, last, o} covers parent range bins first..last, whose
+// samples are the child's elements o, o+1, ..., or lie outside its grid
+// when o is -1. Each child's runs cover the beam's bins in order.
 //
-// Every bin equals what ChildIndices (with no displacement), math.Round
-// and the bounds test give, with an Atan2 and a Hypot only at the first
-// pixel of each run. Along the beam a child's angle, and so its beam
-// index, moves monotonically with range; with the child's DR equal to the
-// parent's and the parent's ranges at least the child half-length, so do
-// the child's range index and the range index minus the parent bin. A
-// child's bins therefore form runs in which the offset rises by one per
-// range bin or stays -1. Each run's first pixel takes the exact
-// arithmetic; a gallop and a bisection then find the run's last pixel
-// that the fast tests (a cross product against each of the run's beam
-// edges, the integer part of a square-root range plus one half) place
-// clear of every edge in the run's bin, and by monotonicity every pixel
-// between two such pixels lies in that bin too. A beam the argument does
-// not cover (one leaving the upper half-plane, an edge outside [0, pi],
-// unequal DR, ranges below the child half-length, an extreme or
-// non-finite input) takes the exact arithmetic at every pixel.
+// Every sample equals what ChildIndices (with no displacement),
+// math.Round and the bounds test give. Along the beam a child's angle,
+// and so its beam index, moves monotonically with range; with the child's
+// DR equal to the parent's and the parent's ranges at least the child
+// half-length, so do the child's range index and the range index minus
+// the parent bin. A run's bins therefore keep one beam index and one
+// range index minus parent bin, or stay outside the grid. A run ends
+// before the first bin that the fast tests (a cross product against each
+// of the run's beam edges, the integer part of a square-root range plus
+// one half) do not place clear of every edge in the run's bin; by
+// monotonicity every bin between two that pass lies in that bin too. The
+// search for it probes at the previous run's length first, then gallops
+// and bisects. The next run starts at that failing bin from the same
+// tests: its beam index steps by one across the edge it crossed, which
+// the new run shares, and its range index is the truncated square-root
+// range plus one half. The first run of a beam, and a run whose first bin
+// lies within a margin, start from the exact Atan2 and Hypot. A beam the
+// argument does not cover (one leaving the upper half-plane, an edge
+// outside [0, pi], unequal DR, ranges below the child half-length, an
+// extreme or non-finite input) takes the exact arithmetic at every bin,
+// one run per bin.
+func NearestRuns(minusRuns, plusRuns [][3]int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) ([][3]int32, [][3]int32) {
+	runs := [2][][3]int32{minusRuns, plusRuns}
+	for c, w := range nearestFinders(pg, bt, l, minus, plus, stride0, stride1) {
+		w.each(func(first, last int, o int32) {
+			runs[c] = append(runs[c], [3]int32{int32(first), int32(last), o})
+		})
+	}
+	return runs[0], runs[1]
+}
+
+// NearestBins writes the runs NearestRuns finds for beam bt out as one
+// sample per parent range bin, for a merge that loads each pixel's
+// samples on its own: bins[2*bi] is the minus child's sample offset
+// t*stride0 + r of bin bi and bins[2*bi+1] the plus child's t*stride1 + r,
+// or -1 when either rounded index lies outside that child's grid. bins
+// must hold 2*pg.NR values.
 func NearestBins(bins []int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) {
-	if int64(minus.NTheta)*int64(stride0) > math.MaxInt32 || int64(plus.NTheta)*int64(stride1) > math.MaxInt32 {
-		panic("geom: NearestBins offsets overflow int32")
+	bins = bins[:2*pg.NR]
+	for c, w := range nearestFinders(pg, bt, l, minus, plus, stride0, stride1) {
+		w.each(func(first, last int, o int32) {
+			d := int32(0)
+			if o >= 0 {
+				d = 1
+			}
+			for p := first; p <= last; p++ {
+				bins[2*p+c] = o
+				o += d
+			}
+		})
+	}
+}
+
+// nearestFinders returns the run finders of beam bt's minus and plus
+// children.
+func nearestFinders(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) [2]nearestRuns {
+	if int64(pg.NR) > math.MaxInt32 || int64(minus.NTheta)*int64(stride0) > math.MaxInt32 || int64(plus.NTheta)*int64(stride1) > math.MaxInt32 {
+		panic("geom: nearest-neighbour bins or offsets overflow int32")
 	}
 	theta := pg.Theta(bt)
 	ct, st := math.Cos(theta), math.Sin(theta)
 	h := l / 2
-	bins = bins[:2*pg.NR]
 	r0, r1 := pg.R0, pg.Range(pg.NR-1)
 	rmax := max(r0, r1) + h
 	exact := !(st > 0 && h >= 0 && r0 >= h && min(r0, r1)*st > 0x1p-500 && rmax < 0x1p500)
-	w := newNearestRuns(pg, ct, st, h, minus, stride0, rmax, exact)
-	w.fill(bins)
-	w = newNearestRuns(pg, ct, st, -h, plus, stride1, rmax, exact)
-	w.fill(bins[1:])
+	return [2]nearestRuns{
+		newNearestRuns(pg, ct, st, h, minus, stride0, rmax, exact),
+		newNearestRuns(pg, ct, st, -h, plus, stride1, rmax, exact),
+	}
 }
 
 // nearestRuns finds one child's bins along an output beam, run by run.
@@ -66,6 +104,7 @@ type nearestRuns struct {
 	k      int        // the run's beam index, -1 below the grid, NTheta above
 	i, c   int        // the run's first range index, and that minus its parent bin
 	lo, hi [2]float64 // (cos, sin) of beam k's lower and upper edges
+	n      int        // the previous run's length in pixels, 0 before the first
 }
 
 // newNearestRuns returns the run finder over g for a beam with child
@@ -91,46 +130,122 @@ func (w *nearestRuns) edge(j int) [2]float64 {
 	return [2]float64{c, s}
 }
 
-// fill writes the child's offsets to bins[0], bins[2], ..., one per
-// parent range bin: run by run, the first pixel's exact rounded indices,
-// then the run's beam edges and its last pixel, and o, o+1, ... or -1.
-func (w *nearestRuns) fill(bins []int32) {
-	n := w.g.NTheta
+// cross returns the cross product of edge e with (x, y): positive when
+// the point lies above the edge, at |(x, y)| times the sine of the angle
+// between them.
+func cross(e [2]float64, x, y float64) float64 { return e[0]*y - e[1]*x }
+
+// each calls fn with the child's runs along the beam in order: each run's
+// first and last pixel and its first offset, or -1.
+func (w *nearestRuns) each(fn func(first, last int, o int32)) {
 	for s := 0; s < w.pg.NR; {
-		x, y := w.xy(s)
-		w.k = min(max(int(math.Round(w.g.ThetaIndex(math.Atan2(y, x)))), -1), n)
-		w.i = int(math.Round(w.g.RangeIndex(math.Hypot(x, y))))
-		w.c = w.i - s
+		if w.exact || s == 0 || !w.next(s) {
+			w.start(s)
+		}
 		e := s
 		if !w.exact {
-			if w.k >= 0 {
-				w.lo = w.edge(w.k)
-			}
-			if w.k < n {
-				w.hi = w.edge(w.k + 1)
-			}
 			e = w.end(s)
 		}
-		v, dv := int32(-1), int32(0)
-		if uint(w.k) < uint(n) && uint(w.i) < uint(w.g.NR) {
-			v, dv = int32(w.k*w.stride+w.i), 1
+		o := int32(-1)
+		if uint(w.k) < uint(w.g.NTheta) && uint(w.i) < uint(w.g.NR) {
+			o = int32(w.k*w.stride + w.i)
 		}
-		for p := s; p <= e; p++ {
-			bins[2*p] = v
-			v += dv
-		}
+		fn(s, e, o)
 		s = e + 1
 	}
 }
 
-// end returns the run's last pixel: it gallops from s (probing s+1, s+2,
-// s+4, ...) to the first pixel that fails the run's test, or past the
-// beam, then bisects between the last passing probe and that pixel.
+// start takes the run at pixel s from the exact arithmetic: the rounded
+// beam and range indices of ChildIndices, and the beam's edges.
+func (w *nearestRuns) start(s int) {
+	x, y := w.xy(s)
+	n := w.g.NTheta
+	w.k = min(max(int(math.Round(w.g.ThetaIndex(math.Atan2(y, x)))), -1), n)
+	w.i = int(math.Round(w.g.RangeIndex(math.Hypot(x, y))))
+	w.c = w.i - s
+	if !w.exact {
+		if w.k >= 0 {
+			w.lo = w.edge(w.k)
+		}
+		if w.k < n {
+			w.hi = w.edge(w.k + 1)
+		}
+	}
+}
+
+// next takes the run at pixel s, the pixel that ended the previous run,
+// from the fast tests, and reports whether they decide it. Past one of
+// the previous run's beam edges by more than the margin, the beam index
+// steps by one and that edge becomes the new run's other edge; the pixel
+// must then lie clear of both of the new run's edges. For a beam inside
+// the grid, its square-root range plus one half must lie below the grid,
+// above it, or clear of a rounding edge, whose truncation is the range
+// index.
+func (w *nearestRuns) next(s int) bool {
+	x, y := w.xy(s)
+	tol := beamMargin * (math.Abs(x) + y)
+	k, n := w.k, w.g.NTheta
+	switch {
+	case k >= 0 && cross(w.lo, x, y) < -tol:
+		k--
+		w.hi = w.lo
+		if k >= 0 {
+			w.lo = w.edge(k)
+		}
+	case k < n && cross(w.hi, x, y) > tol:
+		k++
+		w.lo = w.hi
+		if k < n {
+			w.hi = w.edge(k + 1)
+		}
+	}
+	if k >= 0 && cross(w.lo, x, y) <= tol || k < n && cross(w.hi, x, y) >= -tol {
+		return false
+	}
+	w.k = k
+	if k < 0 || k >= n {
+		return true
+	}
+	t := (math.Sqrt(x*x+y*y)-w.g.R0)*w.inv + 0.5
+	u := int(t)
+	f := t - float64(u)
+	switch {
+	case t < -rangeMargin:
+		w.i = -1
+	case t >= float64(w.g.NR)+rangeMargin:
+		w.i = w.g.NR
+	case t > 0 && f > rangeMargin && f < 1-rangeMargin:
+		w.i = u
+	default:
+		return false
+	}
+	w.c = w.i - s
+	return true
+}
+
+// end returns the run's last pixel. It probes the pixel at which a run as
+// long as the previous one would end (s+1 for the first run), gallops on
+// from there while the probes pass or back toward s while they fail, and
+// bisects between the last passing pixel and the first failing one, or
+// the beam's end. The run's test holds on a prefix of the beam, so this
+// is the pixel a gallop from s would find.
 func (w *nearestRuns) end(s int) int {
 	n := w.pg.NR
-	a, b := s, s+1 // a is in the run; b fails, or is n
-	for d := 2; b < n && w.in(b); d *= 2 {
-		a, b = b, min(s+d, n)
+	if s+1 >= n {
+		return s
+	}
+	g := min(s+max(w.n-1, 1), n-1)
+	var a, b int // a is in the run; b fails, or is n
+	if w.in(g) {
+		a, b = g, g+1
+		for d := 2; b < n && w.in(b); d *= 2 {
+			a, b = b, min(g+d, n)
+		}
+	} else {
+		a, b = g-1, g
+		for d := 2; a > s && !w.in(a); d *= 2 {
+			a, b = max(g-d, s), a
+		}
 	}
 	for b-a > 1 {
 		if m := a + (b-a)/2; w.in(m) {
@@ -139,6 +254,7 @@ func (w *nearestRuns) end(s int) int {
 			b = m
 		}
 	}
+	w.n = a - s + 1
 	return a
 }
 
@@ -152,7 +268,7 @@ func (w *nearestRuns) in(p int) bool {
 	x, y := w.xy(p)
 	tol := beamMargin * (math.Abs(x) + y)
 	n := w.g.NTheta
-	if w.k >= 0 && w.lo[0]*y-w.lo[1]*x <= tol || w.k < n && w.hi[0]*y-w.hi[1]*x >= -tol {
+	if w.k >= 0 && cross(w.lo, x, y) <= tol || w.k < n && cross(w.hi, x, y) >= -tol {
 		return false
 	}
 	if w.k < 0 || w.k >= n {
