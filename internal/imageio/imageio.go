@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"sarmany/internal/cf"
 	"sarmany/internal/mat"
@@ -20,46 +21,59 @@ import (
 // Render converts a complex image to 8-bit grayscale: pixel brightness is
 // the magnitude in dB relative to the image peak, with dynamicRangeDB of
 // range mapped onto 0..255 (the peak is white). A zero image renders
-// black.
+// black. Both passes run on mat.Parallel bands of rows: the first takes
+// each band's peak and then the largest of them, skipping NaN pixels as
+// a serial scan would; the second writes each band's gray levels.
 func Render(img *mat.C, dynamicRangeDB float64) *image.Gray {
 	if dynamicRangeDB <= 0 {
 		dynamicRangeDB = 60
 	}
 	out := image.NewGray(image.Rect(0, 0, img.Cols, img.Rows))
+	var mu sync.Mutex
 	var peak float64
-	for r := 0; r < img.Rows; r++ {
-		for _, v := range img.Row(r) {
-			if m := float64(cf.Abs2(v)); m > peak {
-				peak = m
+	mat.Parallel(img.Rows, 0, func(lo, hi int) {
+		var p float64
+		for r := lo; r < hi; r++ {
+			for _, v := range img.Row(r) {
+				if m := float64(cf.Abs2(v)); m > p {
+					p = m
+				}
 			}
 		}
-	}
+		mu.Lock()
+		if p > peak {
+			peak = p
+		}
+		mu.Unlock()
+	})
 	if peak == 0 {
 		return out
 	}
-	for r := 0; r < img.Rows; r++ {
-		row := img.Row(r)
-		for c, v := range row {
-			m := float64(cf.Abs2(v))
-			var db float64
-			if m <= 0 {
-				db = -dynamicRangeDB
-			} else {
-				db = 10 * math.Log10(m/peak) // power dB
-				if db < -dynamicRangeDB {
+	mat.Parallel(img.Rows, 0, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			pix := out.Pix[r*out.Stride:]
+			for c, v := range img.Row(r) {
+				m := float64(cf.Abs2(v))
+				var db float64
+				if m <= 0 {
 					db = -dynamicRangeDB
+				} else {
+					db = 10 * math.Log10(m/peak) // power dB
+					if db < -dynamicRangeDB {
+						db = -dynamicRangeDB
+					}
 				}
+				level := 255 * (db + dynamicRangeDB) / dynamicRangeDB
+				if level < 0 {
+					level = 0
+				}
+				if level > 255 {
+					level = 255
+				}
+				pix[c] = uint8(level)
 			}
-			level := 255 * (db + dynamicRangeDB) / dynamicRangeDB
-			if level < 0 {
-				level = 0
-			}
-			if level > 255 {
-				level = 255
-			}
-			out.Pix[r*out.Stride+c] = uint8(level)
 		}
-	}
+	})
 	return out
 }
 

@@ -2,12 +2,18 @@ package imageio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"image"
 	"image/png"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"sarmany/internal/cf"
 	"sarmany/internal/mat"
 )
 
@@ -100,5 +106,78 @@ func TestSavePGMFormat(t *testing.T) {
 func TestSaveUnknownExtension(t *testing.T) {
 	if err := Save(filepath.Join(t.TempDir(), "img.bmp"), testImage(), 60); err == nil {
 		t.Error("unknown extension accepted")
+	}
+}
+
+// renderSerial is Render's single-goroutine loop before its passes ran on
+// bands: the oracle Render must match byte for byte.
+func renderSerial(img *mat.C, dynamicRangeDB float64) *image.Gray {
+	if dynamicRangeDB <= 0 {
+		dynamicRangeDB = 60
+	}
+	out := image.NewGray(image.Rect(0, 0, img.Cols, img.Rows))
+	var peak float64
+	for r := 0; r < img.Rows; r++ {
+		for _, v := range img.Row(r) {
+			if m := float64(cf.Abs2(v)); m > peak {
+				peak = m
+			}
+		}
+	}
+	if peak == 0 {
+		return out
+	}
+	for r := 0; r < img.Rows; r++ {
+		row := img.Row(r)
+		for c, v := range row {
+			m := float64(cf.Abs2(v))
+			var db float64
+			if m <= 0 {
+				db = -dynamicRangeDB
+			} else {
+				db = 10 * math.Log10(m/peak) // power dB
+				if db < -dynamicRangeDB {
+					db = -dynamicRangeDB
+				}
+			}
+			level := 255 * (db + dynamicRangeDB) / dynamicRangeDB
+			if level < 0 {
+				level = 0
+			}
+			if level > 255 {
+				level = 255
+			}
+			out.Pix[r*out.Stride+c] = uint8(level)
+		}
+	}
+	return out
+}
+
+// TestRenderMatchesSerial checks Render's banded passes against the
+// serial loop, byte for byte, at GOMAXPROCS 1 and 4, on a seeded image
+// with an all-zero row, a NaN pixel and its peak in the last row.
+func TestRenderMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	img := mat.NewC(37, 53)
+	for r := 0; r < img.Rows; r++ {
+		if r == 11 {
+			continue // the all-zero row
+		}
+		for c := range img.Row(r) {
+			img.Set(r, c, complex(float32(rng.NormFloat64()), float32(rng.NormFloat64())))
+		}
+	}
+	img.Set(20, 7, complex(float32(math.NaN()), 1))
+	img.Set(36, 50, complex(40, -30))
+	want := renderSerial(img, 45)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := Render(img, 45); !bytes.Equal(got.Pix, want.Pix) || got.Rect != want.Rect {
+			t.Errorf("GOMAXPROCS %d: Render differs from the serial loop", procs)
+		}
+	}
+	if want.GrayAt(50, 36).Y != 255 {
+		t.Errorf("peak pixel = %d, want 255", want.GrayAt(50, 36).Y)
 	}
 }
