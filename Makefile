@@ -7,8 +7,8 @@ all: check
 # check runs the full verification gate: formatting, static analysis,
 # build, package-doc and reachability coverage, the race-enabled test
 # suite at -short (which covers the chaos and conformance suites), the
-# tests -short skips once without -race, one pass of every root
-# benchmark, a fuzz smoke pass over every fuzz target, the emu-coverage
+# tests -short skips once without -race, one pass of every package's
+# benchmarks, a fuzz smoke pass over every fuzz target, the emu-coverage
 # guard, the sweep, profiler, job-server, fused-kernel and scale-up
 # measurements, the benchmark regression diff against the committed
 # baselines, the repository benchmark's own test suite, the paper-scale
@@ -49,11 +49,12 @@ papertests:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# benchsmoke runs every root benchmark (bench_test.go) once at the
-# reduced -short scale. No test runs them, so without it a broken
-# benchmark would pass the gate.
+# benchsmoke runs every benchmark of every package once at the reduced
+# -short scale: the root's bench_test.go and each package's own, about
+# 10 s in all. No test runs them, so without it a broken benchmark would
+# pass the gate.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -short .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
 # chaos runs the fault-injection suite under the race detector: the
 # deterministic injector unit tests, the golden chaos kernel runs with
