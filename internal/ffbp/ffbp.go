@@ -12,10 +12,9 @@
 // interpolated child samples (paper eq. 5). The interpolation kernel is
 // configurable; the paper's implementation uses simplified
 // nearest-neighbour interpolation, which is faster but degrades the image
-// relative to GBP (paper Fig. 7), and needs only the rounded child indices.
-// Along an output beam those form runs of consecutive child samples,
-// which geom.NearestRuns finds and the merge copies and adds whole; the
-// other kernels use geom.ChildIndices.
+// relative to GBP (paper Fig. 7), and needs only the rounded child indices,
+// whose runs along each output beam geom.NearestRuns finds and the merge
+// copies and adds whole; the other kernels use geom.ChildIndices.
 package ffbp
 
 import (
@@ -163,9 +162,8 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 	return out, nil
 }
 
-// beamScratch is one band's child-index scratch: the runs of
-// geom.NearestRuns, which grow to the longest beam's, and the indices of
-// geom.ChildIndices, allocated by the first beam that uses them.
+// beamScratch is one band's child-index scratch for geom.NearestRuns and
+// geom.ChildIndices, which every beam of the band reuses.
 type beamScratch struct {
 	minus, plus [][3]int32
 	idx         []float64
@@ -177,15 +175,13 @@ type beamScratch struct {
 // merge; the zero Shift reproduces the plain merge.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
-// TestFusedMergeBitIdentical). An uncompensated Nearest merge gathers the
-// runs of geom.NearestRuns: it copies each minus run's samples into the
-// row, or clears the run outside the minus grid, then adds each plus
-// run's samples, or +0 outside the plus grid. Every pixel is then the
-// v1 + v2 of the two interp.At2 calls, signed zeros included, with no
-// per-pixel offset or branch. The simulator kernels load the same
-// samples pixel by pixel from geom.NearestBins, which writes out the same
-// runs, and so stay bit-identical to ffbp.Image. Every other merge
-// samples with interp.At2 at the fractional indices of
+// TestFusedMergeBitIdentical). An uncompensated Nearest merge copies each
+// minus run of geom.NearestRuns into the row, or clears it, then adds
+// each plus run's samples, or +0 outside the plus grid: every pixel is
+// the v1 + v2 of the two interp.At2 calls, signed zeros included. The
+// simulator kernels load the same samples pixel by pixel from
+// geom.NearestBins and so stay bit-identical to ffbp.Image. Every other
+// merge samples with interp.At2 at the fractional indices of
 // geom.ChildIndices, whose per-beam cos/sin are hoisted.
 func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, sc *beamScratch) {
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]

@@ -22,33 +22,24 @@ const (
 // when o is -1. Each child's runs cover the beam's bins in order.
 //
 // Every sample equals what ChildIndices (with no displacement),
-// math.Round and the bounds test give. Along the beam a child's angle,
-// and so its beam index, moves monotonically with range; with the child's
-// DR equal to the parent's and the parent's ranges at least the child
-// half-length, so do the child's range index and the range index minus
-// the parent bin. A run's bins therefore keep one beam index and one
-// range index minus parent bin, or stay outside the grid. A run ends
+// math.Round and the bounds test give. Along the beam a child's beam
+// index moves monotonically with range; with the child's DR equal to the
+// parent's and the parent's ranges at least the child half-length, so do
+// its range index and that minus the parent bin. A run therefore ends
 // before the first bin that the fast tests (a cross product against each
 // of the run's beam edges, the integer part of a square-root range plus
-// one half) do not place clear of every edge in the run's bin; by
-// monotonicity every bin between two that pass lies in that bin too. The
-// search for it probes at the previous run's length first, then gallops
-// and bisects. The next run starts at that failing bin from the same
-// tests: its beam index steps by one across the edge it crossed, which
-// the new run shares, and its range index is the truncated square-root
-// range plus one half. The first run of a beam, and a run whose first bin
-// lies within a margin, start from the exact Atan2 and Hypot. A beam the
-// argument does not cover (one leaving the upper half-plane, an edge
-// outside [0, pi], unequal DR, ranges below the child half-length, an
-// extreme or non-finite input) takes the exact arithmetic at every bin,
-// one run per bin.
+// one half) do not place clear of every edge in the run's bin, and the
+// next run starts there from the same tests; a beam's first run, and a
+// run whose first bin lies within a margin, start from the exact Atan2
+// and Hypot. A beam the argument does not cover (one leaving the upper
+// half-plane, an edge outside [0, pi], unequal DR, ranges below the child
+// half-length, an extreme or non-finite input) takes the exact arithmetic
+// at every bin, one run per bin.
 func NearestRuns(minusRuns, plusRuns [][3]int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) ([][3]int32, [][3]int32) {
 	runs := [2][][3]int32{minusRuns, plusRuns}
-	for c, w := range nearestFinders(pg, bt, l, minus, plus, stride0, stride1) {
-		w.each(func(first, last int, o int32) {
-			runs[c] = append(runs[c], [3]int32{int32(first), int32(last), o})
-		})
-	}
+	nearestEach(pg, bt, l, minus, plus, stride0, stride1, func(c, first, last int, o int32) {
+		runs[c] = append(runs[c], [3]int32{int32(first), int32(last), o})
+	})
 	return runs[0], runs[1]
 }
 
@@ -60,23 +51,20 @@ func NearestRuns(minusRuns, plusRuns [][3]int32, pg PolarGrid, bt int, l float64
 // must hold 2*pg.NR values.
 func NearestBins(bins []int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) {
 	bins = bins[:2*pg.NR]
-	for c, w := range nearestFinders(pg, bt, l, minus, plus, stride0, stride1) {
-		w.each(func(first, last int, o int32) {
-			d := int32(0)
+	nearestEach(pg, bt, l, minus, plus, stride0, stride1, func(c, first, last int, o int32) {
+		for p := first; p <= last; p++ {
+			bins[2*p+c] = o
 			if o >= 0 {
-				d = 1
+				o++
 			}
-			for p := first; p <= last; p++ {
-				bins[2*p+c] = o
-				o += d
-			}
-		})
-	}
+		}
+	})
 }
 
-// nearestFinders returns the run finders of beam bt's minus and plus
-// children.
-func nearestFinders(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) [2]nearestRuns {
+// nearestEach calls fn with the runs of beam bt's minus (c = 0) and plus
+// (c = 1) child in order: each run's first and last bin and its first
+// offset, or -1.
+func nearestEach(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int, fn func(c, first, last int, o int32)) {
 	if int64(pg.NR) > math.MaxInt32 || int64(minus.NTheta)*int64(stride0) > math.MaxInt32 || int64(plus.NTheta)*int64(stride1) > math.MaxInt32 {
 		panic("geom: nearest-neighbour bins or offsets overflow int32")
 	}
@@ -86,9 +74,22 @@ func nearestFinders(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stri
 	r0, r1 := pg.R0, pg.Range(pg.NR-1)
 	rmax := max(r0, r1) + h
 	exact := !(st > 0 && h >= 0 && r0 >= h && min(r0, r1)*st > 0x1p-500 && rmax < 0x1p500)
-	return [2]nearestRuns{
+	for c, w := range [2]nearestRuns{
 		newNearestRuns(pg, ct, st, h, minus, stride0, rmax, exact),
 		newNearestRuns(pg, ct, st, -h, plus, stride1, rmax, exact),
+	} {
+		for s := 0; s < pg.NR; {
+			if w.exact || s == 0 || !w.next(s) {
+				w.start(s)
+			}
+			e := w.end(s)
+			o := int32(-1)
+			if uint(w.k) < uint(w.g.NTheta) && uint(w.i) < uint(w.g.NR) {
+				o = int32(w.k*w.stride + w.i)
+			}
+			fn(c, s, e, o)
+			s = e + 1
+		}
 	}
 }
 
@@ -130,30 +131,8 @@ func (w *nearestRuns) edge(j int) [2]float64 {
 	return [2]float64{c, s}
 }
 
-// cross returns the cross product of edge e with (x, y): positive when
-// the point lies above the edge, at |(x, y)| times the sine of the angle
-// between them.
+// cross returns e x (x, y): positive when (x, y) lies above the edge e.
 func cross(e [2]float64, x, y float64) float64 { return e[0]*y - e[1]*x }
-
-// each calls fn with the child's runs along the beam in order: each run's
-// first and last pixel and its first offset, or -1.
-func (w *nearestRuns) each(fn func(first, last int, o int32)) {
-	for s := 0; s < w.pg.NR; {
-		if w.exact || s == 0 || !w.next(s) {
-			w.start(s)
-		}
-		e := s
-		if !w.exact {
-			e = w.end(s)
-		}
-		o := int32(-1)
-		if uint(w.k) < uint(w.g.NTheta) && uint(w.i) < uint(w.g.NR) {
-			o = int32(w.k*w.stride + w.i)
-		}
-		fn(s, e, o)
-		s = e + 1
-	}
-}
 
 // start takes the run at pixel s from the exact arithmetic: the rounded
 // beam and range indices of ChildIndices, and the beam's edges.
@@ -175,12 +154,10 @@ func (w *nearestRuns) start(s int) {
 
 // next takes the run at pixel s, the pixel that ended the previous run,
 // from the fast tests, and reports whether they decide it. Past one of
-// the previous run's beam edges by more than the margin, the beam index
-// steps by one and that edge becomes the new run's other edge; the pixel
-// must then lie clear of both of the new run's edges. For a beam inside
-// the grid, its square-root range plus one half must lie below the grid,
-// above it, or clear of a rounding edge, whose truncation is the range
-// index.
+// the previous run's beam edges, the beam index steps by one and that
+// edge becomes the new run's other edge. The range index is the
+// truncated square-root range plus one half, or lies below or above the
+// grid. Either within a margin of an edge leaves s to the exact path.
 func (w *nearestRuns) next(s int) bool {
 	x, y := w.xy(s)
 	tol := beamMargin * (math.Abs(x) + y)
@@ -223,15 +200,15 @@ func (w *nearestRuns) next(s int) bool {
 	return true
 }
 
-// end returns the run's last pixel. It probes the pixel at which a run as
-// long as the previous one would end (s+1 for the first run), gallops on
-// from there while the probes pass or back toward s while they fail, and
-// bisects between the last passing pixel and the first failing one, or
-// the beam's end. The run's test holds on a prefix of the beam, so this
-// is the pixel a gallop from s would find.
+// end returns the last pixel of the run that starts at s (s on the exact
+// path). It probes where a run as long as the previous one would end,
+// gallops on while probes pass or back toward s while they fail, and
+// bisects between the last passing pixel and the first failing one. The
+// run's test holds on a prefix of the beam, so a gallop from s would find
+// the same pixel.
 func (w *nearestRuns) end(s int) int {
 	n := w.pg.NR
-	if s+1 >= n {
+	if w.exact || s+1 >= n {
 		return s
 	}
 	g := min(s+max(w.n-1, 1), n-1)

@@ -21,9 +21,8 @@ import (
 // Render converts a complex image to 8-bit grayscale: pixel brightness is
 // the magnitude in dB relative to the image peak, with dynamicRangeDB of
 // range mapped onto 0..255 (the peak is white). A zero image renders
-// black. Both passes run on mat.Parallel bands of rows: the first takes
-// each band's peak and then the largest of them, skipping NaN pixels as
-// a serial scan would; the second writes each band's gray levels.
+// black. Both passes run on mat.Parallel bands: the peak is the largest
+// band peak, NaN pixels skipped; then each band writes its gray levels.
 func Render(img *mat.C, dynamicRangeDB float64) *image.Gray {
 	if dynamicRangeDB <= 0 {
 		dynamicRangeDB = 60
