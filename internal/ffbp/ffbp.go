@@ -197,8 +197,7 @@ func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift,
 			}
 		}
 		for _, r := range sc.plus {
-			dst := row[r[0] : r[1]+1]
-			if r[2] < 0 {
+			if dst := row[r[0] : r[1]+1]; r[2] < 0 {
 				for i := range dst {
 					dst[i] += 0 // v1 + 0 turns a -0 component into +0
 				}
