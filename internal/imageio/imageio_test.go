@@ -109,8 +109,8 @@ func TestSaveUnknownExtension(t *testing.T) {
 	}
 }
 
-// renderSerial is Render's single-goroutine loop before its passes ran on
-// bands: the oracle Render must match byte for byte.
+// renderSerial is Render's arithmetic in one serial loop over the rows:
+// the oracle Render's banded passes must match byte for byte.
 func renderSerial(img *mat.C, dynamicRangeDB float64) *image.Gray {
 	if dynamicRangeDB <= 0 {
 		dynamicRangeDB = 60
