@@ -50,9 +50,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # benchsmoke runs every benchmark of every package once at the reduced
-# -short scale: the root's bench_test.go and each package's own, about
-# 10 s in all. No test runs them, so without it a broken benchmark would
-# pass the gate.
+# -short scale: the root's bench_test.go and each package's own. No test
+# runs them, so without it a broken benchmark would pass the gate.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 

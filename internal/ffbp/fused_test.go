@@ -128,6 +128,7 @@ func TestFusedMergeStagewise(t *testing.T) {
 			} else {
 				cfg.comps = nil
 			}
+			// The stage itself goes last: its merge is the next stage.
 			var fused *Stage
 			for _, in := range []*Stage{negZeroStage(s), s} {
 				var ref *Stage
