@@ -157,71 +157,180 @@ func (c *Core) noteStall(kind obs.Kind, from, to float64) {
 	c.noteProgress()
 }
 
-// Charge charges o on the dual-issue pipes: FMA, Flop and the software
+// pipes returns o's cycles on the two pipes: FMA, Flop and the software
 // divide, square root and trigonometry sequences on the FPU, IOp on the
-// IALU. At E16G3's constants both pipes only add integers between two
-// commits, which float64 holds exactly, so a batch costs the same cycles,
-// to the bit, as its operations charged one at a time.
+// IALU.
+func (p *Params) pipes(o *machine.Ops) (fpu, ialu float64) {
+	return float64(o.FMA + o.Flop + o.Div*p.DivFlops + o.Sqrt*p.SqrtFlops + o.Trig*p.TrigFlops), float64(o.IOp)
+}
+
+// count adds k batches o to the operation counters.
+func (s *CoreStats) count(o *machine.Ops, k uint64) {
+	s.FMA += k * uint64(o.FMA)
+	s.Flop += k * uint64(o.Flop)
+	s.IOp += k * uint64(o.IOp)
+	s.Div += k * uint64(o.Div)
+	s.Sqrt += k * uint64(o.Sqrt)
+	s.Trig += k * uint64(o.Trig)
+}
+
+// Charge charges o on the dual-issue pipes. At E16G3's constants both
+// pipes only add integers between two commits, which float64 holds
+// exactly, so a batch costs the same cycles, to the bit, as its
+// operations charged one at a time.
 func (c *Core) Charge(o machine.Ops) {
-	p := &c.chip.P
-	c.fpu += float64(o.FMA + o.Flop + o.Div*p.DivFlops + o.Sqrt*p.SqrtFlops + o.Trig*p.TrigFlops)
-	c.ialu += float64(o.IOp)
-	c.Stats.FMA += uint64(o.FMA)
-	c.Stats.Flop += uint64(o.Flop)
-	c.Stats.IOp += uint64(o.IOp)
-	c.Stats.Div += uint64(o.Div)
-	c.Stats.Sqrt += uint64(o.Sqrt)
-	c.Stats.Trig += uint64(o.Trig)
+	fpu, ialu := c.chip.P.pipes(&o)
+	c.fpu += fpu
+	c.ialu += ialu
+	c.Stats.count(&o, 1)
 }
 
 // words returns the number of 64-bit transfers needed for n bytes.
 func words(n int) float64 { return float64((n + 7) / 8) }
 
-// Load charges a read of n bytes at addr. Local reads cost one IALU-pipe
-// cycle per double word; reads from another core's memory or from external
-// SDRAM stall the core for the full round trip — the asymmetry the paper
-// highlights ("writing has a single cycle throughput whereas the memory
-// read operation is more expensive due to stalling").
-func (c *Core) Load(addr uint32, n int) {
-	switch loc, hops, bridges := c.classify(addr); loc {
-	case locLocal:
-		c.ialu += words(n) * c.chip.P.LocalAccessCycles
-		c.Stats.LocalLoads++
-	case locRemote:
-		p := &c.chip.P
-		c.stall(p.RemoteReadBase+2*float64(hops)*p.RemoteHopCycles+2*float64(bridges)*p.ELinkHopCycles+
-			words(n)*8/p.NoCBytesPerCycle, obs.KindStallRead)
-		c.Stats.RemoteReads++
-		c.Stats.NoCBytes += uint64(n)
-	case locExt:
-		p := &c.chip.P
+// access is the price of an access to one region of the address space:
+// its cycles — a local access's or a posted write's issue cycles on the
+// IALU pipe, or the stall of a read that leaves the core, of cause kind —
+// and the off-chip channel service it consumes. With four fields it
+// stays in registers.
+type access struct {
+	loc      location
+	kind     obs.Kind
+	cy, busy float64
+}
+
+// price classifies addr and prices an n-byte access there: a write if
+// write is set, else a read. Local accesses cost one IALU-pipe cycle per
+// double word. Reads from another core's memory or from external SDRAM
+// stall the core for the full round trip, while all writes are posted and
+// cost only their issue cycles, with the consumed off-chip bandwidth
+// settled at the next barrier by the contention model — the asymmetry the
+// paper highlights ("writing has a single cycle throughput whereas the
+// memory read operation is more expensive due to stalling"). A remote
+// read's round trip grows with the Manhattan hop count of its XY route
+// and the chip boundaries (eLink bridges) it crosses.
+func (c *Core) price(addr uint32, n int, write bool) access {
+	p := &c.chip.P
+	if addr >= ExtBase && addr < ExtBase+ExtSize {
 		service := float64(n) / c.extBW()
-		c.stall(p.ExtReadLatency+service, obs.KindStallExt)
-		c.extBusy += service
-		c.Stats.ExtReads++
-		c.Stats.ExtReadB += uint64(n)
+		if write {
+			return access{locExt, 0, words(n) * 8 / p.NoCBytesPerCycle, service}
+		}
+		return access{locExt, obs.KindStallExt, p.ExtReadLatency + service, service}
+	}
+	row, col := c.chip.tileOf(addr)
+	if row < 0 || row >= c.chip.gridRows || col < 0 || col >= c.chip.gridCols {
+		panic(fmt.Sprintf("emu: address %#x maps to no core or external region", addr))
+	}
+	if int(addr&0xfffff) >= p.LocalMemBytes {
+		panic(fmt.Sprintf("emu: address %#x beyond local memory of core (%d,%d)", addr, row, col))
+	}
+	switch {
+	case row == c.Row && col == c.Col:
+		return access{locLocal, 0, words(n) * p.LocalAccessCycles, 0}
+	case write:
+		return access{locRemote, 0, words(n) * 8 / p.NoCBytesPerCycle, 0}
+	}
+	hops, bridges := abs(row-c.Row)+abs(col-c.Col), p.bridgesBetween(row, col, c.Row, c.Col)
+	return access{locRemote, obs.KindStallRead, p.RemoteReadBase + 2*float64(hops)*p.RemoteHopCycles +
+		2*float64(bridges)*p.ELinkHopCycles + words(n)*8/p.NoCBytesPerCycle, 0}
+}
+
+// traffic adds k n-byte accesses at loc to the traffic counters: reads, or
+// writes if write is set.
+func (s *CoreStats) traffic(loc location, write bool, n int, k uint64) {
+	switch {
+	case loc == locLocal && write:
+		s.LocalStores += k
+	case loc == locLocal:
+		s.LocalLoads += k
+	case loc == locRemote && write:
+		s.RemoteWrites += k
+		s.NoCBytes += k * uint64(n)
+	case loc == locRemote:
+		s.RemoteReads += k
+		s.NoCBytes += k * uint64(n)
+	case write:
+		s.ExtWrites += k
+		s.ExtWriteB += k * uint64(n)
+	default:
+		s.ExtReads += k
+		s.ExtReadB += k * uint64(n)
 	}
 }
 
-// Store charges a write of n bytes at addr. All writes are posted: local
-// stores cost one IALU cycle per double word; remote and external writes
-// cost only their issue cycles, with the consumed off-chip bandwidth
-// settled at the next barrier by the contention model.
-func (c *Core) Store(addr uint32, n int) {
-	switch loc, _, _ := c.classify(addr); loc {
-	case locLocal:
-		c.ialu += words(n) * c.chip.P.LocalAccessCycles
-		c.Stats.LocalStores++
-	case locRemote:
-		c.ialu += words(n) * 8 / c.chip.P.NoCBytesPerCycle
-		c.Stats.RemoteWrites++
-		c.Stats.NoCBytes += uint64(n)
-	case locExt:
-		c.ialu += words(n) * 8 / c.chip.P.NoCBytesPerCycle
-		c.extBusy += float64(n) / c.extBW()
-		c.Stats.ExtWrites++
-		c.Stats.ExtWriteB += uint64(n)
+// Load charges a read of n bytes at addr (see price).
+func (c *Core) Load(addr uint32, n int) {
+	a := c.price(addr, n, false)
+	if a.loc == locLocal {
+		c.ialu += a.cy
+	} else {
+		c.stall(a.cy, a.kind)
+		c.extBusy += a.busy
 	}
+	c.Stats.traffic(a.loc, false, n, 1)
+}
+
+// Store charges a write of n bytes at addr (see price).
+func (c *Core) Store(addr uint32, n int) {
+	a := c.price(addr, n, true)
+	c.ialu += a.cy
+	c.extBusy += a.busy
+	c.Stats.traffic(a.loc, true, n, 1)
+}
+
+// ChargeBeam charges the calls b lists with the float additions they
+// make one call at a time, in their order: the pipe adds of each batch,
+// the commit and stall before each read that leaves the core, and the
+// off-chip channel adds of reads and stores. The tracer, the progress
+// cell and the derating factor therefore see the same commits and
+// stalls. What is fixed for the beam is priced once: each batch's pipe
+// cycles, and each buffer's accesses at its first access, whose
+// classification panics, as Load's does, on an address outside every
+// region. The counters are added once per beam, which is exact.
+func (c *Core) ChargeBeam(b machine.Beam) {
+	var fpu, ialu [3]float64
+	for k := range b.Pixel {
+		fpu[k], ialu[k] = c.chip.P.pipes(&b.Pixel[k])
+	}
+	var src [2]access
+	var loads [2]uint64
+	var dst access
+	n := len(b.Offs) / 2
+	for i := range n {
+		for k := range 2 {
+			c.fpu += fpu[k]
+			c.ialu += ialu[k]
+			off := b.Offs[2*i+k]
+			if off < 0 {
+				continue
+			}
+			if loads[k] == 0 {
+				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+int(off)), 8, false)
+			}
+			loads[k]++
+			if a := &src[k]; a.loc == locLocal {
+				c.ialu += a.cy
+			} else {
+				c.stall(a.cy, a.kind)
+				c.extBusy += a.busy
+			}
+		}
+		c.fpu += fpu[2]
+		c.ialu += ialu[2]
+		if i == 0 {
+			dst = c.price(b.Dst.ElemAddr(b.Out), 8, true)
+		}
+		c.ialu += dst.cy
+		c.extBusy += dst.busy
+	}
+	for k := range b.Pixel {
+		c.Stats.count(&b.Pixel[k], uint64(n))
+	}
+	for k := range src {
+		c.Stats.traffic(src[k].loc, false, 8, loads[k])
+	}
+	c.Stats.traffic(dst.loc, true, 8, uint64(n))
 }
 
 // Cycles returns the core's elapsed cycles including the pending
@@ -251,27 +360,6 @@ const (
 func (ch *Chip) tileOf(addr uint32) (row, col int) {
 	id := addr >> 20
 	return int(id>>6) - ch.originRow, int(id&0x3f) - ch.originCol
-}
-
-// classify maps a global address to local / remote-core / external, and
-// for remote addresses returns the Manhattan hop count of the XY route
-// plus the number of chip boundaries (eLink bridges) it crosses.
-func (c *Core) classify(addr uint32) (location, int, int) {
-	if addr >= ExtBase && addr < ExtBase+ExtSize {
-		return locExt, 0, 0
-	}
-	row, col := c.chip.tileOf(addr)
-	if row < 0 || row >= c.chip.gridRows || col < 0 || col >= c.chip.gridCols {
-		panic(fmt.Sprintf("emu: address %#x maps to no core or external region", addr))
-	}
-	if int(addr&0xfffff) >= c.chip.P.LocalMemBytes {
-		panic(fmt.Sprintf("emu: address %#x beyond local memory of core (%d,%d)", addr, row, col))
-	}
-	if row == c.Row && col == c.Col {
-		return locLocal, 0, 0
-	}
-	return locRemote, abs(row-c.Row) + abs(col-c.Col),
-		c.chip.P.bridgesBetween(row, col, c.Row, c.Col)
 }
 
 func abs(x int) int {

@@ -99,25 +99,34 @@ func (pl *ffbpPlan) nearestBins(bins []int32, s, j, bt int) {
 // output beam, stored to dst. The minus and plus children are read from
 // src0 and src1 starting at elements base0 and base1, which lets the
 // caller choose local-bank or external storage. bins holds the beam's
-// child sample offsets from nearestBins.
+// child sample offsets from nearestBins; a negative offset is a sample
+// outside its child's grid, which contributes zero (the paper's "skip
+// the additions with zero when the indices are out of range").
 //
 // The charges follow the paper's kernel: the hoisted per-beam setup once,
 // then per pixel the range step and the cosine-theorem index generation,
 // the two nearest-neighbour samples, the combining add and the store — in
-// that order, which the modeled cycles depend on.
+// that order, which the modeled cycles depend on. The pixels are computed
+// first and charged in one ChargeBeam call, which prices them in that
+// order.
 func (pl *ffbpPlan) mergeBeam(m machine.Machine, bins []int32, s, j, bt int,
 	src0 *machine.BufC, base0 int, src1 *machine.BufC, base1 int, dst *machine.BufC) {
 	m.Charge(beamSetup)
 	pg := pl.grids[s+1][j]
 	out := pl.imageOff(s+1, j) + bt*pg.NR
-	for bi := 0; bi < pg.NR; bi++ {
-		m.Charge(toMinusLoad)
-		v1 := sampleNN(m, src0, base0, bins[2*bi])
-		m.Charge(sampleLookup)
-		v2 := sampleNN(m, src1, base1, bins[2*bi+1])
-		m.Charge(toStore)
-		dst.Store(m, out+bi, v1+v2)
+	row := dst.Data[out : out+pg.NR]
+	for bi := range row {
+		var v1, v2 complex64
+		if o := bins[2*bi]; o >= 0 {
+			v1 = src0.Data[base0+int(o)]
+		}
+		if o := bins[2*bi+1]; o >= 0 {
+			v2 = src1.Data[base1+int(o)]
+		}
+		row[bi] = v1 + v2
 	}
+	m.ChargeBeam(machine.Beam{Pixel: mergePixel, Src: [2]*machine.BufC{src0, src1}, Base: [2]int{base0, base1},
+		Offs: bins[:2*pg.NR], Dst: dst, Out: out})
 }
 
 // lookahead is how many beams ahead of SeqFFBP's charging loop its

@@ -6,11 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"sarmany/internal/machine"
 	"sarmany/internal/refcpu"
 )
 
-// faultyCPU is a reference CPU whose nth Load panics, standing in for a
-// machine that fails while SeqFFBP charges a beam.
+// faultyCPU is a reference CPU whose nth load panics, standing in for a
+// machine that fails while SeqFFBP charges a beam. It counts the loads of
+// Load and ChargeBeam calls alike: a wrapper that embeds a machine
+// inherits the methods it does not define.
 type faultyCPU struct {
 	*refcpu.CPU
 	n int
@@ -21,6 +24,20 @@ func (c *faultyCPU) Load(addr uint32, n int) {
 		panic("faultyCPU: load fault")
 	}
 	c.CPU.Load(addr, n)
+}
+
+// ChargeBeam panics, before charging the beam, when the nth load is one
+// of the beam's.
+func (c *faultyCPU) ChargeBeam(b machine.Beam) {
+	for _, off := range b.Offs {
+		if off < 0 {
+			continue
+		}
+		if c.n--; c.n == 0 {
+			panic("faultyCPU: load fault")
+		}
+	}
+	c.CPU.ChargeBeam(b)
 }
 
 // TestSeqFFBPLookaheadExitsOnPanic: when the machine panics in the middle

@@ -40,10 +40,12 @@ var beamSetup = machine.Ops{FMA: 4, IOp: 4, Trig: 2}
 // (IOp 4). Then comes the plus child's sampleLookup, and toStore, the
 // combining complex add of paper eq. 5 (Flop 2). A batch's integer work
 // is the last work it charges, which lets refcpu price it in one step.
+// mergePixel lists the three in the order machine.Beam charges them.
 var (
 	toMinusLoad  = machine.Ops{FMA: 1 + 10 + 2, Flop: 2, IOp: 4, Div: 2, Sqrt: 2, Trig: 2}
 	sampleLookup = machine.Ops{FMA: 2, Flop: 2, IOp: 4}
 	toStore      = machine.Ops{Flop: 2}
+	mergePixel   = [3]machine.Ops{toMinusLoad, sampleLookup, toStore}
 )
 
 // The autofocus pipeline nodes (ParAutofocusMulti) run only on Epiphany
@@ -62,16 +64,3 @@ var (
 	beamShift     = machine.Ops{FMA: 3 * 24, Flop: 3 * 6, IOp: 3 * 2}
 	corrCriterion = machine.Ops{FMA: 9 * (2 + 2 + 1)}
 )
-
-// sampleNN performs the nearest-neighbour lookup of one child sample:
-// off is its element offset past base in img, from geom.NearestBins, or
-// -1 when it lies outside the child's grid (the paper's "skip the
-// additions with zero when the indices are out of range"). The load is
-// its only charge; the caller charges the index work, rounding and
-// bounds test included. It matches interp.At2(..., interp.Nearest).
-func sampleNN(m machine.Machine, img *machine.BufC, base int, off int32) complex64 {
-	if off < 0 {
-		return 0
-	}
-	return img.Load(m, base+int(off))
-}

@@ -16,7 +16,13 @@
 // Kernels charge arithmetic in batches: an FFBP merge pixel charges three
 // precomputed Ops, one before each of its memory accesses. Each machine's
 // Charge says when a batch costs the same cycles, to the bit, as its
-// operations charged one kind at a time.
+// operations charged one kind at a time. The FFBP merges go one step
+// further and charge a whole beam of pixels in one ChargeBeam call, which
+// costs the same cycles, to the bit, as the per-pixel Charge, Load and
+// Store calls that Beam lists: a machine may compute once what is fixed
+// for the beam (each batch's price, each buffer's address class) and add
+// its integer counters once, but it repeats every pixel's float additions
+// in the per-pixel order.
 //
 // The same kernel source therefore yields both the computed result and a
 // per-machine execution-time estimate, which is exactly the comparison the
@@ -46,6 +52,25 @@ type Machine interface {
 	Load(addr uint32, n int)
 	// Store charges a write of n bytes at addr.
 	Store(addr uint32, n int)
+	// ChargeBeam charges the calls b lists, with the cycles they cost one
+	// call at a time.
+	ChargeBeam(b Beam)
+}
+
+// Beam is one FFBP merge beam's charges, pixel by pixel: pixel i charges
+// Pixel[0], loads the minus child's element Base[0]+Offs[2i] of Src[0],
+// charges Pixel[1], loads the plus child's element Base[1]+Offs[2i+1] of
+// Src[1], charges Pixel[2] and stores element Out+i of Dst. A negative
+// offset loads nothing: the sample lies outside its child's grid. Every
+// access moves one 8-byte element, and each buffer lies in one region of
+// the address space, as the buffers NewBufC allocates do.
+type Beam struct {
+	Pixel [3]Ops
+	Src   [2]*BufC
+	Base  [2]int
+	Offs  []int32 // two per pixel: the minus and the plus child's offset
+	Dst   *BufC
+	Out   int
 }
 
 // Alloc hands out address ranges in some region of a machine's address

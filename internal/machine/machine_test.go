@@ -24,6 +24,7 @@ func (c *countMachine) Store(addr uint32, n int) {
 	c.storeB += n
 	c.lastSt = addr
 }
+func (c *countMachine) ChargeBeam(Beam) {}
 
 func TestBumpAllocAligned(t *testing.T) {
 	b := NewBump(0x1000, 64)

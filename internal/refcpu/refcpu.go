@@ -157,6 +157,24 @@ func (c *CPU) Metrics() *obs.Registry {
 	return reg
 }
 
+// opCycles returns o's cycles in the two parts Charge adds: the FMA,
+// Flop, Div, Sqrt and Trig part, then the IOp part.
+func (p *Params) opCycles(o *machine.Ops) (fp, iop float64) {
+	fp = float64(o.FMA*p.FMAOps+o.Flop)/p.FPIPC +
+		float64(o.Div)*p.DivCycles + float64(o.Sqrt)*p.SqrtCycles + float64(o.Trig)*p.TrigCycles
+	return fp, float64(o.IOp) / p.IntIPC
+}
+
+// count adds k batches o to the operation counters.
+func (s *Stats) count(o *machine.Ops, k uint64) {
+	s.FMA += k * uint64(o.FMA)
+	s.Flop += k * uint64(o.Flop)
+	s.IOp += k * uint64(o.IOp)
+	s.Div += k * uint64(o.Div)
+	s.Sqrt += k * uint64(o.Sqrt)
+	s.Trig += k * uint64(o.Trig)
+}
+
 // Charge charges o. At I7M620's constants an FMA, Flop, Div, Sqrt or Trig
 // costs a multiple of 1/4 cycle, so their sum is exact; added in one step
 // to a cycle count at least as large, it rounds as adding the terms one by
@@ -166,16 +184,24 @@ func (c *CPU) Metrics() *obs.Registry {
 // kernels' goldens pin their cycles to the bit, including the first few
 // charges of a run, where the count is still smaller than a batch.
 func (c *CPU) Charge(o machine.Ops) {
-	p := &c.P
-	c.cycles += float64(o.FMA*p.FMAOps+o.Flop)/p.FPIPC +
-		float64(o.Div)*p.DivCycles + float64(o.Sqrt)*p.SqrtCycles + float64(o.Trig)*p.TrigCycles
-	c.cycles += float64(o.IOp) / p.IntIPC
-	c.Stats.FMA += uint64(o.FMA)
-	c.Stats.Flop += uint64(o.Flop)
-	c.Stats.IOp += uint64(o.IOp)
-	c.Stats.Div += uint64(o.Div)
-	c.Stats.Sqrt += uint64(o.Sqrt)
-	c.Stats.Trig += uint64(o.Trig)
+	fp, iop := c.P.opCycles(&o)
+	c.cycles += fp
+	c.cycles += iop
+	c.Stats.count(&o, 1)
+}
+
+// levelCycles returns the cycles of an access served at level l.
+func (p *Params) levelCycles(l Level) float64 {
+	switch l {
+	case ServedL1:
+		return p.L1HitCycles
+	case ServedL2:
+		return p.L1HitCycles + p.L2HitCycles
+	case ServedL3:
+		return p.L1HitCycles + p.L3HitCycles*(1-p.MissOverlap)
+	default:
+		return p.L1HitCycles + p.MemCycles*(1-p.MissOverlap)
+	}
 }
 
 // Load charges a read of n bytes at addr through the cache hierarchy.
@@ -195,19 +221,59 @@ func (c *CPU) Store(addr uint32, n int) {
 func (c *CPU) access(addr uint32, n int) {
 	lvl := c.hier.Access(addr, n)
 	c.Stats.Served[lvl]++
-	before := c.cycles
-	switch lvl {
-	case ServedL1:
-		c.cycles += c.P.L1HitCycles
-	case ServedL2:
-		c.cycles += c.P.L1HitCycles + c.P.L2HitCycles
-	case ServedL3:
-		c.cycles += c.P.L1HitCycles + c.P.L3HitCycles*(1-c.P.MissOverlap)
-	case ServedMem:
-		c.cycles += c.P.L1HitCycles + c.P.MemCycles*(1-c.P.MissOverlap)
-	}
+	c.pay(lvl, c.P.levelCycles(lvl))
+}
+
+// pay adds the cycles cy of an access served at lvl, recording a stall
+// span for one served beyond the L2.
+func (c *CPU) pay(lvl Level, cy float64) {
 	if lvl >= ServedL3 {
-		c.tr.Span(obs.KindStallMem, before, c.cycles)
+		c.tr.Span(obs.KindStallMem, c.cycles, c.cycles+cy)
+	}
+	c.cycles += cy
+}
+
+// ChargeBeam charges the calls b lists with the float additions they
+// make one call at a time, in their order: each batch's non-integer part
+// then its IOp part, and each access's cache walk and level cost. Each
+// batch's two parts and each level's cost are computed once per beam,
+// and the counters are added once per beam, which is exact.
+func (c *CPU) ChargeBeam(b machine.Beam) {
+	var fp, iop [3]float64
+	for k := range b.Pixel {
+		fp[k], iop[k] = c.P.opCycles(&b.Pixel[k])
+	}
+	var cost [4]float64
+	for l := range cost {
+		cost[l] = c.P.levelCycles(Level(l))
+	}
+	var served [4]uint64
+	var loads uint64
+	n := len(b.Offs) / 2
+	for i := range n {
+		for k := range 2 {
+			c.cycles += fp[k]
+			c.cycles += iop[k]
+			if off := b.Offs[2*i+k]; off >= 0 {
+				lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+int(off)), 8)
+				served[lvl]++
+				loads++
+				c.pay(lvl, cost[lvl])
+			}
+		}
+		c.cycles += fp[2]
+		c.cycles += iop[2]
+		lvl := c.hier.Access(b.Dst.ElemAddr(b.Out+i), 8)
+		served[lvl]++
+		c.pay(lvl, cost[lvl])
+	}
+	for k := range b.Pixel {
+		c.Stats.count(&b.Pixel[k], uint64(n))
+	}
+	c.Stats.Loads += loads
+	c.Stats.Stores += uint64(n)
+	for l, k := range served {
+		c.Stats.Served[l] += k
 	}
 }
 
