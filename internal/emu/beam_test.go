@@ -140,26 +140,29 @@ func TestChargeBeamMatchesPerPixel(t *testing.T) {
 	}
 }
 
-// TestChargeBeamPanicsAsLoad: a buffer outside every region panics at its
-// first load, with Load's message, and a beam that loads nothing from it
-// does not classify it.
+// TestChargeBeamPanicsAsLoad: a buffer outside every region, or past a
+// core's local memory, panics at its first load with Load's message, and
+// a beam that loads nothing from it does not classify it.
 func TestChargeBeamPanicsAsLoad(t *testing.T) {
 	ch := New(E16G3())
 	good, _ := machine.NewBufC(ch.Cores[0].Bank(2), 8)
-	bad := &machine.BufC{Addr: 0x100, Data: make([]complex64, 8)}
-	b := machine.Beam{Src: [2]*machine.BufC{good, bad}, Dst: good, Offs: []int32{0, -1, 1, 2}}
-	panicOf := func(charge func(*Core)) (msg any) {
-		defer func() { msg = recover() }()
-		charge(New(E16G3()).Cores[0])
-		return nil
-	}
-	want := panicOf(func(c *Core) { chargePixels(c, b) })
-	got := panicOf(func(c *Core) { c.ChargeBeam(b) })
-	if want == nil || got != want {
-		t.Errorf("ChargeBeam panicked with %v, the per-pixel calls with %v", got, want)
-	}
-	b.Offs = []int32{0, -1, 1, -1}
-	if msg := panicOf(func(c *Core) { c.ChargeBeam(b) }); msg != nil {
-		t.Errorf("a beam that loads nothing from the bad buffer panicked: %v", msg)
+	pastLocal := good.Addr&^0xfffff + uint32(ch.P.LocalMemBytes)
+	for _, addr := range []uint32{0x100, pastLocal} {
+		bad := &machine.BufC{Addr: addr, Data: make([]complex64, 8)}
+		b := machine.Beam{Src: [2]*machine.BufC{good, bad}, Dst: good, Offs: []int32{0, -1, 1, 2}}
+		panicOf := func(charge func(*Core)) (msg any) {
+			defer func() { msg = recover() }()
+			charge(New(E16G3()).Cores[0])
+			return nil
+		}
+		want := panicOf(func(c *Core) { chargePixels(c, b) })
+		got := panicOf(func(c *Core) { c.ChargeBeam(b) })
+		if want == nil || got != want {
+			t.Errorf("%#x: ChargeBeam panicked with %v, the per-pixel calls with %v", addr, got, want)
+		}
+		b.Offs = []int32{0, -1, 1, -1}
+		if msg := panicOf(func(c *Core) { c.ChargeBeam(b) }); msg != nil {
+			t.Errorf("%#x: a beam that loads nothing from the bad buffer panicked: %v", addr, msg)
+		}
 	}
 }

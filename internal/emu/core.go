@@ -188,27 +188,23 @@ func (c *Core) Charge(o machine.Ops) {
 // words returns the number of 64-bit transfers needed for n bytes.
 func words(n int) float64 { return float64((n + 7) / 8) }
 
-// access is the price of an access to one region of the address space:
-// its cycles — a local access's or a posted write's issue cycles on the
-// IALU pipe, or the stall of a read that leaves the core, of cause kind —
-// and the off-chip channel service it consumes. With four fields it
-// stays in registers.
+// access is the price of an access to one region: its cycles (a local
+// access's or a posted write's IALU issue cycles, or the stall of a read
+// that leaves the core, of cause kind) and the off-chip channel service it
+// consumes. With four fields it stays in registers.
 type access struct {
 	loc      location
 	kind     obs.Kind
 	cy, busy float64
 }
 
-// price classifies addr and prices an n-byte access there: a write if
-// write is set, else a read. Local accesses cost one IALU-pipe cycle per
-// double word. Reads from another core's memory or from external SDRAM
-// stall the core for the full round trip, while all writes are posted and
-// cost only their issue cycles, with the consumed off-chip bandwidth
-// settled at the next barrier by the contention model — the asymmetry the
-// paper highlights ("writing has a single cycle throughput whereas the
-// memory read operation is more expensive due to stalling"). A remote
-// read's round trip grows with the Manhattan hop count of its XY route
-// and the chip boundaries (eLink bridges) it crosses.
+// price classifies addr and prices an n-byte read there, or a write. A
+// local access costs one IALU-pipe cycle per double word. Reads from
+// another core (over the hops and eLink bridges of the XY route) or from
+// external SDRAM stall for the round trip; writes are posted, and the
+// barrier settles their off-chip bandwidth — the asymmetry the paper
+// highlights ("writing has a single cycle throughput whereas the memory
+// read operation is more expensive due to stalling").
 func (c *Core) price(addr uint32, n int, write bool) access {
 	p := &c.chip.P
 	if addr >= ExtBase && addr < ExtBase+ExtSize {
@@ -259,15 +255,21 @@ func (s *CoreStats) traffic(loc location, write bool, n int, k uint64) {
 	}
 }
 
+// read charges a read priced by a: a local read issues on the IALU pipe,
+// any other commits the window and stalls.
+func (c *Core) read(a access) {
+	if a.loc == locLocal {
+		c.ialu += a.cy
+		return
+	}
+	c.stall(a.cy, a.kind)
+	c.extBusy += a.busy
+}
+
 // Load charges a read of n bytes at addr (see price).
 func (c *Core) Load(addr uint32, n int) {
 	a := c.price(addr, n, false)
-	if a.loc == locLocal {
-		c.ialu += a.cy
-	} else {
-		c.stall(a.cy, a.kind)
-		c.extBusy += a.busy
-	}
+	c.read(a)
 	c.Stats.traffic(a.loc, false, n, 1)
 }
 
@@ -279,15 +281,13 @@ func (c *Core) Store(addr uint32, n int) {
 	c.Stats.traffic(a.loc, true, n, 1)
 }
 
-// ChargeBeam charges the calls b lists with the float additions they
-// make one call at a time, in their order: the pipe adds of each batch,
-// the commit and stall before each read that leaves the core, and the
-// off-chip channel adds of reads and stores. The tracer, the progress
-// cell and the derating factor therefore see the same commits and
-// stalls. What is fixed for the beam is priced once: each batch's pipe
-// cycles, and each buffer's accesses at its first access, whose
-// classification panics, as Load's does, on an address outside every
-// region. The counters are added once per beam, which is exact.
+// ChargeBeam makes the float additions of the calls b lists in their
+// order: each batch's pipe adds, the commit and stall before each read
+// that leaves the core, and the off-chip channel adds of reads and
+// stores, so the tracer, progress cell and derating factor see the same
+// commits and stalls. It prices each batch once, and each buffer at its
+// first access, whose classification panics as Load's does. The counters
+// are added once per beam, which is exact.
 func (c *Core) ChargeBeam(b machine.Beam) {
 	var fpu, ialu [3]float64
 	for k := range b.Pixel {
@@ -309,12 +309,7 @@ func (c *Core) ChargeBeam(b machine.Beam) {
 				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+int(off)), 8, false)
 			}
 			loads[k]++
-			if a := &src[k]; a.loc == locLocal {
-				c.ialu += a.cy
-			} else {
-				c.stall(a.cy, a.kind)
-				c.extBusy += a.busy
-			}
+			c.read(src[k])
 		}
 		c.fpu += fpu[2]
 		c.ialu += ialu[2]

@@ -105,7 +105,8 @@ func BenchmarkNearestBinsPaperScale(b *testing.B) {
 // oracle: zero-length children, row strides wider than the grid, children
 // lying wholly outside the beam's angles or ranges, and beams that take
 // the exact path: grids with edges outside [0, pi], children whose DR
-// differs from the parent's, and parent ranges below the child
+// differs from the parent's, some built to turn the range index minus the
+// parent bin inside a long run, and parent ranges below the child
 // half-length.
 func TestNearestBinsRandomGrids(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -164,6 +165,32 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 		}
 		minus, plus := child(), child()
 		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, minus.NR, plus.NR)
+		bad += b
+	}
+	// Beams built to put the turn of the range index minus the parent bin
+	// inside a long run. With the plus child's DR ρ times the parent's,
+	// the difference turns where the plus range grows ρ times as fast as
+	// the parent range: at r* = h cos θ + ρ h sin θ / sqrt(1 - ρ²). The
+	// plus child's R0 puts the difference there ε below a rounding edge,
+	// so a dip of bins one lower sits between two runs one higher. ρ near
+	// one and long children flatten the turn, which widens the dip to tens
+	// of bins. Both children take the exact path.
+	for i := 0; i < 600; i++ {
+		h := 50 + 100*rng.Float64()
+		dr, rho := 0.2+1.8*rng.Float64(), 0.95+0.04*rng.Float64()
+		nr, lo := 200+rng.Intn(200), 0.5+1.1*rng.Float64()
+		th := NewPolarGrid(1, 0, dr, 1, lo, lo+0.02).Theta(0)
+		rStar := h*math.Cos(th) + rho*h*math.Sin(th)/math.Sqrt(1-rho*rho)
+		pg := NewPolarGrid(nr, max(rStar-dr*float64(nr)*(0.3+0.4*rng.Float64()), 1.01*h), dr, 1, lo, lo+0.02)
+		plusRange := func(r float64) float64 { return math.Hypot(r*math.Cos(th)-h, r*math.Sin(th)) }
+		cdr := rho * dr
+		r0 := plusRange(pg.R0) - cdr*float64(1+rng.Intn(20))
+		dip := (plusRange(rStar)-r0)/cdr - pg.RangeIndex(rStar)
+		r0 += cdr * (dip - math.Floor(dip) - 0.48 + 0.45*rng.Float64())
+		nrc := int((plusRange(pg.Range(nr-1))-r0)/cdr) + 2
+		plus := NewPolarGrid(nrc, r0, cdr, 1+rng.Intn(4), 0.02, 3.1)
+		minus := NewPolarGrid(int((pg.Range(nr-1)+h)/cdr)+2, 0, cdr, 1+rng.Intn(4), 0.02, 3.1)
+		b, _ := checkNearest(t, pg, 0, 2*h, minus, plus, minus.NR, plus.NR)
 		bad += b
 	}
 	if bad != 0 {

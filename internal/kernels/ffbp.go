@@ -99,16 +99,15 @@ func (pl *ffbpPlan) nearestBins(bins []int32, s, j, bt int) {
 // output beam, stored to dst. The minus and plus children are read from
 // src0 and src1 starting at elements base0 and base1, which lets the
 // caller choose local-bank or external storage. bins holds the beam's
-// child sample offsets from nearestBins; a negative offset is a sample
-// outside its child's grid, which contributes zero (the paper's "skip
-// the additions with zero when the indices are out of range").
+// child sample offsets from nearestBins, or -1 for a sample outside its
+// child's grid, which adds zero (the paper's "skip the additions with
+// zero when the indices are out of range").
 //
 // The charges follow the paper's kernel: the hoisted per-beam setup once,
 // then per pixel the range step and the cosine-theorem index generation,
 // the two nearest-neighbour samples, the combining add and the store — in
-// that order, which the modeled cycles depend on. The pixels are computed
-// first and charged in one ChargeBeam call, which prices them in that
-// order.
+// that order, which the modeled cycles depend on and one ChargeBeam call
+// keeps.
 func (pl *ffbpPlan) mergeBeam(m machine.Machine, bins []int32, s, j, bt int,
 	src0 *machine.BufC, base0 int, src1 *machine.BufC, base1 int, dst *machine.BufC) {
 	m.Charge(beamSetup)

@@ -14,7 +14,10 @@
 // SeqAutofocus scores with autofocus.Criterion, and the pipeline nodes
 // with interp.Neville4 and autofocus.Correlate; SeqGBP's loop makes
 // gbp.ImageRef's math.Hypot, RangeIndex and cf.Expi calls. The kernels
-// add the charges and the modeled loads and stores.
+// add the charges and the modeled loads and stores. An FFBP merge beam
+// computes its pixels first and then charges them, loads and stores
+// included, in one machine.Machine.ChargeBeam call, which prices them
+// pixel by pixel as the per-pixel calls would.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and

@@ -233,11 +233,10 @@ func (c *CPU) pay(lvl Level, cy float64) {
 	c.cycles += cy
 }
 
-// ChargeBeam charges the calls b lists with the float additions they
-// make one call at a time, in their order: each batch's non-integer part
-// then its IOp part, and each access's cache walk and level cost. Each
-// batch's two parts and each level's cost are computed once per beam,
-// and the counters are added once per beam, which is exact.
+// ChargeBeam makes the float additions of the calls b lists in their
+// order: each batch's non-integer part then its IOp part, and each
+// access's cache walk and level cost. It prices each batch and level once
+// and adds the counters once per beam, which is exact.
 func (c *CPU) ChargeBeam(b machine.Beam) {
 	var fp, iop [3]float64
 	for k := range b.Pixel {
