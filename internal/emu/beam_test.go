@@ -10,8 +10,8 @@ import (
 	"sarmany/internal/obs"
 )
 
-// chargePixels makes the per-pixel calls b stands for: the FFBP kernels'
-// merge loop before ChargeBeam, kept as ChargeBeam's oracle.
+// chargePixels makes the calls b stands for one Charge, Load or Store at
+// a time: ChargeBeam's oracle.
 func chargePixels(m machine.Machine, b machine.Beam) {
 	for i := range len(b.Offs) / 2 {
 		for k := range 2 {

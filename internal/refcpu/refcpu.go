@@ -225,7 +225,8 @@ func (c *CPU) access(addr uint32, n int) {
 }
 
 // pay adds the cycles cy of an access served at lvl, recording a stall
-// span for one served beyond the L2.
+// span for one served beyond the L2. The span's end is the sum the add
+// makes; taking it before the add keeps pay small enough to inline.
 func (c *CPU) pay(lvl Level, cy float64) {
 	if lvl >= ServedL3 {
 		c.tr.Span(obs.KindStallMem, c.cycles, c.cycles+cy)
