@@ -32,14 +32,14 @@ test:
 # race runs every test under the race detector at -short. Exactly three
 # tests skip there: the paper-scale Table I run, whose goroutine and
 # barrier structure the Small() runs share, the facade's Fig. 7 image
-# set, and the paper-scale check of geom.NearestBins, which is
+# set, and the paper-scale check of geom.NearestRuns, which is
 # single-goroutine arithmetic. papertests runs them.
 race:
 	$(GO) test -race -short ./...
 
 # papertests runs the tests -short skips, once and without the race
 # detector: the paper-scale Table I reproduction bands, the facade's
-# Fig. 7 image set, and geom.NearestBins against geom.ChildIndices on
+# Fig. 7 image set, and geom.NearestRuns against geom.ChildIndices on
 # every paper-scale merge pixel.
 papertests:
 	$(GO) test -count=1 -run '^TestTable1PaperShape$$' ./internal/report

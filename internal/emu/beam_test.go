@@ -11,12 +11,13 @@ import (
 )
 
 // chargePixels makes the calls b stands for one Charge, Load or Store at
-// a time: ChargeBeam's oracle.
+// a time: ChargeBeam's oracle. It expands the runs itself.
 func chargePixels(m machine.Machine, b machine.Beam) {
-	for i := range len(b.Offs) / 2 {
+	offs := [2][]int32{expand(b.Runs[0]), expand(b.Runs[1])}
+	for i := range offs[0] {
 		for k := range 2 {
 			m.Charge(b.Pixel[k])
-			if off := b.Offs[2*i+k]; off >= 0 {
+			if off := offs[k][i]; off >= 0 {
 				b.Src[k].Load(m, b.Base[k]+int(off))
 			}
 		}
@@ -25,10 +26,25 @@ func chargePixels(m machine.Machine, b machine.Beam) {
 	}
 }
 
+// expand returns the offset of each pixel the runs cover, in order.
+func expand(runs [][3]int32) []int32 {
+	var offs []int32
+	for _, r := range runs {
+		for p := r[0]; p <= r[1]; p++ {
+			if r[2] < 0 {
+				offs = append(offs, -1)
+			} else {
+				offs = append(offs, r[2]+p-r[0])
+			}
+		}
+	}
+	return offs
+}
+
 // randomBeam draws a beam over the given buffers: up to 40 pixels of
-// random batches, whose child offsets run up by one per pixel or are −1
-// in runs, as a merge beam's are. kind 1 draws a beam all −1 and kind 2
-// an empty one.
+// random batches, and each child's runs of up to 8 pixels, whose offsets
+// run up by one per pixel or are −1, as a merge beam's are. kind 1 draws
+// a beam all −1 and kind 2 an empty one.
 func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind int) machine.Beam {
 	b := machine.Beam{Src: src, Dst: dst}
 	for k := range b.Pixel {
@@ -40,7 +56,6 @@ func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind in
 		n = 0
 	}
 	b.Out = rng.Intn(len(dst.Data) - n + 1)
-	b.Offs = make([]int32, 2*n)
 	for k := range 2 {
 		b.Base[k] = rng.Intn((len(src[k].Data)-n)/2 + 1)
 		room := len(src[k].Data) - b.Base[k] - n
@@ -50,12 +65,8 @@ func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind in
 			if kind == 0 && rng.Intn(3) > 0 {
 				off = int32(rng.Intn(room + 1))
 			}
-			for ; run > 0; run, i = run-1, i+1 {
-				b.Offs[2*i+k] = off
-				if off >= 0 {
-					off++
-				}
-			}
+			b.Runs[k] = append(b.Runs[k], [3]int32{int32(i), int32(i + run - 1), off})
+			i += run
 		}
 	}
 	return b
@@ -149,7 +160,8 @@ func TestChargeBeamPanicsAsLoad(t *testing.T) {
 	pastLocal := good.Addr&^0xfffff + uint32(ch.P.LocalMemBytes)
 	for _, addr := range []uint32{0x100, pastLocal} {
 		bad := &machine.BufC{Addr: addr, Data: make([]complex64, 8)}
-		b := machine.Beam{Src: [2]*machine.BufC{good, bad}, Dst: good, Offs: []int32{0, -1, 1, 2}}
+		b := machine.Beam{Src: [2]*machine.BufC{good, bad}, Dst: good,
+			Runs: [2][][3]int32{{{0, 1, 0}}, {{0, 0, -1}, {1, 1, 2}}}}
 		panicOf := func(charge func(*Core)) (msg any) {
 			defer func() { msg = recover() }()
 			charge(New(E16G3()).Cores[0])
@@ -160,9 +172,53 @@ func TestChargeBeamPanicsAsLoad(t *testing.T) {
 		if want == nil || got != want {
 			t.Errorf("%#x: ChargeBeam panicked with %v, the per-pixel calls with %v", addr, got, want)
 		}
-		b.Offs = []int32{0, -1, 1, -1}
+		b.Runs[1] = [][3]int32{{0, 1, -1}}
 		if msg := panicOf(func(c *Core) { c.ChargeBeam(b) }); msg != nil {
 			t.Errorf("%#x: a beam that loads nothing from the bad buffer panicked: %v", addr, msg)
 		}
+	}
+}
+
+// paperRuns returns one child's runs of a paper-scale merge beam: 1,001
+// pixels in runs of 12 from offset base, every seventh run outside the
+// child's grid.
+func paperRuns(base int32) [][3]int32 {
+	var runs [][3]int32
+	for s := int32(0); s < 1001; s += 12 {
+		o := base + s
+		if len(runs)%7 == 6 {
+			o = -1
+		}
+		runs = append(runs, [3]int32{s, min(s+11, 1000), o})
+	}
+	return runs
+}
+
+// BenchmarkChargeBeam prices one paper-scale merge beam per operation,
+// with the kernels' three per-pixel batches, storing to external memory.
+// local reads the children from the core's two upper banks, as ParFFBP's
+// first merge does, and external from external memory, as its later
+// merges do.
+func BenchmarkChargeBeam(b *testing.B) {
+	ch := New(E16G3())
+	c := ch.Cores[0]
+	ext, _ := machine.NewBufC(ch.Ext(), 3*1001)
+	bankA, _ := machine.NewBufC(c.Bank(2), 1001)
+	bankB, _ := machine.NewBufC(c.Bank(3), 1001)
+	pixel := [3]machine.Ops{{FMA: 13, Flop: 2, IOp: 4, Div: 2, Sqrt: 2, Trig: 2}, {FMA: 2, Flop: 2, IOp: 4}, {Flop: 2}}
+	for _, bc := range []struct {
+		name string
+		src  [2]*machine.BufC
+		runs [2][][3]int32
+	}{
+		{"local", [2]*machine.BufC{bankA, bankB}, [2][][3]int32{paperRuns(0), paperRuns(0)}},
+		{"external", [2]*machine.BufC{ext, ext}, [2][][3]int32{paperRuns(0), paperRuns(1001)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			beam := machine.Beam{Pixel: pixel, Src: bc.src, Runs: bc.runs, Dst: ext, Out: 2 * 1001}
+			for range b.N {
+				c.ChargeBeam(beam)
+			}
+		})
 	}
 }

@@ -282,12 +282,12 @@ func (c *Core) Store(addr uint32, n int) {
 }
 
 // ChargeBeam makes the float additions of the calls b lists in their
-// order: each batch's pipe adds, the commit and stall before each read
-// that leaves the core, and the off-chip channel adds of reads and
-// stores, so the tracer, progress cell and derating factor see the same
-// commits and stalls. It prices each batch once, and each buffer at its
-// first access, whose classification panics as Load's does. The counters
-// are added once per beam, which is exact.
+// order, pixel by pixel: each batch's pipe adds, the commit and stall
+// before each read that leaves the core, and the off-chip channel adds of
+// reads and stores, so the tracer, progress cell and derating factor see
+// the same commits and stalls. It prices each batch once, and each buffer
+// at its first access, whose classification panics as Load's does. The
+// counters are added once per beam, which is exact.
 func (c *Core) ChargeBeam(b machine.Beam) {
 	var fpu, ialu [3]float64
 	for k := range b.Pixel {
@@ -296,17 +296,18 @@ func (c *Core) ChargeBeam(b machine.Beam) {
 	var src [2]access
 	var loads [2]uint64
 	var dst access
-	n := len(b.Offs) / 2
+	cur := [2]machine.Cursor{b.Cursor(0), b.Cursor(1)}
+	n := b.Len()
 	for i := range n {
-		for k := range 2 {
+		for k := range cur {
 			c.fpu += fpu[k]
 			c.ialu += ialu[k]
-			off := b.Offs[2*i+k]
+			off := cur[k].Next()
 			if off < 0 {
 				continue
 			}
 			if loads[k] == 0 {
-				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+int(off)), 8, false)
+				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+off), 8, false)
 			}
 			loads[k]++
 			c.read(src[k])

@@ -28,23 +28,17 @@ func MergeK(s *Stage, box geom.SceneBox, cfg Config, k int) (*Stage, error) {
 	if k < 2 || len(s.Images)%k != 0 {
 		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures with base %d", len(s.Images), k)
 	}
-	parents := geom.MergeStageK(s.Apertures, k)
-	ntheta := s.Grids[0].NTheta * k
-	nr := s.Grids[0].NR
-	out := &Stage{
-		Apertures: parents,
-		Grids:     make([]geom.PolarGrid, len(parents)),
-		Images:    make([]*mat.C, len(parents)),
-	}
-	for j, a := range parents {
-		out.Grids[j] = box.GridFor(a, ntheta, nr, s.Grids[0].R0, s.Grids[0].DR)
+	g := s.Grids[0]
+	ntheta, nr := g.NTheta*k, g.NR
+	out := newStage(box, geom.MergeStageK(s.Apertures, k), ntheta, nr, g.R0, g.DR)
+	for j := range out.Images {
 		out.Images[j] = mat.NewC(ntheta, nr)
 	}
 	// Child centre offsets relative to the parent centre (same for every
 	// parent of the stage).
 	offsets := geom.ChildOffsets(k, s.Apertures[0].Length)
 
-	mat.Parallel(len(parents)*ntheta, cfg.Workers, func(lo, hi int) {
+	mat.Parallel(len(out.Images)*ntheta, cfg.Workers, func(lo, hi int) {
 		for gb := lo; gb < hi; gb++ {
 			j := gb / ntheta
 			bt := gb % ntheta

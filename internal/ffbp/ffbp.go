@@ -13,11 +13,14 @@
 // configurable; the paper's implementation uses simplified
 // nearest-neighbour interpolation, which is faster but degrades the image
 // relative to GBP (paper Fig. 7), and needs only the rounded child indices,
-// whose runs along each output beam geom.NearestRuns finds and the merge
-// copies and adds whole; the other kernels use geom.ChildIndices.
+// whose runs along each output beam geom.NearestRuns finds and GatherRuns
+// copies and adds whole; the other kernels use geom.ChildIndices. The
+// simulator kernels take their geometry from Stages and gather with
+// GatherRuns, so their images equal Image's bit for bit.
 package ffbp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -59,24 +62,12 @@ func (s *Stage) NumSubapertures() int { return len(s.Images) }
 // removed (multiplication by CarrierRow) so that subsequent merges combine
 // coherently. The pulses are spread over GOMAXPROCS workers.
 func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) {
-	if err := p.Validate(); err != nil {
+	if err := checkData(data, p); err != nil {
 		return nil, err
 	}
-	if data.Rows != p.NumPulses || data.Cols != p.NumBins {
-		return nil, fmt.Errorf("ffbp: data is %dx%d, params say %dx%d",
-			data.Rows, data.Cols, p.NumPulses, p.NumBins)
-	}
-	aps := geom.Stage0(p.NumPulses, -p.ApertureLength()/2, p.PulseSpacing)
-	s := &Stage{
-		Apertures: aps,
-		Grids:     make([]geom.PolarGrid, len(aps)),
-		Images:    make([]*mat.C, len(aps)),
-	}
-	for i, a := range aps {
-		s.Grids[i] = box.GridFor(a, 1, p.NumBins, p.R0, p.DR)
-	}
+	s := newStage(box, geom.Stage0(p.NumPulses, -p.ApertureLength()/2, p.PulseSpacing), 1, p.NumBins, p.R0, p.DR)
 	carrier := CarrierRow(p)
-	mat.Parallel(len(aps), 0, func(lo, hi int) {
+	mat.Parallel(len(s.Images), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			img := mat.NewC(1, p.NumBins)
 			src, dst := data.Row(i), img.Row(0)
@@ -87,6 +78,49 @@ func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) 
 		}
 	})
 	return s, nil
+}
+
+// Stages returns the apertures and grids of every stage that Image forms
+// from data, stage 0 first, with nil images, after Image's input checks.
+func Stages(data *mat.C, p sar.Params, box geom.SceneBox) ([]*Stage, error) {
+	if err := cmp.Or(checkPulses(p), checkData(data, p)); err != nil {
+		return nil, err
+	}
+	st := []*Stage{newStage(box, geom.Stage0(p.NumPulses, -p.ApertureLength()/2, p.PulseSpacing), 1, p.NumBins, p.R0, p.DR)}
+	for s := st[0]; len(s.Apertures) > 1; st = append(st, s) {
+		s = newStage(box, geom.MergeStage(s.Apertures), 2*s.Grids[0].NTheta, p.NumBins, p.R0, p.DR)
+	}
+	return st, nil
+}
+
+// newStage returns the stage of the apertures aps, each imaged on ntheta
+// beams over nr range bins from r0 spaced dr, with nil images.
+func newStage(box geom.SceneBox, aps []geom.Aperture, ntheta, nr int, r0, dr float64) *Stage {
+	s := &Stage{Apertures: aps, Grids: make([]geom.PolarGrid, len(aps)), Images: make([]*mat.C, len(aps))}
+	for i, a := range aps {
+		s.Grids[i] = box.GridFor(a, ntheta, nr, r0, dr)
+	}
+	return s
+}
+
+// checkData reports whether p is valid and data holds its pulses.
+func checkData(data *mat.C, p sar.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if data.Rows != p.NumPulses || data.Cols != p.NumBins {
+		return fmt.Errorf("ffbp: data is %dx%d, params say %dx%d",
+			data.Rows, data.Cols, p.NumPulses, p.NumBins)
+	}
+	return nil
+}
+
+// checkPulses reports whether merge base 2 halves p's pulses down to one.
+func checkPulses(p sar.Params) error {
+	if p.NumPulses&(p.NumPulses-1) != 0 {
+		return fmt.Errorf("ffbp: NumPulses %d is not a power of two (merge base 2)", p.NumPulses)
+	}
+	return nil
 }
 
 // CarrierRow returns the stage-0 carrier rotation of every range bin c:
@@ -131,23 +165,17 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 			return nil, fmt.Errorf("ffbp: image %d is %dx%d, its grid %dx%d", i, img.Rows, img.Cols, g.NTheta, g.NR)
 		}
 	}
-	parents := geom.MergeStage(s.Apertures)
-	ntheta := s.Grids[0].NTheta * 2
-	nr := s.Grids[0].NR
-	out := &Stage{
-		Apertures: parents,
-		Grids:     make([]geom.PolarGrid, len(parents)),
-		Images:    make([]*mat.C, len(parents)),
-	}
-	for j, a := range parents {
-		out.Grids[j] = box.GridFor(a, ntheta, nr, s.Grids[0].R0, s.Grids[0].DR)
-		out.Images[j] = mat.NewC(ntheta, nr)
+	g := s.Grids[0]
+	ntheta := 2 * g.NTheta
+	out := newStage(box, geom.MergeStage(s.Apertures), ntheta, g.NR, g.R0, g.DR)
+	for j := range out.Images {
+		out.Images[j] = mat.NewC(ntheta, g.NR)
 	}
 
 	// Work unit: one (parent, beam) pair; partition the flattened list so
 	// every stage parallelizes evenly regardless of how many parents
 	// remain.
-	mat.Parallel(len(parents)*ntheta, cfg.Workers, func(lo, hi int) {
+	mat.Parallel(len(out.Images)*ntheta, cfg.Workers, func(lo, hi int) {
 		var sc beamScratch
 		for gb := lo; gb < hi; gb++ {
 			j := gb / ntheta
@@ -175,38 +203,18 @@ type beamScratch struct {
 // merge; the zero Shift reproduces the plain merge.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
-// TestFusedMergeBitIdentical). An uncompensated Nearest merge copies each
-// minus run of geom.NearestRuns into the row, or clears it, then adds
-// each plus run's samples, or +0 outside the plus grid: every pixel is
-// the v1 + v2 of the two interp.At2 calls, signed zeros included. The
-// simulator kernels load the same samples pixel by pixel from
-// geom.NearestBins and so stay bit-identical to ffbp.Image. Every other
-// merge samples with interp.At2 at the fractional indices of
-// geom.ChildIndices, whose per-beam cos/sin are hoisted.
+// TestFusedMergeBitIdentical). An uncompensated Nearest merge gathers the
+// runs of geom.NearestRuns with GatherRuns, as the simulator kernels do,
+// which keeps them bit-identical to ffbp.Image. Every other merge samples
+// with interp.At2 at the fractional indices of geom.ChildIndices, whose
+// per-beam cos/sin are hoisted.
 func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, sc *beamScratch) {
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	row := out.Images[j].Row(bt)
 	if kind == interp.Nearest && comp == (autofocus.Shift{}) {
 		sc.minus, sc.plus = geom.NearestRuns(sc.minus[:0], sc.plus[:0], out.Grids[j], bt,
 			s.Apertures[2*j].Length, s.Grids[2*j], s.Grids[2*j+1], img0.Stride, img1.Stride)
-		for _, r := range sc.minus {
-			if dst := row[r[0] : r[1]+1]; r[2] < 0 {
-				clear(dst)
-			} else {
-				copy(dst, img0.Data[r[2]:])
-			}
-		}
-		for _, r := range sc.plus {
-			if dst := row[r[0] : r[1]+1]; r[2] < 0 {
-				for i := range dst {
-					dst[i] += 0 // v1 + 0 turns a -0 component into +0
-				}
-			} else {
-				for i, v := range img1.Data[r[2]:][:len(dst)] {
-					dst[i] += v
-				}
-			}
-		}
+		GatherRuns(row, img0.Data, img1.Data, sc.minus, sc.plus)
 		return
 	}
 	if sc.idx == nil {
@@ -217,6 +225,32 @@ func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift,
 	for bi := range row {
 		c := (*[4]float64)(sc.idx[4*bi:])
 		row[bi] = interp.At2(img0, c[0], c[1], kind) + interp.At2(img1, c[2], c[3], kind)
+	}
+}
+
+// GatherRuns writes one beam of a nearest-neighbour merge to row: each
+// pixel is v1 + v2, signed zeros included, of the minus and the plus
+// child's samples that the runs of geom.NearestRuns select from src0 and
+// src1, +0 outside a child's grid. It copies or clears each minus run,
+// then adds each plus run's samples, or +0.
+func GatherRuns(row, src0, src1 []complex64, minus, plus [][3]int32) {
+	for _, r := range minus {
+		if dst := row[r[0] : r[1]+1]; r[2] < 0 {
+			clear(dst)
+		} else {
+			copy(dst, src0[r[2]:])
+		}
+	}
+	for _, r := range plus {
+		if dst := row[r[0] : r[1]+1]; r[2] < 0 {
+			for i := range dst {
+				dst[i] += 0 // v1 + 0 turns a -0 component into +0
+			}
+		} else {
+			for i, v := range src1[r[2]:][:len(dst)] {
+				dst[i] += v
+			}
+		}
 	}
 }
 
@@ -251,8 +285,8 @@ func MergeRef(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 // to the aperture centre (track position 0) — directly comparable to
 // gbp.Image on the same grid.
 func Image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
-	if p.NumPulses&(p.NumPulses-1) != 0 {
-		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: NumPulses %d is not a power of two (merge base 2)", p.NumPulses)
+	if err := checkPulses(p); err != nil {
+		return nil, geom.PolarGrid{}, err
 	}
 	s, err := InitialStage(data, p, box)
 	if err != nil {

@@ -156,8 +156,8 @@ func FocusedImage(data *mat.C, p sar.Params, box geom.SceneBox, fc FocusConfig) 
 	if fc.MaxShift <= 0 || fc.MaxShift > 1.5 {
 		return nil, geom.PolarGrid{}, nil, fmt.Errorf("ffbp: MaxShift %v outside (0, 1.5]", fc.MaxShift)
 	}
-	if p.NumPulses&(p.NumPulses-1) != 0 {
-		return nil, geom.PolarGrid{}, nil, fmt.Errorf("ffbp: NumPulses %d is not a power of two", p.NumPulses)
+	if err := checkPulses(p); err != nil {
+		return nil, geom.PolarGrid{}, nil, err
 	}
 	s, err := InitialStage(data, p, box)
 	if err != nil {

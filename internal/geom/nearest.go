@@ -19,7 +19,8 @@ const (
 // minus and plus, and have row strides stride0 and stride1 in elements.
 // A run {first, last, o} covers parent range bins first..last, whose
 // samples are the child's elements o, o+1, ..., or lie outside its grid
-// when o is -1. Each child's runs cover the beam's bins in order.
+// when o is -1. Each child's runs cover the beam's bins 0..pg.NR-1 in
+// order; the host and kernel merges gather them, and machine.Beam prices them.
 //
 // Every sample equals what ChildIndices (with no displacement),
 // math.Round and the bounds test give. Along the beam a child's beam
@@ -36,35 +37,6 @@ const (
 // half-length, an extreme or non-finite input) takes the exact arithmetic
 // at every bin, one run per bin.
 func NearestRuns(minusRuns, plusRuns [][3]int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) ([][3]int32, [][3]int32) {
-	runs := [2][][3]int32{minusRuns, plusRuns}
-	nearestEach(pg, bt, l, minus, plus, stride0, stride1, func(c, first, last int, o int32) {
-		runs[c] = append(runs[c], [3]int32{int32(first), int32(last), o})
-	})
-	return runs[0], runs[1]
-}
-
-// NearestBins writes the runs NearestRuns finds for beam bt out as one
-// sample per parent range bin, for a merge that loads each pixel's
-// samples on its own: bins[2*bi] is the minus child's sample offset
-// t*stride0 + r of bin bi and bins[2*bi+1] the plus child's t*stride1 + r,
-// or -1 when either rounded index lies outside that child's grid. bins
-// must hold 2*pg.NR values.
-func NearestBins(bins []int32, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) {
-	bins = bins[:2*pg.NR]
-	nearestEach(pg, bt, l, minus, plus, stride0, stride1, func(c, first, last int, o int32) {
-		for p := first; p <= last; p++ {
-			bins[2*p+c] = o
-			if o >= 0 {
-				o++
-			}
-		}
-	})
-}
-
-// nearestEach calls fn with the runs of beam bt's minus (c = 0) and plus
-// (c = 1) child in order: each run's first and last bin and its first
-// offset, or -1.
-func nearestEach(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int, fn func(c, first, last int, o int32)) {
 	if int64(pg.NR) > math.MaxInt32 || int64(minus.NTheta)*int64(stride0) > math.MaxInt32 || int64(plus.NTheta)*int64(stride1) > math.MaxInt32 {
 		panic("geom: nearest-neighbour bins or offsets overflow int32")
 	}
@@ -74,6 +46,7 @@ func nearestEach(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0
 	r0, r1 := pg.R0, pg.Range(pg.NR-1)
 	rmax := max(r0, r1) + h
 	exact := !(st > 0 && h >= 0 && r0 >= h && min(r0, r1)*st > 0x1p-500 && rmax < 0x1p500)
+	runs := [2][][3]int32{minusRuns, plusRuns}
 	for c, w := range [2]nearestRuns{
 		newNearestRuns(pg, ct, st, h, minus, stride0, rmax, exact),
 		newNearestRuns(pg, ct, st, -h, plus, stride1, rmax, exact),
@@ -87,10 +60,11 @@ func nearestEach(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0
 			if uint(w.k) < uint(w.g.NTheta) && uint(w.i) < uint(w.g.NR) {
 				o = int32(w.k*w.stride + w.i)
 			}
-			fn(c, s, e, o)
+			runs[c] = append(runs[c], [3]int32{int32(s), int32(e), o})
 			s = e + 1
 		}
 	}
+	return runs[0], runs[1]
 }
 
 // nearestRuns finds one child's bins along an output beam, run by run.

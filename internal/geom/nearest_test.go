@@ -7,7 +7,8 @@ import (
 )
 
 // nearestOracle returns beam bt's bins as ChildIndices, math.Round and the
-// bounds test give them: the arithmetic NearestBins must reproduce.
+// bounds test give them, two per bin (minus, then plus): the arithmetic
+// NearestRuns' runs must reproduce.
 func nearestOracle(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) []int32 {
 	idx := make([]float64, 4*pg.NR)
 	ChildIndices(idx, pg, bt, l, minus, plus, 0, 0)
@@ -26,13 +27,42 @@ func nearestOracle(pg PolarGrid, bt int, l float64, minus, plus PolarGrid, strid
 	return bins
 }
 
-// checkNearest compares NearestBins with the oracle on one beam and
-// returns the number of differing bins and of out-of-range samples.
-func checkNearest(t *testing.T, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) (bad, out int) {
+// runBins expands the runs NearestRuns finds for beam bt into the
+// oracle's form, one sample per bin and child, and returns it with the
+// number of runs. It fails unless each child's runs cover the bins
+// 0..pg.NR-1 in order.
+func runBins(t *testing.T, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) ([]int32, int) {
+	t.Helper()
+	bins := make([]int32, 2*pg.NR)
+	m, p := NearestRuns(nil, nil, pg, bt, l, minus, plus, stride0, stride1)
+	for c, runs := range [2][][3]int32{m, p} {
+		next := int32(0)
+		for _, r := range runs {
+			if r[0] != next || r[1] < r[0] || int(r[1]) >= pg.NR {
+				t.Fatalf("beam %d child %d: run %v does not start at bin %d inside the %d bins", bt, c, r, next, pg.NR)
+			}
+			for b, o := r[0], r[2]; b <= r[1]; b++ {
+				bins[2*b+int32(c)] = o
+				if o >= 0 {
+					o++
+				}
+			}
+			next = r[1] + 1
+		}
+		if int(next) != pg.NR {
+			t.Fatalf("beam %d child %d: the runs end at bin %d of %d", bt, c, next, pg.NR)
+		}
+	}
+	return bins, len(m) + len(p)
+}
+
+// checkNearest compares NearestRuns' runs with the oracle on one beam,
+// bin by bin, and returns the number of differing bins, of out-of-range
+// samples and of runs.
+func checkNearest(t *testing.T, pg PolarGrid, bt int, l float64, minus, plus PolarGrid, stride0, stride1 int) (bad, out, runs int) {
 	t.Helper()
 	want := nearestOracle(pg, bt, l, minus, plus, stride0, stride1)
-	got := make([]int32, len(want))
-	NearestBins(got, pg, bt, l, minus, plus, stride0, stride1)
+	got, runs := runBins(t, pg, bt, l, minus, plus, stride0, stride1)
 	for i, w := range want {
 		if got[i] != w {
 			if bad == 0 {
@@ -45,7 +75,7 @@ func checkNearest(t *testing.T, pg PolarGrid, bt int, l float64, minus, plus Pol
 			out++
 		}
 	}
-	return bad, out
+	return bad, out, runs
 }
 
 // paperBeams calls fn for every merge beam of the paper-scale
@@ -70,16 +100,17 @@ func paperBeams(fn func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid))
 }
 
 // TestNearestBinsPaperScale checks every paper-scale merge pixel against
-// the oracle, and the count of out-of-range samples against the closed
-// form the Table I op counts rest on.
+// the oracle, the count of out-of-range samples against the closed form
+// the Table I op counts rest on, and the count of runs, which the run
+// gather's and the beam calls' cost rests on.
 func TestNearestBinsPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper scale: 10,250,240 merge pixels")
 	}
-	var bad, out int
+	var bad, out, runs int
 	paperBeams(func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid) {
-		b, o := checkNearest(t, pg, bt, l, minus, plus, minus.NR, plus.NR)
-		bad, out = bad+b, out+o
+		b, o, r := checkNearest(t, pg, bt, l, minus, plus, minus.NR, plus.NR)
+		bad, out, runs = bad+b, out+o, runs+r
 	})
 	if bad != 0 {
 		t.Errorf("%d bins differ from ChildIndices + Round", bad)
@@ -87,16 +118,19 @@ func TestNearestBinsPaperScale(t *testing.T) {
 	if want := 20500480 - 20189502; out != want {
 		t.Errorf("%d child samples out of range, want %d", out, want)
 	}
+	if runs != 258668 {
+		t.Errorf("%d runs, want 258668", runs)
+	}
 }
 
-// BenchmarkNearestBinsPaperScale times one pass of NearestBins over every
+// BenchmarkNearestRunsPaperScale times one pass of NearestRuns over every
 // paper-scale merge beam (10,240 beams of 1001 pixels) per operation.
-func BenchmarkNearestBinsPaperScale(b *testing.B) {
-	bins := make([]int32, 2*1001)
+func BenchmarkNearestRunsPaperScale(b *testing.B) {
+	var minusRuns, plusRuns [][3]int32
 	b.ResetTimer()
 	for range b.N {
 		paperBeams(func(pg PolarGrid, bt int, l float64, minus, plus PolarGrid) {
-			NearestBins(bins, pg, bt, l, minus, plus, minus.NR, plus.NR)
+			minusRuns, plusRuns = NearestRuns(minusRuns[:0], plusRuns[:0], pg, bt, l, minus, plus, minus.NR, plus.NR)
 		})
 	}
 }
@@ -133,7 +167,7 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 			plus = NewPolarGrid(nr, r0, dr, 16, 1.9, math.Pi+0.2)
 		}
 		stride0, stride1 := minus.NR+rng.Intn(3), plus.NR+rng.Intn(3)
-		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, stride0, stride1)
+		b, _, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, stride0, stride1)
 		bad += b
 	}
 	// Beams that take the exact arithmetic. Even i: children whose DR is
@@ -164,7 +198,7 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 			return g
 		}
 		minus, plus := child(), child()
-		b, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, minus.NR, plus.NR)
+		b, _, _ := checkNearest(t, pg, rng.Intn(pg.NTheta), l, minus, plus, minus.NR, plus.NR)
 		bad += b
 	}
 	// Beams built to put the turn of the range index minus the parent bin
@@ -190,7 +224,7 @@ func TestNearestBinsRandomGrids(t *testing.T) {
 		nrc := int((plusRange(pg.Range(nr-1))-r0)/cdr) + 2
 		plus := NewPolarGrid(nrc, r0, cdr, 1+rng.Intn(4), 0.02, 3.1)
 		minus := NewPolarGrid(int((pg.Range(nr-1)+h)/cdr)+2, 0, cdr, 1+rng.Intn(4), 0.02, 3.1)
-		b, _ := checkNearest(t, pg, 0, 2*h, minus, plus, minus.NR, plus.NR)
+		b, _, _ := checkNearest(t, pg, 0, 2*h, minus, plus, minus.NR, plus.NR)
 		bad += b
 	}
 	if bad != 0 {
@@ -255,7 +289,7 @@ func TestNearestBinsNearTies(t *testing.T) {
 		if i%2 == 1 {
 			minus, plus = other, g
 		}
-		b, _ := checkNearest(t, pg, bt, l, minus, plus, nr, nr)
+		b, _, _ := checkNearest(t, pg, bt, l, minus, plus, nr, nr)
 		bad += b
 	}
 	if bad != 0 {

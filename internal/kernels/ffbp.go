@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"sarmany/internal/emu"
 	"sarmany/internal/ffbp"
@@ -12,45 +11,20 @@ import (
 	"sarmany/internal/sar"
 )
 
-// ffbpPlan precomputes the factorization structure shared by the FFBP
-// kernels: the aperture list and polar grid of every stage, and the
-// stage-0 carrier row.
+// ffbpPlan holds what the FFBP kernels share: every stage's apertures and
+// grids, from ffbp.Stages, and the stage-0 carrier row.
 type ffbpPlan struct {
 	p       sar.Params
-	box     geom.SceneBox
-	stages  [][]geom.Aperture  // stages[s][i]
-	grids   [][]geom.PolarGrid // grids[s][i]
-	carrier []complex64        // ffbp.CarrierRow(p)
+	stages  []*ffbp.Stage
+	carrier []complex64 // ffbp.CarrierRow(p)
 }
 
 func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error) {
-	if err := p.Validate(); err != nil {
+	st, err := ffbp.Stages(data, p, box)
+	if err != nil {
 		return nil, err
 	}
-	if data.Rows != p.NumPulses || data.Cols != p.NumBins {
-		return nil, fmt.Errorf("kernels: data is %dx%d, params say %dx%d",
-			data.Rows, data.Cols, p.NumPulses, p.NumBins)
-	}
-	if p.NumPulses&(p.NumPulses-1) != 0 {
-		return nil, fmt.Errorf("kernels: NumPulses %d is not a power of two", p.NumPulses)
-	}
-	pl := &ffbpPlan{p: p, box: box, carrier: ffbp.CarrierRow(p)}
-	aps := geom.Stage0(p.NumPulses, -p.ApertureLength()/2, p.PulseSpacing)
-	ntheta := 1
-	for {
-		gs := make([]geom.PolarGrid, len(aps))
-		for i, a := range aps {
-			gs[i] = box.GridFor(a, ntheta, p.NumBins, p.R0, p.DR)
-		}
-		pl.stages = append(pl.stages, aps)
-		pl.grids = append(pl.grids, gs)
-		if len(aps) == 1 {
-			break
-		}
-		aps = geom.MergeStage(aps)
-		ntheta *= 2
-	}
-	return pl, nil
+	return &ffbpPlan{p: p, stages: st, carrier: ffbp.CarrierRow(p)}, nil
 }
 
 // numMerges returns the number of merge iterations (10 for 1024 pulses).
@@ -58,141 +32,125 @@ func (pl *ffbpPlan) numMerges() int { return len(pl.stages) - 1 }
 
 // imageOff returns the element offset of subaperture i's image within a
 // stage buffer at stage s (every stage packs NumPulses*NumBins elements).
-func (pl *ffbpPlan) imageOff(s, i int) int {
-	return i * pl.grids[s][0].NTheta * pl.p.NumBins
-}
+func (pl *ffbpPlan) imageOff(s, i int) int { return i * pl.stages[s].Grids[0].NTheta * pl.p.NumBins }
 
-// stage0Pixel computes (and charges) one carrier-removal output of the
-// initial stage: a_0(r_c) = d(r_c) * exp(+i*k*r_c), the product
-// ffbp.InitialStage forms with the same carrier row.
-func (pl *ffbpPlan) stage0Pixel(m machine.Machine, v complex64, c int) complex64 {
-	// The modeled core computes r = R0 + c*DR and the complex multiply
-	// (FMA 1+4) and one sincos per pixel; the host reads the row.
-	m.Charge(machine.Ops{FMA: 1 + 4, Trig: 1})
-	return v * pl.carrier[c]
-}
-
-// idxPool recycles the FFBP kernels' child-bin scratch (a *[]int32)
-// across runs, so sweeps of many short runs allocate none once warm; each
-// buffer is held by one SeqFFBP call or one simulated core at a time.
-var idxPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// getIdx returns a scratch of n int32s from idxPool.
-func getIdx(n int) *[]int32 {
-	p := idxPool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
+// stage0Row computes (and charges) the carrier removal of one pulse,
+// a_0(r_c) = d(r_c) * exp(+i*k*r_c) as ffbp.InitialStage forms it, from
+// element so+c of src to element do+c of dst for every bin c.
+func (pl *ffbpPlan) stage0Row(m machine.Machine, src *machine.BufC, so int, dst *machine.BufC, do int) {
+	for c, w := range pl.carrier {
+		m.Charge(machine.Ops{IOp: 2})
+		v := src.Load(m, so+c)
+		// The modeled core computes r = R0 + c*DR and the complex multiply
+		// (FMA 1+4) and one sincos per pixel; the host reads the row.
+		m.Charge(machine.Ops{FMA: 1 + 4, Trig: 1})
+		dst.Store(m, do+c, v*w)
 	}
-	*p = (*p)[:n]
-	return p
 }
 
-// nearestBins fills bins, 2*NumBins values, with the child sample offsets
-// of beam bt of parent j at merge s: host arithmetic that charges nothing.
-func (pl *ffbpPlan) nearestBins(bins []int32, s, j, bt int) {
-	g0, g1 := pl.grids[s][2*j], pl.grids[s][2*j+1]
-	geom.NearestBins(bins, pl.grids[s+1][j], bt, pl.stages[s][2*j].Length, g0, g1, g0.NR, g1.NR)
+// runs sets r to the child sample runs of beam bt of parent j at merge s,
+// reusing r's storage: host arithmetic that charges nothing.
+func (pl *ffbpPlan) runs(r *[2][][3]int32, s, j, bt int) {
+	kids := pl.stages[s]
+	g0, g1 := kids.Grids[2*j], kids.Grids[2*j+1]
+	r[0], r[1] = geom.NearestRuns(r[0][:0], r[1][:0], pl.stages[s+1].Grids[j], bt, kids.Apertures[2*j].Length, g0, g1, g0.NR, g1.NR)
 }
 
 // mergeBeam computes (and charges) beam bt of parent j at merge s
 // (children at stage s): the element combining of paper eq. 5 along one
-// output beam, stored to dst. The minus and plus children are read from
-// src0 and src1 starting at elements base0 and base1, which lets the
-// caller choose local-bank or external storage. bins holds the beam's
-// child sample offsets from nearestBins, or -1 for a sample outside its
-// child's grid, which adds zero (the paper's "skip the additions with
-// zero when the indices are out of range").
+// output beam, gathered by ffbp.GatherRuns from the runs in r and stored
+// to dst. The minus and plus children are read from src0 and src1 from
+// elements base0 and base1, on local banks or in external memory; a run
+// of -1 adds zero (the paper's "skip the additions with zero when the
+// indices are out of range").
 //
 // The charges follow the paper's kernel: the hoisted per-beam setup once,
 // then per pixel the range step and the cosine-theorem index generation,
 // the two nearest-neighbour samples, the combining add and the store — in
 // that order, which the modeled cycles depend on and one ChargeBeam call
 // keeps.
-func (pl *ffbpPlan) mergeBeam(m machine.Machine, bins []int32, s, j, bt int,
+func (pl *ffbpPlan) mergeBeam(m machine.Machine, r *[2][][3]int32, s, j, bt int,
 	src0 *machine.BufC, base0 int, src1 *machine.BufC, base1 int, dst *machine.BufC) {
 	m.Charge(beamSetup)
-	pg := pl.grids[s+1][j]
-	out := pl.imageOff(s+1, j) + bt*pg.NR
-	row := dst.Data[out : out+pg.NR]
-	for bi := range row {
-		var v1, v2 complex64
-		if o := bins[2*bi]; o >= 0 {
-			v1 = src0.Data[base0+int(o)]
-		}
-		if o := bins[2*bi+1]; o >= 0 {
-			v2 = src1.Data[base1+int(o)]
-		}
-		row[bi] = v1 + v2
-	}
+	nr := pl.p.NumBins
+	out := pl.imageOff(s+1, j) + bt*nr
+	ffbp.GatherRuns(dst.Data[out:out+nr], src0.Data[base0:], src1.Data[base1:], r[0], r[1])
 	m.ChargeBeam(machine.Beam{Pixel: mergePixel, Src: [2]*machine.BufC{src0, src1}, Base: [2]int{base0, base1},
-		Offs: bins[:2*pg.NR], Dst: dst, Out: out})
+		Runs: *r, Dst: dst, Out: out})
 }
 
 // lookahead is how many beams ahead of SeqFFBP's charging loop its
-// helper goroutine computes the child indices.
+// helper goroutine finds the child sample runs.
 const lookahead = 4
 
 // seqMerges runs SeqFFBP's merge iterations on m: merge s reads
 // bufs[s%2] and writes the other buffer, and the final image's buffer is
-// returned. One helper goroutine computes the beams' child bins, up to
-// lookahead beams ahead, on scratch from idxPool; the caller's goroutine
-// charges the beams in order. The helper exits on every return path, a
-// panic inside m included.
+// returned. One helper goroutine finds the beams' runs, up to lookahead
+// beams ahead, on lookahead+1 run scratches of its own; the caller's
+// goroutine charges the beams in order. The helper exits on every return
+// path, a panic inside m included.
 func (pl *ffbpPlan) seqMerges(m machine.Machine, bufs [2]*machine.BufC) *machine.BufC {
-	type beamIdx struct {
+	type beamRuns struct {
 		s, j, bt int
-		idx      *[]int32
+		r        *[2][][3]int32
 	}
-	// Both channels hold every scratch buffer at once, so only the
-	// helper's receive from free and the caller's from ready can block.
-	free := make(chan *[]int32, lookahead+1)
+	// Both channels hold every scratch at once, so only the helper's
+	// receive from free and the caller's from ready can block.
+	free := make(chan *[2][][3]int32, lookahead+1)
 	for range cap(free) {
-		free <- getIdx(2 * pl.p.NumBins)
+		free <- new([2][][3]int32)
 	}
-	ready, done := make(chan beamIdx, cap(free)), make(chan struct{})
+	ready, done := make(chan beamRuns, cap(free)), make(chan struct{})
 	defer func() {
 		close(done)
-		for b := range ready { // until the helper has returned and closed it
-			idxPool.Put(b.idx)
-		}
-		for len(free) > 0 {
-			idxPool.Put(<-free)
+		for range ready { // until the helper has returned and closed it
 		}
 	}()
 	go func() {
 		defer close(ready)
-		for s := 0; s < pl.numMerges(); s++ {
-			for j := range pl.stages[s+1] {
-				for bt := 0; bt < pl.grids[s+1][j].NTheta; bt++ {
-					var idx *[]int32
+		for s := range pl.numMerges() {
+			for j, g := range pl.stages[s+1].Grids {
+				for bt := range g.NTheta {
+					var r *[2][][3]int32
 					select {
-					case idx = <-free:
+					case r = <-free:
 					case <-done:
 						return
 					}
-					pl.nearestBins(*idx, s, j, bt)
-					ready <- beamIdx{s, j, bt, idx}
+					pl.runs(r, s, j, bt)
+					ready <- beamRuns{s, j, bt, r}
 				}
 			}
 		}
 	}()
 	for b := range ready {
 		src := bufs[b.s%2]
-		pl.mergeBeam(m, *b.idx, b.s, b.j, b.bt, src, pl.imageOff(b.s, 2*b.j), src, pl.imageOff(b.s, 2*b.j+1), bufs[1-b.s%2])
-		free <- b.idx
+		pl.mergeBeam(m, b.r, b.s, b.j, b.bt, src, pl.imageOff(b.s, 2*b.j), src, pl.imageOff(b.s, 2*b.j+1), bufs[1-b.s%2])
+		free <- b.r
 	}
 	return bufs[pl.numMerges()%2]
 }
 
-// extract copies a packed stage buffer's single remaining image into a
-// mat.C (rows = beams).
-func (pl *ffbpPlan) extract(buf *machine.BufC) *mat.C {
-	nb := pl.p.NumBins
-	img := mat.NewC(pl.p.NumPulses, nb)
-	for bt := 0; bt < pl.p.NumPulses; bt++ {
-		copy(img.Row(bt), buf.Data[bt*nb:(bt+1)*nb])
+// buffers allocates from mem, in this order, the buffer of the radar data,
+// which it fills from data, and the two stage buffers the merges
+// alternate between, each NumPulses*NumBins elements.
+func (pl *ffbpPlan) buffers(mem machine.Alloc, data *mat.C) (in, cur, next *machine.BufC, err error) {
+	var bufs [3]*machine.BufC
+	for i := range bufs {
+		if bufs[i], err = machine.NewBufC(mem, pl.p.NumPulses*pl.p.NumBins); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	return img
+	for i := range pl.p.NumPulses {
+		copy(bufs[0].Data[i*pl.p.NumBins:], data.Row(i))
+	}
+	return bufs[0], bufs[1], bufs[2], nil
+}
+
+// image returns the final image, which a stage buffer packs beam by beam,
+// as a mat.C over the buffer's data (rows = beams).
+func (pl *ffbpPlan) image(buf *machine.BufC) *mat.C {
+	return &mat.C{Rows: pl.p.NumPulses, Cols: pl.p.NumBins, Stride: pl.p.NumBins, Data: buf.Data}
 }
 
 // SeqFFBP runs the complete fast factorized back-projection sequentially
@@ -206,32 +164,16 @@ func SeqFFBP(m machine.Machine, mem machine.Alloc, data *mat.C, p sar.Params, bo
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
 	}
-	total := p.NumPulses * p.NumBins
-	dataBuf, err := machine.NewBufC(mem, total)
+	dataBuf, cur, next, err := pl.buffers(mem, data)
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
-	}
-	cur, err := machine.NewBufC(mem, total)
-	if err != nil {
-		return nil, geom.PolarGrid{}, err
-	}
-	next, err := machine.NewBufC(mem, total)
-	if err != nil {
-		return nil, geom.PolarGrid{}, err
-	}
-	for i := 0; i < p.NumPulses; i++ {
-		copy(dataBuf.Data[i*p.NumBins:(i+1)*p.NumBins], data.Row(i))
 	}
 
 	// Stage 0: carrier removal.
-	for i := 0; i < p.NumPulses; i++ {
-		for c := 0; c < p.NumBins; c++ {
-			m.Charge(machine.Ops{IOp: 2})
-			v := dataBuf.Load(m, i*p.NumBins+c)
-			cur.Store(m, i*p.NumBins+c, pl.stage0Pixel(m, v, c))
-		}
+	for i := range p.NumPulses {
+		pl.stage0Row(m, dataBuf, i*p.NumBins, cur, i*p.NumBins)
 	}
-	return pl.extract(pl.seqMerges(m, [2]*machine.BufC{cur, next})), pl.grids[len(pl.grids)-1][0], nil
+	return pl.image(pl.seqMerges(m, [2]*machine.BufC{cur, next})), pl.stages[pl.numMerges()].Grids[0], nil
 }
 
 // ParFFBP runs the paper's parallel SPMD FFBP implementation on nCores
@@ -271,21 +213,9 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		return nil, geom.PolarGrid{}, fmt.Errorf("kernels: a %d-bin pulse does not fit one %d-byte local bank",
 			p.NumBins, ch.P.BankBytes)
 	}
-	total := p.NumPulses * p.NumBins
-	dataBuf, err := machine.NewBufC(ch.Ext(), total)
+	dataBuf, cur, next, err := pl.buffers(ch.Ext(), data)
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
-	}
-	cur, err := machine.NewBufC(ch.Ext(), total)
-	if err != nil {
-		return nil, geom.PolarGrid{}, err
-	}
-	next, err := machine.NewBufC(ch.Ext(), total)
-	if err != nil {
-		return nil, geom.PolarGrid{}, err
-	}
-	for i := 0; i < p.NumPulses; i++ {
-		copy(dataBuf.Data[i*p.NumBins:(i+1)*p.NumBins], data.Row(i))
 	}
 
 	nb := p.NumBins
@@ -298,15 +228,14 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		slots := slotsByCore[c.ID]
 
 		// Per-core local buffers: the two upper data banks (banks 2 and 3),
-		// and the host-side child-bin scratch of mergeBeam.
+		// and the host-side run scratch of mergeBeam.
 		bankA, errA := machine.NewBufC(c.Bank(2), nb)
 		bankB, errB := machine.NewBufC(c.Bank(3), nb)
 		if errA != nil || errB != nil {
 			kernelErr = fmt.Errorf("kernels: local bank allocation failed")
 			return
 		}
-		idx := getIdx(2 * nb)
-		defer idxPool.Put(idx)
+		var r [2][][3]int32
 
 		// Stage 0: each slot carrier-removes its slice of pulses, double-
 		// buffering the DMA prefetch across the two banks.
@@ -321,14 +250,9 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 				}
 				c.DMAWait(dmas[b])
 				if i+1 < rows.Hi {
-					nb2 := (i + 1 - rows.Lo) % 2
-					dmas[nb2] = c.DMACopyC(banks[nb2], 0, dataBuf, (i+1)*nb, nb)
+					dmas[1-b] = c.DMACopyC(banks[1-b], 0, dataBuf, (i+1)*nb, nb)
 				}
-				for col := 0; col < nb; col++ {
-					c.Charge(machine.Ops{IOp: 2})
-					v := banks[b].Load(c, col)
-					cur.Store(c, i*nb+col, pl.stage0Pixel(c, v, col))
-				}
+				pl.stage0Row(c, banks[b], 0, cur, i*nb)
 			}
 		}
 		c.Barrier()
@@ -339,15 +263,15 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		// Merge iteration 1: children are single-pulse images that fit the
 		// two upper banks, so prefetch both by DMA and compute locally.
 		for _, slot := range slots {
-			parents := mat.Partition(len(pl.stages[1]), nCores)[slot]
+			parents := mat.Partition(len(pl.stages[1].Apertures), nCores)[slot]
 			for j := parents.Lo; j < parents.Hi; j++ {
 				d0 := c.DMACopyC(bankA, 0, cur, pl.imageOff(0, 2*j), nb)
 				d1 := c.DMACopyC(bankB, 0, cur, pl.imageOff(0, 2*j+1), nb)
 				c.DMAWait(d0)
 				c.DMAWait(d1)
 				for bt := 0; bt < 2; bt++ {
-					pl.nearestBins(*idx, 0, j, bt)
-					pl.mergeBeam(c, *idx, 0, j, bt, bankA, 0, bankB, 0, next)
+					pl.runs(&r, 0, j, bt)
+					pl.mergeBeam(c, &r, 0, j, bt, bankA, 0, bankB, 0, next)
 				}
 			}
 		}
@@ -358,14 +282,14 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 		// external memory (the paper's "in the later iterations it still
 		// requires contributing data to be read from the external memory").
 		for s := 1; s < pl.numMerges(); s++ {
-			ntheta := pl.grids[s+1][0].NTheta
+			ntheta := pl.stages[s+1].Grids[0].NTheta
 			for _, slot := range slots {
-				units := mat.Partition(len(pl.stages[s+1])*ntheta, nCores)[slot]
+				units := mat.Partition(len(pl.stages[s+1].Apertures)*ntheta, nCores)[slot]
 				for u := units.Lo; u < units.Hi; u++ {
 					j := u / ntheta
 					bt := u % ntheta
-					pl.nearestBins(*idx, s, j, bt)
-					pl.mergeBeam(c, *idx, s, j, bt, curL, pl.imageOff(s, 2*j), curL, pl.imageOff(s, 2*j+1), nextL)
+					pl.runs(&r, s, j, bt)
+					pl.mergeBeam(c, &r, s, j, bt, curL, pl.imageOff(s, 2*j), curL, pl.imageOff(s, 2*j+1), nextL)
 				}
 			}
 			c.Barrier()
@@ -382,5 +306,5 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 	if pl.numMerges()%2 == 1 {
 		final = next
 	}
-	return pl.extract(final), pl.grids[len(pl.grids)-1][0], nil
+	return pl.image(final), pl.stages[pl.numMerges()].Grids[0], nil
 }

@@ -27,14 +27,18 @@ func (c *faultyCPU) Load(addr uint32, n int) {
 }
 
 // ChargeBeam panics, before charging the beam, when the nth load is one
-// of the beam's.
+// of the beam's: a pixel of one of its runs whose offset is not -1.
 func (c *faultyCPU) ChargeBeam(b machine.Beam) {
-	for _, off := range b.Offs {
-		if off < 0 {
-			continue
-		}
-		if c.n--; c.n == 0 {
-			panic("faultyCPU: load fault")
+	for _, runs := range b.Runs {
+		for _, r := range runs {
+			if r[2] < 0 {
+				continue
+			}
+			for range r[1] - r[0] + 1 {
+				if c.n--; c.n == 0 {
+					panic("faultyCPU: load fault")
+				}
+			}
 		}
 	}
 	c.CPU.ChargeBeam(b)

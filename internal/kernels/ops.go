@@ -9,15 +9,16 @@
 // values bit-identical to the host implementations in packages ffbp, gbp
 // and autofocus — while charging their machine for every modeled
 // operation. No kernel holds a copy of the host arithmetic: the FFBP
-// kernels take their child samples from geom.NearestBins and their
-// stage-0 rotations from ffbp.CarrierRow, the functions ffbp calls;
-// SeqAutofocus scores with autofocus.Criterion, and the pipeline nodes
-// with interp.Neville4 and autofocus.Correlate; SeqGBP's loop makes
+// kernels take every stage's apertures and grids from ffbp.Stages, gather
+// each merge beam with ffbp.GatherRuns from the runs of geom.NearestRuns
+// and rotate stage 0 by ffbp.CarrierRow, as ffbp does; SeqAutofocus
+// scores with autofocus.Criterion, and the pipeline nodes with
+// interp.Neville4 and autofocus.Correlate; SeqGBP's loop makes
 // gbp.ImageRef's math.Hypot, RangeIndex and cf.Expi calls. The kernels
 // add the charges and the modeled loads and stores. An FFBP merge beam
-// computes its pixels first and then charges them, loads and stores
-// included, in one machine.Machine.ChargeBeam call, which prices them
-// pixel by pixel as the per-pixel calls would.
+// is gathered first and then charged, loads and stores included, in one
+// machine.Machine.ChargeBeam call, which walks the same runs pixel by
+// pixel as the per-pixel calls would.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and

@@ -21,8 +21,8 @@
 // costs the same cycles, to the bit, as the per-pixel Charge, Load and
 // Store calls that Beam lists: a machine may compute once what is fixed
 // for the beam (each batch's price, each buffer's address class) and add
-// its integer counters once, but it repeats every pixel's float additions
-// in the per-pixel order.
+// its integer counters once, but it walks the beam's runs with a Cursor
+// and repeats every pixel's float additions in the per-pixel order.
 //
 // The same kernel source therefore yields both the computed result and a
 // per-machine execution-time estimate, which is exactly the comparison the
@@ -58,19 +58,50 @@ type Machine interface {
 }
 
 // Beam is one FFBP merge beam's charges, pixel by pixel: pixel i charges
-// Pixel[0], loads the minus child's element Base[0]+Offs[2i] of Src[0],
-// charges Pixel[1], loads the plus child's element Base[1]+Offs[2i+1] of
-// Src[1], charges Pixel[2] and stores element Out+i of Dst. A negative
-// offset loads nothing: the sample lies outside its child's grid. Every
-// access moves one 8-byte element, and each buffer lies in one region of
-// the address space, as the buffers NewBufC allocates do.
+// Pixel[0], loads the minus child's sample from Src[0], charges Pixel[1],
+// loads the plus child's sample from Src[1], charges Pixel[2] and stores
+// element Out+i of Dst. Runs[k] holds child k's samples as the runs
+// geom.NearestRuns finds: run {first, last, o} gives pixels first..last
+// the elements Base[k]+o, Base[k]+o+1, ... of Src[k], or loads nothing
+// when o is -1, for a sample outside its child's grid. Both children's
+// runs cover the pixels 0..Len()-1 in order. Every access moves one
+// 8-byte element, and each buffer lies in one region of the address
+// space, as the buffers NewBufC allocates do.
 type Beam struct {
 	Pixel [3]Ops
 	Src   [2]*BufC
 	Base  [2]int
-	Offs  []int32 // two per pixel: the minus and the plus child's offset
+	Runs  [2][][3]int32
 	Dst   *BufC
 	Out   int
+}
+
+// Len returns the number of pixels in the beam.
+func (b *Beam) Len() int {
+	if r := b.Runs[0]; len(r) > 0 {
+		return int(r[len(r)-1][1]) + 1
+	}
+	return 0
+}
+
+// A Cursor walks one child's runs of a Beam pixel by pixel.
+type Cursor struct {
+	runs      [][3]int32
+	left, off int32 // the run's pixels after the last one Next returned, and its offset or -1
+}
+
+// Cursor returns a cursor before child k's first pixel.
+func (b *Beam) Cursor(k int) Cursor { return Cursor{runs: b.Runs[k]} }
+
+// Next returns the next pixel's offset, or -1 if it loads nothing.
+func (c *Cursor) Next() int {
+	if c.left == 0 {
+		r := c.runs[0]
+		c.runs, c.left, c.off = c.runs[1:], r[1]-r[0], r[2]
+	} else if c.left--; c.off >= 0 {
+		c.off++
+	}
+	return int(c.off)
 }
 
 // Alloc hands out address ranges in some region of a machine's address

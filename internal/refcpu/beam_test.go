@@ -11,12 +11,13 @@ import (
 )
 
 // chargePixels makes the calls b stands for one Charge, Load or Store at
-// a time: ChargeBeam's oracle.
+// a time: ChargeBeam's oracle. It expands the runs itself.
 func chargePixels(m machine.Machine, b machine.Beam) {
-	for i := range len(b.Offs) / 2 {
+	offs := [2][]int32{expand(b.Runs[0]), expand(b.Runs[1])}
+	for i := range offs[0] {
 		for k := range 2 {
 			m.Charge(b.Pixel[k])
-			if off := b.Offs[2*i+k]; off >= 0 {
+			if off := offs[k][i]; off >= 0 {
 				b.Src[k].Load(m, b.Base[k]+int(off))
 			}
 		}
@@ -25,11 +26,27 @@ func chargePixels(m machine.Machine, b machine.Beam) {
 	}
 }
 
+// expand returns the offset of each pixel the runs cover, in order.
+func expand(runs [][3]int32) []int32 {
+	var offs []int32
+	for _, r := range runs {
+		for p := r[0]; p <= r[1]; p++ {
+			if r[2] < 0 {
+				offs = append(offs, -1)
+			} else {
+				offs = append(offs, r[2]+p-r[0])
+			}
+		}
+	}
+	return offs
+}
+
 // beamCPU charges 300 seeded beams to a traced CPU with charge. The beams
-// draw up to 40 pixels of random batches over three 4 MB buffers; their
-// child offsets run up by one per pixel or are −1 in runs, and start at
-// one of a few reused places or anywhere, so accesses are served at every
-// level. Beam 1 is all −1 and beam 2 empty.
+// draw up to 40 pixels of random batches over three 4 MB buffers; each
+// child's runs of up to 8 pixels have offsets that run up by one per
+// pixel or are −1, and start at one of a few reused places or anywhere,
+// so accesses are served at every level. Beam 1 is all −1 and beam 2
+// empty.
 func beamCPU(t *testing.T, charge func(*CPU, machine.Beam)) (*CPU, *obs.Tracer) {
 	cpu := New(I7M620())
 	tr := obs.NewTracer(cpu.P.Clock)
@@ -59,7 +76,6 @@ func beamCPU(t *testing.T, charge func(*CPU, machine.Beam)) (*CPU, *obs.Tracer) 
 			n = 0
 		}
 		b.Out = place(n)
-		b.Offs = make([]int32, 2*n)
 		for k := range 2 {
 			b.Src[k], b.Base[k] = bufs[rng.Intn(3)], place(2*n)
 			for i := 0; i < n; {
@@ -67,12 +83,9 @@ func beamCPU(t *testing.T, charge func(*CPU, machine.Beam)) (*CPU, *obs.Tracer) 
 				if j != 1 && rng.Intn(3) > 0 {
 					off = int32(rng.Intn(n))
 				}
-				for run := min(n-i, 1+rng.Intn(8)); run > 0; run, i = run-1, i+1 {
-					b.Offs[2*i+k] = off
-					if off >= 0 {
-						off++
-					}
-				}
+				run := min(n-i, 1+rng.Intn(8))
+				b.Runs[k] = append(b.Runs[k], [3]int32{int32(i), int32(i + run - 1), off})
+				i += run
 			}
 		}
 		charge(cpu, b)
@@ -103,5 +116,38 @@ func TestChargeBeamMatchesPerPixel(t *testing.T) {
 		if k == 0 {
 			t.Errorf("no access served at %v", Level(lvl))
 		}
+	}
+}
+
+// BenchmarkChargeBeam prices one paper-scale merge beam per operation:
+// 1,001 pixels with the kernels' three per-pixel batches, each child's
+// runs 12 pixels long with every seventh outside its grid. Successive
+// beams read successive pairs of child rows of one 1024 x 1001 stage
+// buffer and store successive rows of another, as SeqFFBP's merges do,
+// so the cache serves them as it serves a merge.
+func BenchmarkChargeBeam(b *testing.B) {
+	const nb, rows = 1001, 1024
+	cpu := New(I7M620())
+	src, _ := machine.NewBufC(cpu.Mem(), rows*nb)
+	dst, _ := machine.NewBufC(cpu.Mem(), rows*nb)
+	var runs [][3]int32
+	for s := int32(0); s < nb; s += 12 {
+		o := s
+		if len(runs)%7 == 6 {
+			o = -1
+		}
+		runs = append(runs, [3]int32{s, min(s+11, nb-1), o})
+	}
+	beam := machine.Beam{
+		Pixel: [3]machine.Ops{{FMA: 13, Flop: 2, IOp: 4, Div: 2, Sqrt: 2, Trig: 2}, {FMA: 2, Flop: 2, IOp: 4}, {Flop: 2}},
+		Src:   [2]*machine.BufC{src, src},
+		Runs:  [2][][3]int32{runs, runs},
+		Dst:   dst,
+	}
+	for i := range b.N {
+		row := i % (rows / 2)
+		beam.Base = [2]int{2 * row * nb, (2*row + 1) * nb}
+		beam.Out = (i % rows) * nb
+		cpu.ChargeBeam(beam)
 	}
 }

@@ -235,9 +235,9 @@ func (c *CPU) pay(lvl Level, cy float64) {
 }
 
 // ChargeBeam makes the float additions of the calls b lists in their
-// order: each batch's non-integer part then its IOp part, and each
-// access's cache walk and level cost. It prices each batch and level once
-// and adds the counters once per beam, which is exact.
+// order, pixel by pixel: each batch's non-integer part then its IOp part,
+// and each access's cache walk and level cost. It prices each batch and
+// level once and adds the counters once per beam, which is exact.
 func (c *CPU) ChargeBeam(b machine.Beam) {
 	var fp, iop [3]float64
 	for k := range b.Pixel {
@@ -249,13 +249,14 @@ func (c *CPU) ChargeBeam(b machine.Beam) {
 	}
 	var served [4]uint64
 	var loads uint64
-	n := len(b.Offs) / 2
+	cur := [2]machine.Cursor{b.Cursor(0), b.Cursor(1)}
+	n := b.Len()
 	for i := range n {
-		for k := range 2 {
+		for k := range cur {
 			c.cycles += fp[k]
 			c.cycles += iop[k]
-			if off := b.Offs[2*i+k]; off >= 0 {
-				lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+int(off)), 8)
+			if off := cur[k].Next(); off >= 0 {
+				lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+off), 8)
 				served[lvl]++
 				loads++
 				c.pay(lvl, cost[lvl])
