@@ -14,27 +14,11 @@ import (
 	"sarmany/internal/sar"
 )
 
-// sameBits reports whether a and b hold the same float32 bits, so that
-// -0 and +0 differ.
-func sameBits(a, b *mat.C) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Rows {
-		for j, v := range a.Row(i) {
-			w := b.Row(i)[j]
-			if math.Float32bits(real(v)) != math.Float32bits(real(w)) || math.Float32bits(imag(v)) != math.Float32bits(imag(w)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestFFBPKernelsMatchImageAtRandomShapes draws seeded geometries of odd
 // shape and checks that SeqFFBP on the Intel reference and on one E16G3
 // core, and ParFFBP on E16G3 at a random core count from 1 to 16, each
-// form ffbp.Image's nearest-neighbour image (one worker) in float32 bits.
+// form ffbp.Image's nearest-neighbour image (one worker) in float32 bits,
+// compared by imageSHA256.
 // NumPulses is a power of two from 2 to 64 and NumBins odd from 3 to 61.
 // Every other geometry starts its ranges below the last merge's child
 // half-length, where the run finder takes the exact path and every run
@@ -115,7 +99,7 @@ func TestFFBPKernelsMatchImageAtRandomShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d, %s: %v", trial, run.name, err)
 			}
-			if grid != wantGrid || !sameBits(img, want) {
+			if grid != wantGrid || imageSHA256(img) != imageSHA256(want) {
 				t.Errorf("trial %d, %s (%d pulses, %d bins, R0 %.3g, DR %.3g, %d cores, box %+v): image differs from ffbp.Image",
 					trial, run.name, p.NumPulses, p.NumBins, p.R0, p.DR, cores, box)
 			}
