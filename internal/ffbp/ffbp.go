@@ -103,7 +103,7 @@ func newStage(box geom.SceneBox, aps []geom.Aperture, ntheta, nr int, r0, dr flo
 	return s
 }
 
-// checkData reports whether p is valid and data holds its pulses.
+// checkData returns an error unless p is valid and data holds its pulses.
 func checkData(data *mat.C, p sar.Params) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -115,7 +115,7 @@ func checkData(data *mat.C, p sar.Params) error {
 	return nil
 }
 
-// checkPulses reports whether merge base 2 halves p's pulses down to one.
+// checkPulses returns an error unless merge base 2 halves p's pulses to one.
 func checkPulses(p sar.Params) error {
 	if p.NumPulses&(p.NumPulses-1) != 0 {
 		return fmt.Errorf("ffbp: NumPulses %d is not a power of two (merge base 2)", p.NumPulses)
