@@ -18,13 +18,12 @@ import (
 // shape and checks that SeqFFBP on the Intel reference and on one E16G3
 // core, and ParFFBP on E16G3 at a random core count from 1 to 16, each
 // form ffbp.Image's nearest-neighbour image (one worker) in float32 bits,
-// compared by imageSHA256.
-// NumPulses is a power of two from 2 to 64 and NumBins odd from 3 to 61.
-// Every other geometry starts its ranges below the last merge's child
-// half-length, where the run finder takes the exact path and every run
-// is one pixel; narrow scene boxes off to one side put some children
-// wholly outside some beams. The data are random, with a quarter of the
-// samples -0, so that a merge's signed zeros show.
+// compared by imageSHA256. NumPulses is a power of two from 2 to 64 and
+// NumBins odd from 3 to 61. Every other geometry starts its ranges below
+// the last merge's child half-length, where the run finder takes the
+// exact path and every run is one pixel; narrow scene boxes off to one
+// side put some children wholly outside some beams. The data are random,
+// with a quarter of the samples -0, so that a merge's signed zeros show.
 func TestFFBPKernelsMatchImageAtRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var exact, outside int
