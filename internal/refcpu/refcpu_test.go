@@ -48,8 +48,9 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheRejectsBadParams(t *testing.T) {
 	bad := []CacheParams{
 		{SizeBytes: 0, Ways: 1, LineBytes: 64},
-		{SizeBytes: 512, Ways: 3, LineBytes: 32},  // 16 lines / 3 ways: 5 sets, not pow2
-		{SizeBytes: 512, Ways: 2, LineBytes: 100}, // line not pow2
+		{SizeBytes: 512, Ways: 3, LineBytes: 32},   // 16 lines / 3 ways: 5 sets, not pow2
+		{SizeBytes: 512, Ways: 2, LineBytes: 100},  // line not pow2
+		{SizeBytes: 2048, Ways: 32, LineBytes: 64}, // one set, more ways than a recency order holds
 	}
 	for i, p := range bad {
 		func() {
