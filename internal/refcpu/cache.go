@@ -37,7 +37,8 @@ func newCache(p CacheParams) *cache {
 	if p.LineBytes <= 0 || p.SizeBytes <= 0 || p.Ways <= 0 || p.Ways > 16 {
 		panic(fmt.Sprintf("refcpu: invalid cache params %+v", p))
 	}
-	sets := p.SizeBytes / p.LineBytes / p.Ways
+	lines := p.SizeBytes / p.LineBytes
+	sets := lines / p.Ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("refcpu: cache must have a power-of-two set count, got %d", sets))
 	}

@@ -132,18 +132,18 @@ type access struct {
 	n    int
 }
 
-const base = 0x10000000 // the first address of every stream
+const streamBase = 0x10000000 // the first address of every stream
 
 // ffbpStream returns FFBP's pattern: two load streams and a store stream
 // of 8-byte accesses advancing together over 8 MB, twice the L3, each
 // jumping now and then to a random row.
 func ffbpStream(rng *rand.Rand) []access {
 	var s []access
-	ptr := [3]uint32{base, base + 3<<20, base + 7<<20}
+	ptr := [3]uint32{streamBase, streamBase + 3<<20, streamBase + 7<<20}
 	for i := 0; i < 200000; i++ {
 		k := i % 3
 		if rng.IntN(500) == 0 {
-			ptr[k] = base + uint32(rng.IntN(8<<20))&^7
+			ptr[k] = streamBase + uint32(rng.IntN(8<<20))&^7
 		}
 		s = append(s, access{ptr[k], 8})
 		ptr[k] += 8
@@ -165,7 +165,7 @@ func cacheStreams(p Params, rng *rand.Rand) map[string][]access {
 	for _, c := range []CacheParams{p.L1, p.L2, p.L3} {
 		lines := c.Ways + 1 + rng.IntN(c.Ways)
 		for i := 0; i < 40000; i++ {
-			s = append(s, access{base + uint32(rng.IntN(lines))*span(c) + uint32(rng.IntN(64)), 4})
+			s = append(s, access{streamBase + uint32(rng.IntN(lines))*span(c) + uint32(rng.IntN(64)), 4})
 		}
 	}
 	out["conflict"] = s
@@ -174,7 +174,7 @@ func cacheStreams(p Params, rng *rand.Rand) map[string][]access {
 	s = nil
 	for i := 0; i < 100000; i++ {
 		line := uint32(rng.IntN(1 << 12))
-		s = append(s, access{base + line*64 + 64 - uint32(1+rng.IntN(8)), 8 + rng.IntN(120)})
+		s = append(s, access{streamBase + line*64 + 64 - uint32(1+rng.IntN(8)), 8 + rng.IntN(120)})
 	}
 	out["spanning"] = s
 
@@ -182,10 +182,10 @@ func cacheStreams(p Params, rng *rand.Rand) map[string][]access {
 	s = nil
 	big := 2 * p.L3.SizeBytes
 	for a := 0; a < big; a += 32 {
-		s = append(s, access{base + uint32(a), 8})
+		s = append(s, access{streamBase + uint32(a), 8})
 	}
 	for i := 0; i < 200000; i++ {
-		s = append(s, access{base + uint32(rng.IntN(big))&^7, 8})
+		s = append(s, access{streamBase + uint32(rng.IntN(big))&^7, 8})
 	}
 	out["beyond-l3"] = s
 	return out
