@@ -117,16 +117,16 @@ const (
 	minBucketExp = -33 // exponent of bucket 0's lower bound
 )
 
-// bucketIndex returns the bucket holding v.
+// bucketIndex returns the bucket holding v. The top bucket also takes
+// +Inf and NaN, whose conversion to int is undefined.
 func bucketIndex(v float64) int {
 	if v < math.Exp2(minBucketExp+1) {
 		return 0
 	}
-	i := int(math.Floor(math.Log2(v))) - minBucketExp
-	if i >= numBuckets {
-		i = numBuckets - 1
+	if !(v < math.Exp2(minBucketExp+numBuckets)) {
+		return numBuckets - 1
 	}
-	return i
+	return int(math.Floor(math.Log2(v))) - minBucketExp
 }
 
 // bucketBounds returns bucket i's half-open interval [lo, hi). Bucket 0

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -42,6 +43,20 @@ func TestHistogramStats(t *testing.T) {
 		if m.Buckets[b] != 1 {
 			t.Errorf("bucket %q = %d, want 1 (all: %v)", b, m.Buckets[b], m.Buckets)
 		}
+	}
+}
+
+// TestHistogramNonFinite: +Inf and NaN observations land in the top
+// bucket instead of indexing out of range.
+func TestHistogramNonFinite(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h")
+	h.Observe(math.Inf(1))
+	h.Observe(math.NaN())
+	h.Observe(1 << 40)
+	m, _ := r.Snapshot().Get("h")
+	if top := bucketLabel(numBuckets - 1); m.Count != 3 || m.Buckets[top] != 3 {
+		t.Errorf("histogram metric %+v, want all 3 in bucket %q", m, top)
 	}
 }
 

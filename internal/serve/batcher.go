@@ -5,47 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"sarmany/internal/sweep"
 )
-
-// Request is one admitted job waiting for (or riding through) a batch.
-// Its result arrives exactly once on an internal buffered channel, so a
-// caller that stops waiting leaks nothing: the delivery never blocks and
-// the channel is garbage once the Request is unreachable.
-type Request struct {
-	// ID is the job's content address (see Server job IDs).
-	ID string
-	// Job is the sweep job the batch executes.
-	Job sweep.Job
-	// ctx governs the request's execution: it carries the per-request
-	// deadline and is honored both while queued (a canceled request is
-	// failed at flush time without running) and while executing.
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan sweep.JobResult // buffered 1: delivery never blocks
-}
-
-// Context returns the request's execution context.
-func (r *Request) Context() context.Context {
-	if r.ctx != nil {
-		return r.ctx
-	}
-	return context.Background()
-}
-
-// deliver hands the request its result. The buffered channel makes this
-// non-blocking; a second delivery is dropped, so a request resolves at
-// most once.
-func (r *Request) deliver(res sweep.JobResult) {
-	select {
-	case r.done <- res:
-	default:
-	}
-	if r.cancel != nil {
-		r.cancel()
-	}
-}
 
 // QueueFullError is the typed admission failure for a saturated batcher
 // queue: the client should back off and retry after the hint.
@@ -71,48 +31,45 @@ type DrainingError struct{}
 // Error describes the rejection.
 func (e *DrainingError) Error() string { return "serve: draining, not accepting jobs" }
 
-// ExecFunc runs one flushed batch. It must deliver a result to every
-// request in the batch (the batcher has already failed canceled ones).
-type ExecFunc func(batch []*Request)
-
-// BatcherOptions configures a Batcher.
-type BatcherOptions struct {
-	// BatchSize flushes a batch once this many requests are pending
+// batcherOptions configures a batcher.
+type batcherOptions struct {
+	// BatchSize flushes a batch once this many records are pending
 	// (default 8).
 	BatchSize int
-	// MaxWait flushes a partial batch this long after its first request
+	// MaxWait flushes a partial batch this long after its first record
 	// arrived (default 25ms), bounding queueing latency at low load.
 	MaxWait time.Duration
-	// QueueLimit bounds queued+in-flight requests; Submit beyond it
+	// QueueLimit bounds queued+in-flight records; submit beyond it
 	// returns a QueueFullError (default 256).
 	QueueLimit int
 	// RetryAfter supplies the backoff hint stamped into QueueFullError
 	// (nil = a constant second).
 	RetryAfter func() time.Duration
-	// Exec runs each flushed batch. Required.
-	Exec ExecFunc
+	// Exec runs each flushed batch and must complete every record in it,
+	// including those whose context ended while they were queued.
+	// Required.
+	Exec func(batch []*record)
 }
 
-// Batcher coalesces admitted requests into bounded batches: a batch
-// flushes when it reaches BatchSize or MaxWait after its first request,
+// batcher coalesces admitted records into bounded batches: a batch
+// flushes when it reaches BatchSize or MaxWait after its first record,
 // whichever comes first. Flushed batches execute concurrently on Exec;
-// the queue bound covers queued and executing requests together, which
+// the queue bound covers queued and executing records together, which
 // is what admission control pushes back on.
-type Batcher struct {
-	opt BatcherOptions
+type batcher struct {
+	opt batcherOptions
 
 	mu       sync.Mutex
-	pending  []*Request
+	pending  []*record
 	inflight int
 	timer    *time.Timer
 	gen      int // timer generation: a stale timer must not flush a newer batch
 	closed   bool
 	idle     chan struct{} // closed when closed && no pending && no inflight
-	wg       sync.WaitGroup
 }
 
-// NewBatcher returns a batcher with defaults applied. Exec is required.
-func NewBatcher(opt BatcherOptions) *Batcher {
+// newBatcher returns a batcher with defaults applied. Exec is required.
+func newBatcher(opt batcherOptions) *batcher {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 8
 	}
@@ -126,39 +83,31 @@ func NewBatcher(opt BatcherOptions) *Batcher {
 		opt.RetryAfter = func() time.Duration { return time.Second }
 	}
 	if opt.Exec == nil {
-		panic("serve: NewBatcher requires Exec")
+		panic("serve: newBatcher requires Exec")
 	}
-	return &Batcher{opt: opt, idle: make(chan struct{})}
+	return &batcher{opt: opt, idle: make(chan struct{})}
 }
 
-// Depth returns the queued plus in-flight request count.
-func (b *Batcher) Depth() int {
+// depth returns the queued plus in-flight record count.
+func (b *batcher) depth() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.pending) + b.inflight
 }
 
-// Submit admits one job. ctx is the request's execution context (carry
-// the per-job deadline in it); cancellation while queued fails the
-// request at flush time without running it. Typed errors report the
-// admission decision: *DrainingError after Close, *QueueFullError at the
-// queue bound.
-func (b *Batcher) Submit(ctx context.Context, id string, job sweep.Job) (*Request, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// submit queues one record. Typed errors report the admission decision:
+// *DrainingError after drain, *QueueFullError at the queue bound.
+func (b *batcher) submit(r *record) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, &DrainingError{}
+		return &DrainingError{}
 	}
 	if depth := len(b.pending) + b.inflight; depth >= b.opt.QueueLimit {
-		b.mu.Unlock()
-		return nil, &QueueFullError{Depth: depth, Limit: b.opt.QueueLimit, RetryAfter: b.opt.RetryAfter()}
+		b.mu.Unlock() // RetryAfter may read depth
+		return &QueueFullError{Depth: depth, Limit: b.opt.QueueLimit, RetryAfter: b.opt.RetryAfter()}
 	}
-	rctx, cancel := context.WithCancel(ctx)
-	req := &Request{ID: id, Job: job, ctx: rctx, cancel: cancel, done: make(chan sweep.JobResult, 1)}
-	b.pending = append(b.pending, req)
+	b.pending = append(b.pending, r)
 	switch {
 	case len(b.pending) >= b.opt.BatchSize:
 		b.flushLocked()
@@ -167,13 +116,13 @@ func (b *Batcher) Submit(ctx context.Context, id string, job sweep.Job) (*Reques
 		b.timer = time.AfterFunc(b.opt.MaxWait, func() { b.timedFlush(gen) })
 	}
 	b.mu.Unlock()
-	return req, nil
+	return nil
 }
 
 // timedFlush is the MaxWait expiry path: flush whatever is pending,
 // unless a size-triggered flush already took this batch (generation
 // mismatch).
-func (b *Batcher) timedFlush(gen int) {
+func (b *batcher) timedFlush(gen int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if gen != b.gen || len(b.pending) == 0 {
@@ -183,9 +132,7 @@ func (b *Batcher) timedFlush(gen int) {
 }
 
 // flushLocked hands the pending batch to Exec on a fresh goroutine.
-// Requests whose context died while queued are failed here — they never
-// reach Exec, and their (buffered) result channels resolve immediately.
-func (b *Batcher) flushLocked() {
+func (b *batcher) flushLocked() {
 	batch := b.pending
 	b.pending = nil
 	b.gen++
@@ -193,27 +140,11 @@ func (b *Batcher) flushLocked() {
 		b.timer.Stop()
 		b.timer = nil
 	}
-	live := batch[:0]
-	var dead []*Request
-	for _, r := range batch {
-		if r.ctx.Err() != nil {
-			dead = append(dead, r)
-			continue
-		}
-		live = append(live, r)
-	}
-	b.inflight += len(live)
-	b.wg.Add(1)
+	b.inflight += len(batch)
 	go func() {
-		defer b.wg.Done()
-		for _, r := range dead {
-			r.deliver(sweep.JobResult{Job: r.Job, Err: r.ctx.Err()})
-		}
-		if len(live) > 0 {
-			b.opt.Exec(live)
-		}
+		b.opt.Exec(batch)
 		b.mu.Lock()
-		b.inflight -= len(live)
+		b.inflight -= len(batch)
 		b.maybeIdleLocked()
 		b.mu.Unlock()
 	}()
@@ -221,7 +152,7 @@ func (b *Batcher) flushLocked() {
 
 // maybeIdleLocked closes the idle channel once the batcher is closed and
 // fully drained.
-func (b *Batcher) maybeIdleLocked() {
+func (b *batcher) maybeIdleLocked() {
 	if b.closed && len(b.pending) == 0 && b.inflight == 0 {
 		select {
 		case <-b.idle:
@@ -231,12 +162,12 @@ func (b *Batcher) maybeIdleLocked() {
 	}
 }
 
-// Close drains the batcher: no further Submit is admitted, the pending
-// partial batch flushes immediately, and Close blocks until every
-// in-flight batch has delivered or ctx expires (in which case the
-// remaining jobs keep running but Close returns the context error).
-// Close is idempotent.
-func (b *Batcher) Close(ctx context.Context) error {
+// drain closes the batcher: no further submit is admitted, the pending
+// partial batch flushes immediately, and drain blocks until every
+// in-flight batch has completed or ctx expires (in which case the
+// remaining jobs keep running but drain returns the context error).
+// drain is idempotent.
+func (b *batcher) drain(ctx context.Context) error {
 	b.mu.Lock()
 	b.closed = true
 	if len(b.pending) > 0 {

@@ -3,66 +3,72 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sarmany/internal/bench"
-	"sarmany/internal/sweep"
 )
 
-// collectExec returns an ExecFunc that records every batch it receives
-// and then delivers a trivial success to each request: a test that has
-// waited for a result finds its batch recorded.
-func collectExec(mu *sync.Mutex, batches *[][]string) ExecFunc {
-	return func(batch []*Request) {
+// newTestRecord returns a queued record for id, as store.admit makes one.
+func newTestRecord(id string) *record {
+	return &record{info: JobInfo{ID: id, Status: StatusQueued}, done: make(chan struct{})}
+}
+
+// collectExec returns an exec function that records every batch it
+// receives and then completes each record: a test that has waited for a
+// record finds its batch recorded.
+func collectExec(mu *sync.Mutex, batches *[][]string) func([]*record) {
+	return func(batch []*record) {
 		ids := make([]string, len(batch))
 		for i, r := range batch {
-			ids[i] = r.ID
+			ids[i] = r.info.ID
 		}
 		mu.Lock()
 		*batches = append(*batches, ids)
 		mu.Unlock()
 		for _, r := range batch {
-			r.deliver(sweep.JobResult{Job: r.Job, Result: bench.Result{Name: r.ID}})
+			r.complete(nil, false, 0, "", "")
 		}
 	}
 }
 
-// wait reads r's delivered result, or gives up when ctx is done: it
+// wait blocks until r completes, or gives up when ctx is done: it
 // returns the job's error, or ctx's.
-func wait(ctx context.Context, r *Request) error {
+func wait(ctx context.Context, r *record) error {
 	select {
-	case res := <-r.done:
-		return res.Err
+	case <-r.done:
+		if info := r.snapshot(); info.Status != StatusDone {
+			return fmt.Errorf("job %s %s: %s", info.ID, info.Status, info.Error)
+		}
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// TestBatcherSizeFlush: the batch flushes as soon as BatchSize requests
+// TestBatcherSizeFlush: the batch flushes as soon as BatchSize records
 // are pending, without waiting for MaxWait.
 func TestBatcherSizeFlush(t *testing.T) {
 	var mu sync.Mutex
 	var batches [][]string
-	b := NewBatcher(BatcherOptions{
+	b := newBatcher(batcherOptions{
 		BatchSize: 3, MaxWait: time.Hour, // a max-wait flush would time the test out
 		Exec: collectExec(&mu, &batches),
 	})
-	var reqs []*Request
+	var recs []*record
 	for i := 0; i < 3; i++ {
-		r, err := b.Submit(context.Background(), string(rune('a'+i)), sweep.Job{})
-		if err != nil {
+		r := newTestRecord(string(rune('a' + i)))
+		if err := b.submit(r); err != nil {
 			t.Fatal(err)
 		}
-		reqs = append(reqs, r)
+		recs = append(recs, r)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for _, r := range reqs {
+	for _, r := range recs {
 		if err := wait(ctx, r); err != nil {
-			t.Fatalf("wait %s: %v", r.ID, err)
+			t.Fatalf("wait %s: %v", r.info.ID, err)
 		}
 	}
 	mu.Lock()
@@ -73,18 +79,18 @@ func TestBatcherSizeFlush(t *testing.T) {
 }
 
 // TestBatcherMaxWaitPartialFlush is the satellite edge case: a partial
-// batch (fewer than BatchSize requests) must flush MaxWait after its
-// first request arrives rather than wait indefinitely.
+// batch (fewer than BatchSize records) must flush MaxWait after its
+// first record arrives rather than wait indefinitely.
 func TestBatcherMaxWaitPartialFlush(t *testing.T) {
 	var mu sync.Mutex
 	var batches [][]string
-	b := NewBatcher(BatcherOptions{
+	b := newBatcher(batcherOptions{
 		BatchSize: 100, MaxWait: 20 * time.Millisecond,
 		Exec: collectExec(&mu, &batches),
 	})
 	start := time.Now()
-	r, err := b.Submit(context.Background(), "lonely", sweep.Job{})
-	if err != nil {
+	r := newTestRecord("lonely")
+	if err := b.submit(r); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -102,94 +108,54 @@ func TestBatcherMaxWaitPartialFlush(t *testing.T) {
 	}
 }
 
-// TestBatcherQueuedCancellation is the satellite edge case: cancelling a
-// queued request's context fails it at flush time without executing it,
-// and the result channel resolves (no leaked waiter) — a second waiter
-// still gets the buffered outcome.
-func TestBatcherQueuedCancellation(t *testing.T) {
-	var executed atomic.Int64
-	b := NewBatcher(BatcherOptions{
-		BatchSize: 2, MaxWait: 10 * time.Millisecond,
-		Exec: func(batch []*Request) {
-			for _, r := range batch {
-				executed.Add(1)
-				r.deliver(sweep.JobResult{Job: r.Job})
-			}
-		},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	r, err := b.Submit(ctx, "doomed", sweep.Job{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel() // still queued: MaxWait has not elapsed
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := wait(wctx, r); !errors.Is(err, context.Canceled) {
-		t.Fatalf("wait err = %v, want context.Canceled", err)
-	}
-	if got := executed.Load(); got != 0 {
-		t.Errorf("canceled request executed %d times", got)
-	}
-	// The batcher keeps serving after the cancellation.
-	ok, err := b.Submit(context.Background(), "alive", sweep.Job{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wait(wctx, ok); err != nil {
-		t.Fatalf("post-cancel submit: %v", err)
-	}
-}
-
-// TestBatcherDrainWithInflight is the satellite edge case: Close must
+// TestBatcherDrainWithInflight is the satellite edge case: drain must
 // flush the pending partial batch, wait for in-flight batches to
-// deliver, and reject later submissions with a typed DrainingError.
+// complete, and reject later submissions with a typed DrainingError.
 func TestBatcherDrainWithInflight(t *testing.T) {
 	release := make(chan struct{})
-	var delivered atomic.Int64
-	b := NewBatcher(BatcherOptions{
+	var completed atomic.Int64
+	b := newBatcher(batcherOptions{
 		BatchSize: 1, MaxWait: time.Hour,
-		Exec: func(batch []*Request) {
+		Exec: func(batch []*record) {
 			<-release // hold the batch in flight until the test says go
 			for _, r := range batch {
-				r.deliver(sweep.JobResult{Job: r.Job})
-				delivered.Add(1)
+				r.complete(nil, false, 0, "", "")
+				completed.Add(1)
 			}
 		},
 	})
-	// BatchSize 1: this request is in flight (blocked on release) now.
-	if _, err := b.Submit(context.Background(), "inflight", sweep.Job{}); err != nil {
+	// BatchSize 1: this record is in flight (blocked on release) now.
+	if err := b.submit(newTestRecord("inflight")); err != nil {
 		t.Fatal(err)
 	}
 
-	closed := make(chan error, 1)
+	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		closed <- b.Close(ctx)
+		drained <- b.drain(ctx)
 	}()
 
-	// Close must not return while the batch is held in flight.
+	// drain must not return while the batch is held in flight.
 	select {
-	case err := <-closed:
-		t.Fatalf("Close returned %v with a batch still in flight", err)
+	case err := <-drained:
+		t.Fatalf("drain returned %v with a batch still in flight", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if d := delivered.Load(); d != 0 {
-		t.Fatalf("delivered = %d before release", d)
+	if d := completed.Load(); d != 0 {
+		t.Fatalf("completed = %d before release", d)
 	}
 
 	close(release)
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	if d := delivered.Load(); d != 1 {
-		t.Errorf("delivered = %d after drain, want 1", d)
+	if d := completed.Load(); d != 1 {
+		t.Errorf("completed = %d after drain, want 1", d)
 	}
 
 	var drain *DrainingError
-	if _, err := b.Submit(context.Background(), "late", sweep.Job{}); !errors.As(err, &drain) {
+	if err := b.submit(newTestRecord("late")); !errors.As(err, &drain) {
 		t.Errorf("post-drain submit err = %v, want *DrainingError", err)
 	}
 }
@@ -199,23 +165,23 @@ func TestBatcherDrainWithInflight(t *testing.T) {
 func TestBatcherQueueFullTyped(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	b := NewBatcher(BatcherOptions{
+	b := newBatcher(batcherOptions{
 		BatchSize: 1, MaxWait: time.Hour, QueueLimit: 2,
 		RetryAfter: func() time.Duration { return 7 * time.Second },
-		Exec: func(batch []*Request) {
+		Exec: func(batch []*record) {
 			<-release
 			for _, r := range batch {
-				r.deliver(sweep.JobResult{Job: r.Job})
+				r.complete(nil, false, 0, "", "")
 			}
 		},
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := b.Submit(context.Background(), string(rune('a'+i)), sweep.Job{}); err != nil {
+		if err := b.submit(newTestRecord(string(rune('a' + i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var full *QueueFullError
-	_, err := b.Submit(context.Background(), "overflow", sweep.Job{})
+	err := b.submit(newTestRecord("overflow"))
 	if !errors.As(err, &full) {
 		t.Fatalf("err = %v, want *QueueFullError", err)
 	}

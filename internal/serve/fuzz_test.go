@@ -19,8 +19,10 @@ import (
 // bodies. The runner is a stub that returns a fixed envelope at once, so
 // no simulation runs. For every body the handler must not panic or
 // answer 5xx; a body over 64 KiB gets 413; a body that is not a valid
-// spec gets a 4xx whose JSON envelope names the error; and a valid spec,
-// re-encoded with its fields in reverse order, gets the same job ID.
+// spec gets a 4xx whose JSON envelope names the error; a valid spec,
+// re-encoded with its fields in reverse order, gets the same job ID; and
+// once the server has drained, that job is done or failed, even when its
+// deadline passed before its batch flushed.
 func FuzzSubmit(f *testing.F) {
 	for _, body := range []string{
 		// docs/API.md
@@ -39,17 +41,19 @@ func FuzzSubmit(f *testing.F) {
 		"{\"exp\": \"gbp\"} \n\t ",
 		`{"exp": "gbp", "tag": "` + strings.Repeat("x", maxSpecBytes) + `"}`,
 		`{"exp": "t1", "scale": "paper", "tenant": "a", "tag": "b", "timeout_seconds": 2.5}`,
+		`{"exp": "gbp", "timeout_seconds": 1e-9}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var execs atomic.Int64
 		s := NewServer(Options{Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
-		defer func() {
+		drain := func() {
 			if err := s.Drain(context.Background()); err != nil {
 				t.Errorf("drain: %v", err)
 			}
-		}()
+		}
+		defer drain()
 		h := s.Handler()
 		post := func(b []byte) (int, []byte) {
 			rec := httptest.NewRecorder()
@@ -78,14 +82,16 @@ func FuzzSubmit(f *testing.F) {
 		if err := json.Unmarshal(resp, &info); err != nil || info.ID == "" {
 			t.Fatalf("status %d without a job record: %s", code, resp)
 		}
-		rev := reversedSpec(info.Spec)
-		if len(rev) > maxSpecBytes { // escaping grew a tag near the cap
-			return
+		if rev := reversedSpec(info.Spec); len(rev) <= maxSpecBytes { // escaping can grow a tag past the cap
+			code2, resp2 := post(rev)
+			var info2 JobInfo
+			if err := json.Unmarshal(resp2, &info2); err != nil || code2 >= 300 || info2.ID != info.ID {
+				t.Fatalf("reordered spec %s: status %d, job %q, want job %q", rev, code2, info2.ID, info.ID)
+			}
 		}
-		code2, resp2 := post(rev)
-		var info2 JobInfo
-		if err := json.Unmarshal(resp2, &info2); err != nil || code2 >= 300 || info2.ID != info.ID {
-			t.Fatalf("reordered spec %s: status %d, job %q, want job %q", rev, code2, info2.ID, info.ID)
+		drain() // the deferred drain then finds the batcher idle
+		if got, ok := s.Info(info.ID); !ok || (got.Status != StatusDone && got.Status != StatusFailed) {
+			t.Fatalf("job %s is %q after the drain, want done or failed", info.ID, got.Status)
 		}
 	})
 }

@@ -1,10 +1,13 @@
 // Package serve is the SAR-as-a-service layer: a long-running job
 // server that accepts image-formation and sweep jobs over HTTP/JSON,
-// coalesces them through a bounded batcher (batch-size + max-wait flush,
-// per-request result channels), and executes them on the
-// internal/sweep pool with the content-addressed result cache as a
-// shared store — duplicate submissions are single-flighted across
-// tenants and replay byte-identical envelopes.
+// coalesces them through a bounded batcher (batch-size + max-wait
+// flush), and executes them on the internal/sweep pool with the
+// content-addressed result cache as a shared store — duplicate
+// submissions are single-flighted across tenants and replay
+// byte-identical envelopes. Each job lives in one record from admission
+// to result: the batcher queues the record, and every flushed record,
+// even one whose deadline passed in the queue, completes through its
+// batch into the store and the ledger.
 //
 // Admission control happens in three stages, each with a typed error
 // and an HTTP backpressure mapping:
@@ -16,8 +19,9 @@
 // Job identifiers are content addresses (a prefix of the sweep cache
 // key), so resubmitting the same job is idempotent: the second POST
 // attaches to the first record, and a completed job's result serves
-// straight from memory or the shared cache. Request deadlines propagate
-// via context.Context into the executing kernels; graceful drain stops
+// straight from memory or the shared cache. Each job runs on its
+// record's context, the server's base context plus the job's deadline,
+// which reaches the executing kernels; graceful drain stops
 // admission, flushes in-flight batches and appends a final ledger
 // entry. Every completed job is recorded in the internal/telemetry run
 // ledger, and the obs registry behind /metrics carries serve.* and
@@ -27,7 +31,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -89,8 +92,9 @@ type Options struct {
 	// CacheDir is the shared content-addressed result store; empty
 	// disables caching (every job simulates).
 	CacheDir string
-	// BatchSize and MaxWait configure the batcher flush policy (see
-	// BatcherOptions).
+	// BatchSize flushes a batch once this many jobs are queued (default
+	// 8); MaxWait flushes a partial batch this long after its first job
+	// arrived (default 25ms).
 	BatchSize int
 	MaxWait   time.Duration
 	// QueueLimit bounds queued+executing requests (default 256).
@@ -139,13 +143,12 @@ type Server struct {
 	opt     Options
 	base    context.Context
 	stop    context.CancelFunc
-	batcher *Batcher
+	batcher *batcher
 	store   *store
 	quotas  *quotas
 	reg     *obs.Registry
 	m       serveMetrics
 	started time.Time
-	run     sweep.RunFunc
 	log     *slog.Logger
 
 	drainCh chan struct{} // closed when Drain begins
@@ -156,12 +159,6 @@ func NewServer(opt Options) *Server {
 	reg := opt.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	run := opt.Run
-	if run == nil {
-		run = func(ctx context.Context, j sweep.Job) (bench.Result, error) {
-			return bench.Compute(ctx, j.Exp, j.Config, "")
-		}
 	}
 	lg := opt.Log
 	if lg == nil {
@@ -176,7 +173,6 @@ func NewServer(opt Options) *Server {
 		quotas:  newQuotas(opt.Quota),
 		reg:     reg,
 		started: time.Now(),
-		run:     run,
 		log:     lg,
 		drainCh: make(chan struct{}),
 		m: serveMetrics{
@@ -194,7 +190,7 @@ func NewServer(opt Options) *Server {
 			requestSeconds: reg.Histogram("serve.request.seconds"),
 		},
 	}
-	s.batcher = NewBatcher(BatcherOptions{
+	s.batcher = newBatcher(batcherOptions{
 		BatchSize:  opt.BatchSize,
 		MaxWait:    opt.MaxWait,
 		QueueLimit: opt.QueueLimit,
@@ -230,7 +226,7 @@ const coldRetryAfter = time.Second
 // rate, clamped to [coldRetryAfter, 60s]. With no latency history (or
 // an empty queue) it suggests coldRetryAfter.
 func (s *Server) retryAfterHint() time.Duration {
-	depth := s.batcher.Depth()
+	depth := s.batcher.depth()
 	p50 := s.m.jobSeconds.Quantile(0.5)
 	workers := s.opt.Workers
 	if workers <= 0 {
@@ -372,22 +368,16 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 	}
 	// Execution deliberately runs on the server's context, not the
 	// submitter's: shared (single-flighted) work must survive one
-	// client's disconnect.
-	execCtx := s.base
-	var cancel context.CancelFunc
+	// client's disconnect. The job, its context and the trace handles
+	// ride the record from here on: the batcher can flush it on its own
+	// goroutine the moment it is queued.
+	rec.job, rec.ctx = job, s.base
 	if timeout > 0 {
-		execCtx, cancel = context.WithTimeout(execCtx, timeout)
+		rec.ctx, rec.cancel = context.WithTimeout(s.base, timeout)
 	}
-	// The trace handles ride the record from here on: the batcher can
-	// flush this request on its own goroutine the moment Submit returns,
-	// so they must be attached before the queue is entered.
 	queue := root.Child("queue.wait")
-	rec.setTrace(traceState{trace: tr, root: root, queue: queue})
-	req, err := s.batcher.Submit(execCtx, id, job)
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
+	rec.trace = traceState{trace: tr, root: root, queue: queue}
+	if err := s.batcher.submit(rec); err != nil {
 		// Roll the record back so a retry after backoff re-admits.
 		rec.complete(nil, false, 0, err.Error(), "")
 		queue.SetAttr("rejected", "queue_full")
@@ -401,15 +391,10 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 			"trace_id", tid, "tenant", tenant, "job_id", id, "reason", "queue_full", "err", err.Error())
 		return JobInfo{}, err
 	}
-	if cancel != nil {
-		// The batcher cancels the request context on delivery; release
-		// the timeout timer right behind it.
-		context.AfterFunc(req.Context(), cancel)
-	}
 	s.m.accepted.Add(1)
-	s.m.queueDepth.Set(float64(s.batcher.Depth()))
+	s.m.queueDepth.Set(float64(s.batcher.depth()))
 	s.log.Debug("job accepted",
-		"trace_id", tid, "tenant", tenant, "job_id", id, "exp", spec.Exp, "queue_depth", s.batcher.Depth())
+		"trace_id", tid, "tenant", tenant, "job_id", id, "exp", spec.Exp, "queue_depth", s.batcher.depth())
 	return rec.snapshot(), nil
 }
 
@@ -447,21 +432,18 @@ func (s *Server) Result(id string) ([]byte, JobInfo, bool) {
 	return raw, info, true
 }
 
-// execBatch executes one flushed batch on the sweep pool. Each batch
-// slot's Name carries its index so the runner can recover the request
-// and honor its context (per-request deadline) inside the kernel.
-func (s *Server) execBatch(batch []*Request) {
+// execBatch executes one flushed batch on the sweep pool and completes
+// every record in it. Each job runs on its record's context, carrying
+// its deadline and its execute span, so a job whose deadline passed in
+// the queue fails without running.
+func (s *Server) execBatch(batch []*record) {
 	s.m.batchJobs.Observe(float64(len(batch)))
 	flushed := time.Now()
 	jobs := make([]sweep.Job, len(batch))
 	forms := make([]*obs.ReqSpan, len(batch))
 	for i, r := range batch {
-		jobs[i] = r.Job
-		jobs[i].Name = strconv.Itoa(i)
-		if rec, ok := s.store.get(r.ID); ok {
-			rec.setRunning()
-			forms[i] = rec.beginExec(len(batch))
-		}
+		jobs[i] = r.job
+		forms[i] = r.beginExec(len(batch))
 	}
 	for _, f := range forms {
 		f.End()
@@ -470,53 +452,24 @@ func (s *Server) execBatch(batch []*Request) {
 		Workers:  s.opt.Workers,
 		CacheDir: s.opt.CacheDir,
 		Metrics:  s.reg,
-		// Batch slots map 1:1 onto sweep input indices, so the sweep's
-		// cache-lookup/execute spans nest under each request's execute
-		// stage span.
-		SpanFor: func(i int, j sweep.Job) *obs.ReqSpan {
-			if i < 0 || i >= len(batch) {
-				return nil
-			}
-			if rec, ok := s.store.get(batch[i].ID); ok {
-				return rec.traceHandles().exec
-			}
-			return nil
-		},
-		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
-			i, aerr := strconv.Atoi(j.Name)
-			if aerr != nil || i < 0 || i >= len(batch) {
-				return bench.Result{}, fmt.Errorf("serve: lost batch slot %q", j.Name)
-			}
-			req := batch[i]
-			jctx, cancel := joinContext(ctx, req.Context())
-			defer cancel()
-			orig := req.Job
-			return s.run(jctx, orig)
+		Run:      s.opt.Run,
+		JobContext: func(i int) context.Context {
+			return obs.ContextWithSpan(batch[i].ctx, batch[i].trace.exec)
 		},
 	})
-	if err != nil {
-		// Sweep-level failure (unusable cache dir): fail the whole batch.
-		for _, r := range batch {
-			r.deliver(sweep.JobResult{Job: r.Job, Err: err})
-			s.finish(r, sweep.JobResult{Job: r.Job, Err: err}, flushed)
-		}
-		return
-	}
 	for i, r := range batch {
-		res := results[i]
-		r.deliver(res)
+		res := sweep.JobResult{Job: r.job, Err: err} // sweep-level failure (unusable cache dir)
+		if err == nil {
+			res = results[i]
+		}
 		s.finish(r, res, flushed)
 	}
-	s.m.queueDepth.Set(float64(s.batcher.Depth()))
+	s.m.queueDepth.Set(float64(s.batcher.depth()))
 }
 
-// finish resolves the request's store record, updates counters, seals
-// the request trace and records the completed job in the run ledger.
-func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
-	rec, ok := s.store.get(r.ID)
-	if !ok {
-		return
-	}
+// finish completes the record, updates counters, seals the request
+// trace and records the job in the run ledger.
+func (s *Server) finish(rec *record, res sweep.JobResult, flushed time.Time) {
 	info := rec.snapshot()
 	dur := res.Duration
 	if dur == 0 {
@@ -537,10 +490,7 @@ func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
 			s.m.cacheHits.Add(1)
 		}
 	}
-	ts := rec.traceHandles()
-	// On the sweep-level failure path beginExec never ran; end the
-	// queue span here so the tree stays consistent (no-op otherwise).
-	ts.queue.End()
+	ts := rec.trace
 	ts.exec.SetAttr("cached", strconv.FormatBool(res.Cached))
 	if errMsg != "" {
 		ts.exec.SetAttr("error", errMsg)
@@ -552,7 +502,7 @@ func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
 		level = slog.LevelWarn
 	}
 	s.log.Log(context.Background(), level, "job finished",
-		"trace_id", info.TraceID, "tenant", tenantOf(info.Spec), "job_id", r.ID,
+		"trace_id", info.TraceID, "tenant", tenantOf(info.Spec), "job_id", info.ID,
 		"exp", info.Spec.Exp, "cached", res.Cached, "failed", errMsg != "",
 		"wall_seconds", wall.Seconds(), "exec_seconds", dur.Seconds(),
 		"queue_seconds", (wall - dur).Seconds(), "slow", level == slog.LevelWarn)
@@ -624,7 +574,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	default:
 		close(s.drainCh)
 	}
-	err := s.batcher.Close(ctx)
+	err := s.batcher.drain(ctx)
 	if err != nil {
 		s.stop() // cut the stragglers loose before the process exits
 	}
@@ -660,27 +610,4 @@ func tenantOf(spec JobSpec) string {
 		return "default"
 	}
 	return spec.Tenant
-}
-
-// joinContext derives a context cancelled when either parent is done —
-// how a per-request deadline composes with the server's base context
-// inside the sweep runner. b's deadline carries over as a real deadline,
-// so an overrun surfaces as context.DeadlineExceeded, not a bare cancel.
-func joinContext(a, b context.Context) (context.Context, context.CancelFunc) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if dl, ok := b.Deadline(); ok {
-		ctx, cancel = context.WithDeadline(a, dl)
-	} else {
-		ctx, cancel = context.WithCancel(a)
-	}
-	stop := context.AfterFunc(b, func() {
-		// When b ended on its deadline, the joined context carries the
-		// same deadline and its own timer reports DeadlineExceeded;
-		// cancelling here would race it and misreport Canceled.
-		if !errors.Is(b.Err(), context.DeadlineExceeded) {
-			cancel()
-		}
-	})
-	return ctx, func() { stop(); cancel() }
 }

@@ -360,6 +360,75 @@ func TestServerDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestServerQueuedDeadline: a job whose deadline passes while it waits
+// in the queue completes through its batch like any other. Its record
+// ends failed with a deadline error, the runner never runs, and
+// serve.jobs.failed counts it; a resubmission without the timeout is
+// admitted afresh, runs and ends done.
+func TestServerQueuedDeadline(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{
+		Workers: 1, BatchSize: 8, MaxWait: 100 * time.Millisecond,
+		Run: stubRunner(&execs, 0),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitDone := func(id string) JobInfo {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		info, err := s.WaitDone(ctx, id)
+		if err != nil {
+			now, _ := s.Info(id)
+			t.Fatalf("job %s still %s: %v", id, now.Status, err)
+		}
+		return info
+	}
+
+	if status, _, _ := postJob(t, ts, `{"exp":"gbp","timeout_seconds":0.001}`, false); status != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", status)
+	}
+	id, _, err := s.JobID(JobSpec{Exp: "gbp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitDone(id); info.Status != StatusFailed || !strings.Contains(info.Error, "deadline") {
+		t.Fatalf("info = %+v, want failed with a deadline error", info)
+	}
+	if n := execs.Load(); n != 0 {
+		t.Errorf("runner ran %d times for a job past its deadline", n)
+	}
+	if got := s.Registry().Counter("serve.jobs.failed").Value(); got != 1 {
+		t.Errorf("serve.jobs.failed = %v, want 1", got)
+	}
+
+	status, again, _ := postJob(t, ts, `{"exp":"gbp"}`, false)
+	if status != http.StatusAccepted || again.ID != id || again.Status != StatusQueued {
+		t.Fatalf("resubmit = %d %+v, want a fresh queued record %s", status, again, id)
+	}
+	if info := waitDone(id); info.Status != StatusDone {
+		t.Fatalf("resubmitted job = %+v, want done", info)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("runner ran %d times, want 1", n)
+	}
+}
+
+// TestServerPanicNamesExperiment: a runner panic fails the job with an
+// error that names its experiment.
+func TestServerPanicNamesExperiment(t *testing.T) {
+	s := NewServer(Options{
+		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		Run: func(context.Context, sweep.Job) (bench.Result, error) { panic("diverged") },
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, info, _ := postJob(t, ts, `{"exp": "gbp"}`, true)
+	if info.Status != StatusFailed || !strings.Contains(info.Error, `job "gbp" panicked: diverged`) {
+		t.Fatalf("info = %+v, want failed naming job \"gbp\"", info)
+	}
+}
+
 // TestServerExposition: /metrics speaks Prometheus 0.0.4 with the
 // serve.* series, /debug/vars is one flat JSON object, /healthz is
 // always fine.

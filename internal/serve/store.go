@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"time"
 
 	"sarmany/internal/obs"
+	"sarmany/internal/sweep"
 )
 
 // Status is a job's lifecycle state.
@@ -60,50 +62,38 @@ type traceState struct {
 	exec  *obs.ReqSpan // execute stage, parent of the sweep's child spans
 }
 
-// record is one job's mutable server-side state. The completion channel
-// closes exactly once, on the Queued/Running -> Done/Failed transition,
-// so any number of waiters (wait-mode submitters, pollers) can block on
-// the same execution.
+// record is the one object a job lives in, from admission to result:
+// the batcher queues it, its batch executes it, and finish completes it.
+// The completion channel closes exactly once, on the Queued/Running ->
+// Done/Failed transition, so any number of waiters (wait-mode
+// submitters, pollers) can block on the same execution.
+//
+// Submit sets job, ctx, cancel and trace before the record is queued;
+// after that only its batch reads them, so they need no lock.
 type record struct {
-	mu    sync.Mutex
-	info  JobInfo
-	raw   []byte        // result envelope bytes (Done only)
-	done  chan struct{} // closed on completion
-	trace traceState    // owning request's trace handles (zero when unsampled)
+	mu   sync.Mutex
+	info JobInfo
+	raw  []byte        // result envelope bytes (Done only)
+	done chan struct{} // closed on completion
+
+	job    sweep.Job
+	ctx    context.Context    // the server's base context plus the job's deadline
+	cancel context.CancelFunc // releases ctx's timer on completion (nil without a deadline)
+	trace  traceState         // owning request's trace handles (zero when unsampled)
 }
 
-// setTrace stores the owning request's trace handles. Called before the
-// record reaches the batcher, so the executing side always sees them.
-func (r *record) setTrace(ts traceState) {
-	r.mu.Lock()
-	r.trace = ts
-	r.mu.Unlock()
-}
-
-// traceHandles returns the record's trace handles (zero-valued, and
-// therefore all-nil-safe, for unsampled requests).
-func (r *record) traceHandles() traceState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
-}
-
-// beginExec marks the batch-flush boundary in the record's trace: the
-// queue.wait span ends, the execute stage span opens (annotated with the
-// flushed batch size), and a batch.form child covers job-slice assembly
-// until the caller ends it. Returns the batch.form span.
+// beginExec marks the batch-flush boundary: the record turns Running,
+// its queue.wait span ends, the execute stage span opens (annotated with
+// the flushed batch size), and a batch.form child covers job-slice
+// assembly until the caller ends it. Returns the batch.form span.
 func (r *record) beginExec(batchJobs int) *obs.ReqSpan {
 	r.mu.Lock()
-	ts := r.trace
+	r.info.Status = StatusRunning
 	r.mu.Unlock()
-	ts.queue.End()
-	exec := ts.root.Child("execute")
-	exec.SetAttr("batch_jobs", strconv.Itoa(batchJobs))
-	form := exec.Child("batch.form")
-	r.mu.Lock()
-	r.trace.exec = exec
-	r.mu.Unlock()
-	return form
+	r.trace.queue.End()
+	r.trace.exec = r.trace.root.Child("execute")
+	r.trace.exec.SetAttr("batch_jobs", strconv.Itoa(batchJobs))
+	return r.trace.exec.Child("batch.form")
 }
 
 func (r *record) snapshot() JobInfo {
@@ -168,18 +158,12 @@ func (s *store) len() int {
 	return len(s.jobs)
 }
 
-// setRunning marks the record's batch as executing.
-func (r *record) setRunning() {
-	r.mu.Lock()
-	if r.info.Status == StatusQueued {
-		r.info.Status = StatusRunning
-	}
-	r.mu.Unlock()
-}
-
-// complete resolves the record and wakes every waiter. err == "" means
-// success.
+// complete resolves the record, releases its context and wakes every
+// waiter. err == "" means success.
 func (r *record) complete(raw []byte, cached bool, duration time.Duration, err, runID string) {
+	if r.cancel != nil {
+		r.cancel()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.info.Status == StatusDone || r.info.Status == StatusFailed {

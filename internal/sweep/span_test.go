@@ -2,17 +2,21 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sarmany/internal/bench"
 	"sarmany/internal/obs"
 )
 
-// TestSweepRequestSpans pins the request-trace hook: when Options.SpanFor
-// supplies a parent span for a job, the engine records cache.lookup and
-// execute children under it, injects the execute span into the runner
-// context, and a warm rerun records only a hit=true lookup (no execute).
+// TestSweepRequestSpans pins the request-trace hook: when the context
+// Options.JobContext supplies for a job carries a span, the engine
+// records cache.lookup and execute children under it, injects the
+// execute span into the runner context, and a warm rerun records only a
+// hit=true lookup (no execute).
 func TestSweepRequestSpans(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []Job{
@@ -33,7 +37,9 @@ func TestSweepRequestSpans(t *testing.T) {
 		}
 		_, err := Run(context.Background(), jobs, Options{
 			Workers: 2, CacheDir: dir, Run: run,
-			SpanFor: func(i int, j Job) *obs.ReqSpan { return roots[i] },
+			JobContext: func(i int) context.Context {
+				return obs.ContextWithSpan(context.Background(), roots[i])
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -94,20 +100,61 @@ func TestSweepRequestSpans(t *testing.T) {
 	}
 }
 
-// TestSweepSpansOptional pins that sweeps without SpanFor (and SpanFor
-// returning nil) run exactly as before — tracing is strictly opt-in.
+// TestSweepSpansOptional pins that sweeps without JobContext (and job
+// contexts without a span) run exactly as before — tracing is strictly
+// opt-in.
 func TestSweepSpansOptional(t *testing.T) {
 	run := func(ctx context.Context, j Job) (bench.Result, error) {
+		if obs.SpanFromContext(ctx) != nil {
+			t.Error("untraced job's runner context carries a span")
+		}
 		return bench.Result{Name: j.Name, Data: map[string]any{"x": 1}}, nil
 	}
 	jobs := []Job{{Name: "a", Exp: "span-test-nil"}}
-	for _, spanFor := range []func(int, Job) *obs.ReqSpan{
+	for _, jobContext := range []func(int) context.Context{
 		nil,
-		func(int, Job) *obs.ReqSpan { return nil },
+		func(int) context.Context { return context.Background() },
 	} {
-		res, err := Run(context.Background(), jobs, Options{Run: run, SpanFor: spanFor})
+		res, err := Run(context.Background(), jobs, Options{Run: run, JobContext: jobContext})
 		if err != nil || res[0].Err != nil {
 			t.Fatalf("untraced sweep failed: %v / %v", err, res[0].Err)
 		}
+	}
+}
+
+// TestSweepJobContext: a job runs on the context Options.JobContext
+// supplies. A job whose context has already ended fails with its error
+// without running, and a runner stuck past its context's deadline is
+// abandoned with context.DeadlineExceeded, not a TimeoutError, which
+// belongs to Options.Timeout. The sweep's own context never ends.
+func TestSweepJobContext(t *testing.T) {
+	jobs := []Job{{Name: "ended", Exp: "jc", Extra: 1}, {Name: "stuck", Exp: "jc", Extra: 2}}
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	stuck, cancelStuck := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelStuck()
+	release := make(chan struct{})
+	defer close(release)
+	var runs atomic.Int64
+	res, err := Run(context.Background(), jobs, Options{
+		Workers: 2, Timeout: time.Hour,
+		JobContext: func(i int) context.Context { return []context.Context{ended, stuck}[i] },
+		Run: func(ctx context.Context, j Job) (bench.Result, error) {
+			runs.Add(1)
+			<-release // a kernel that never checks its context
+			return bench.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, context.Canceled) {
+		t.Errorf("ended job: err = %v, want context.Canceled", res[0].Err)
+	}
+	if !errors.Is(res[1].Err, context.DeadlineExceeded) {
+		t.Errorf("stuck job: err = %v, want context.DeadlineExceeded", res[1].Err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("runner ran %d times, want 1 (only the stuck job)", n)
 	}
 }

@@ -77,13 +77,17 @@ type Options struct {
 	// bench.Compute(ctx, j.Exp, j.Config, "") — every cmd/benchtab
 	// experiment key works out of the box.
 	Run RunFunc
-	// SpanFor supplies the request-trace parent span for a job (by input
-	// index), letting a caller that traces requests (internal/serve) see
-	// the sweep's cache lookup and execution as child spans of its own.
-	// The job's spans also ride the runner context (obs.SpanFromContext),
-	// so custom runners can hang deeper children off them. Nil — and nil
-	// returns — disable tracing for the sweep or the job respectively.
-	SpanFor func(index int, j Job) *obs.ReqSpan
+	// JobContext supplies the context job i (by input index) runs on, in
+	// place of Run's ctx; derive it from ctx so that cancelling the sweep
+	// still reaches the job. A deadline on it bounds the job as Timeout
+	// does, and a job whose context has ended fails with the context's
+	// error without running. A request-trace span on it
+	// (obs.ContextWithSpan) becomes the parent of the job's cache-lookup
+	// and execute spans, so a caller that traces requests
+	// (internal/serve) sees them as children of its own; the execute span
+	// rides the runner's context, so custom runners can hang deeper
+	// children off it. Nil runs every job on ctx.
+	JobContext func(i int) context.Context
 }
 
 // JobResult is one job's outcome, at the same index as its job.
@@ -114,6 +118,7 @@ type PanicError struct {
 	Stack []byte
 }
 
+// Error names the job and the value it panicked with.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: job %q panicked: %v", e.Job, e.Value)
 }
@@ -124,6 +129,7 @@ type TimeoutError struct {
 	After time.Duration
 }
 
+// Error names the job and the timeout it exceeded.
 func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("sweep: job %q timed out after %v", e.Job, e.After)
 }
@@ -231,11 +237,11 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				var parent *obs.ReqSpan
-				if opt.SpanFor != nil {
-					parent = opt.SpanFor(i, jobs[i])
+				jctx := ctx
+				if opt.JobContext != nil {
+					jctx = opt.JobContext(i)
 				}
-				runOne(ctx, &results[i], runner, cache, opt.Timeout, m, parent)
+				runOne(jctx, &results[i], runner, cache, opt.Timeout, m)
 			}
 		}()
 	}
@@ -277,10 +283,11 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	return results, nil
 }
 
-// runOne executes (or replays) one job into its result slot. parent,
-// when non-nil, is the request-trace span the job's cache-lookup and
-// execute spans nest under.
-func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCache, timeout time.Duration, m *metrics, parent *obs.ReqSpan) {
+// runOne executes (or replays) one job into its result slot on the
+// job's context ctx. The request-trace span ctx carries, if any, is the
+// parent of the job's cache-lookup and execute spans.
+func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCache, timeout time.Duration, m *metrics) {
+	parent := obs.SpanFromContext(ctx)
 	key, keyErr := Key(res.Job)
 	if cache != nil && keyErr == nil {
 		ls := parent.Child("sweep.cache.lookup")
@@ -344,18 +351,14 @@ func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCach
 	var out outcome
 	select {
 	case out = <-ch:
-		if out.err != nil && timeout > 0 && jctx.Err() == context.DeadlineExceeded {
-			// The runner noticed the deadline at a context checkpoint.
-			out.err = &TimeoutError{Job: res.Job.Name, After: timeout}
-		}
 	case <-jctx.Done():
-		// The runner is stuck past its deadline (or the sweep was
-		// cancelled); abandon its goroutine rather than hang the pool.
-		if timeout > 0 && jctx.Err() == context.DeadlineExceeded {
-			out = outcome{err: &TimeoutError{Job: res.Job.Name, After: timeout}}
-		} else {
-			out = outcome{err: ctx.Err()}
-		}
+		// The runner is stuck past its deadline (or the job's context
+		// ended); abandon its goroutine rather than hang the pool.
+		out = outcome{err: jctx.Err()}
+	}
+	if out.err != nil && timeout > 0 && ctx.Err() == nil && jctx.Err() == context.DeadlineExceeded {
+		// Timeout expired, not the job's own context.
+		out.err = &TimeoutError{Job: res.Job.Name, After: timeout}
 	}
 
 	res.Duration = time.Since(start)

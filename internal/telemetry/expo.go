@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +18,7 @@ import (
 // cumulative le-labeled buckets with _sum/_count plus p50/p90/p99
 // quantile gauges. WriteExpvar emits one flat JSON object keyed by
 // metric name — the same shape package expvar serves on /debug/vars —
-// with histograms as nested objects.
+// in the ledger's named-leaf form (MetricsMap).
 
 // promName sanitizes a dotted metric name into the Prometheus name
 // charset [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -137,50 +138,14 @@ func writePromHistogram(w io.Writer, name string, m obs.Metric) error {
 	return nil
 }
 
-// WriteExpvar renders the snapshot as one expvar-style JSON object:
-// {"metric.name": value, ...}, histograms as nested objects. Keys come
-// out in snapshot (sorted-name) order; values use the same formatting
-// rules as encoding/json for numbers (non-finite histogram fields are
-// omitted, matching the snapshot's own JSON behavior).
+// WriteExpvar renders the snapshot as one expvar-style JSON object,
+// MetricsMap's named-leaf form: {"metric.name": value, ...}, histograms
+// as nested objects, non-finite values as null. An empty snapshot writes
+// {}.
 func WriteExpvar(w io.Writer, s obs.Snapshot) error {
-	if _, err := io.WriteString(w, "{"); err != nil {
-		return err
+	m := MetricsMap(s)
+	if m == nil {
+		m = map[string]any{}
 	}
-	first := true
-	field := func(key string, val string) error {
-		sep := ",\n"
-		if first {
-			sep = "\n"
-			first = false
-		}
-		_, err := fmt.Fprintf(w, "%s%q: %s", sep, key, val)
-		return err
-	}
-	num := func(v float64) string {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return "null"
-		}
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	for _, m := range s {
-		switch m.Type {
-		case "histogram":
-			var b strings.Builder
-			fmt.Fprintf(&b, "{\"count\": %d, \"sum\": %s", m.Count, num(m.Sum))
-			if m.Count > 0 {
-				fmt.Fprintf(&b, ", \"min\": %s, \"max\": %s, \"mean\": %s", num(m.Min), num(m.Max), num(m.Mean))
-				fmt.Fprintf(&b, ", \"p50\": %s, \"p90\": %s, \"p99\": %s", num(m.P50), num(m.P90), num(m.P99))
-			}
-			b.WriteString("}")
-			if err := field(m.Name, b.String()); err != nil {
-				return err
-			}
-		default:
-			if err := field(m.Name, num(m.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "\n}\n")
-	return err
+	return json.NewEncoder(w).Encode(m)
 }

@@ -24,6 +24,7 @@ func expoRegistry() *obs.Registry {
 		h.Observe(3.0)
 	}
 	reg.Histogram("empty.hist")
+	reg.Histogram("inf.hist").Observe(math.Inf(1))
 	return reg
 }
 
@@ -159,7 +160,9 @@ func TestPrometheusFormatValidity(t *testing.T) {
 }
 
 // TestExpvarJSON pins the expvar rendering: a single valid JSON object
-// keyed by the original dotted metric names, histograms nested.
+// keyed by the original dotted metric names, histograms nested,
+// non-finite values null (in a ledger entry too), and {} for an empty
+// snapshot.
 func TestExpvarJSON(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteExpvar(&sb, expoRegistry().Snapshot()); err != nil {
@@ -185,6 +188,30 @@ func TestExpvarJSON(t *testing.T) {
 	}
 	if e, ok := doc["empty.hist"].(map[string]any); !ok || e["count"] != 0.0 {
 		t.Errorf("empty histogram: %v", doc["empty.hist"])
+	}
+	isNull := func(h map[string]any, key string) bool {
+		v, ok := h[key]
+		return ok && v == nil
+	}
+	if inf, _ := doc["inf.hist"].(map[string]any); inf["count"] != 1.0 || !isNull(inf, "sum") || !isNull(inf, "max") {
+		t.Errorf("infinite observation: %v, want count 1 and null sum and max", doc["inf.hist"])
+	}
+
+	raw, err := MarshalEntry(Entry{Metrics: MetricsMap(expoRegistry().Snapshot())})
+	if err != nil {
+		t.Fatalf("ledger entry with an infinite observation: %v", err)
+	}
+	var e Entry
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatal(err)
+	}
+	if inf, _ := e.Metrics["inf.hist"].(map[string]any); !isNull(inf, "sum") || !isNull(inf, "max") {
+		t.Errorf("ledger infinite observation: %v, want null sum and max", e.Metrics["inf.hist"])
+	}
+
+	sb.Reset()
+	if err := WriteExpvar(&sb, nil); err != nil || strings.TrimSpace(sb.String()) != "{}" {
+		t.Errorf("empty snapshot: %q, %v; want {}", sb.String(), err)
 	}
 }
 

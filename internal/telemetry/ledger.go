@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -101,7 +102,9 @@ type Entry struct {
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
-// MetricsMap converts a snapshot into the ledger's named-leaf form.
+// MetricsMap converts a snapshot into the ledger's named-leaf form, with
+// non-finite values as nil (JSON null): encoding/json rejects ±Inf and
+// NaN, and one of them would fail the whole document.
 func MetricsMap(s obs.Snapshot) map[string]any {
 	if len(s) == 0 {
 		return nil
@@ -110,17 +113,25 @@ func MetricsMap(s obs.Snapshot) map[string]any {
 	for _, m := range s {
 		switch m.Type {
 		case "histogram":
-			h := map[string]any{"count": m.Count, "sum": m.Sum}
+			h := map[string]any{"count": m.Count, "sum": finite(m.Sum)}
 			if m.Count > 0 {
-				h["min"], h["max"], h["mean"] = m.Min, m.Max, m.Mean
-				h["p50"], h["p90"], h["p99"] = m.P50, m.P90, m.P99
+				h["min"], h["max"], h["mean"] = finite(m.Min), finite(m.Max), finite(m.Mean)
+				h["p50"], h["p90"], h["p99"] = finite(m.P50), finite(m.P90), finite(m.P99)
 			}
 			out[m.Name] = h
 		default:
-			out[m.Name] = m.Value
+			out[m.Name] = finite(m.Value)
 		}
 	}
 	return out
+}
+
+// finite returns v, or nil when v is ±Inf or NaN.
+func finite(v float64) any {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return v
 }
 
 // HashJSON returns the full lowercase hex SHA-256 of a canonical JSON

@@ -369,7 +369,8 @@ type (
 	// workload parameters.
 	SweepJob = sweep.Job
 	// SweepOptions configures a sweep run: worker count, result cache
-	// directory, per-job timeout, metrics registry, and runner override.
+	// directory, per-job timeout, metrics registry, runner override, and
+	// per-job contexts.
 	SweepOptions = sweep.Options
 	// SweepJobResult is one job's outcome, returned at the same index as
 	// its job regardless of completion order.

@@ -4,7 +4,8 @@
 # cmd/ need a comment block directly above "package main" (the godoc
 # synopsis for the binary). Every internal package and command needs
 # exactly one row in ARCHITECTURE.md's package map. Packages whose
-# exported surface is a public contract (internal/serve) additionally
+# exported surface is a public contract (internal/serve, and
+# internal/sweep, whose types the root facade re-exports) additionally
 # require a doc comment on every exported identifier, via
 # scripts/checkexported. Last, scripts/checkreach fails on an exported
 # function that no binary reaches. Run via `make docscheck`; part of
@@ -67,8 +68,9 @@ if [ -n "$unmapped" ]; then
 	exit 1
 fi
 
-# Exported-identifier coverage for the serving layer's public surface.
-go run ./scripts/checkexported internal/serve
+# Exported-identifier coverage for the serving layer's and the sweep
+# engine's public surfaces.
+go run ./scripts/checkexported internal/serve internal/sweep
 
 # Reachability: every exported function is reached by some binary.
 go run ./scripts/checkreach
