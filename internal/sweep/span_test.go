@@ -135,10 +135,11 @@ func TestSweepJobContext(t *testing.T) {
 	defer cancelStuck()
 	release := make(chan struct{})
 	defer close(release)
+	ctxs := []context.Context{ended, stuck}
 	var runs atomic.Int64
 	res, err := Run(context.Background(), jobs, Options{
 		Workers: 2, Timeout: time.Hour,
-		JobContext: func(i int) context.Context { return []context.Context{ended, stuck}[i] },
+		JobContext: func(i int) context.Context { return ctxs[i] },
 		Run: func(ctx context.Context, j Job) (bench.Result, error) {
 			runs.Add(1)
 			<-release // a kernel that never checks its context

@@ -77,16 +77,17 @@ type Options struct {
 	// bench.Compute(ctx, j.Exp, j.Config, "") — every cmd/benchtab
 	// experiment key works out of the box.
 	Run RunFunc
-	// JobContext supplies the context job i (by input index) runs on, in
-	// place of Run's ctx; derive it from ctx so that cancelling the sweep
-	// still reaches the job. A deadline on it bounds the job as Timeout
-	// does, and a job whose context has ended fails with the context's
-	// error without running. A request-trace span on it
-	// (obs.ContextWithSpan) becomes the parent of the job's cache-lookup
-	// and execute spans, so a caller that traces requests
-	// (internal/serve) sees them as children of its own; the execute span
-	// rides the runner's context, so custom runners can hang deeper
-	// children off it. Nil runs every job on ctx.
+	// JobContext supplies the context job i (by input index) runs on in
+	// place of Run's ctx; derive it from ctx, so that cancelling the
+	// sweep still reaches the job. A job whose context has ended fails
+	// with the context's error: before its runner starts unless the
+	// cache holds its result, and by abandoning a runner still stuck
+	// when it ends. A request-trace span on the context
+	// (obs.ContextWithSpan) parents the job's cache-lookup and execute
+	// spans, so a caller that traces requests (internal/serve) sees them
+	// as children of its own; the execute span rides the runner's
+	// context, so custom runners can hang deeper children off it. Nil
+	// runs every job on ctx.
 	JobContext func(i int) context.Context
 }
 
