@@ -62,7 +62,7 @@ func main() {
 	queue := flag.Int("queue", 256, "max queued jobs before 429")
 	qps := flag.Float64("qps", 0, "per-tenant job admission rate (0 = unlimited)")
 	burst := flag.Int("burst", 0, "per-tenant burst allowance (0 = derived from -qps)")
-	timeout := flag.Duration("timeout", 5*time.Minute, "per-job execution deadline")
+	timeout := flag.Duration("timeout", 5*time.Minute, "per-job deadline, counted from admission")
 	ledger := flag.String("ledger", telemetry.DefaultDir, "run-ledger directory (empty = disabled)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of submissions to trace (0 = off; inbound traceparent always wins)")
