@@ -69,7 +69,7 @@ type traceState struct {
 // submitters, pollers) can block on the same execution.
 //
 // Submit sets job, ctx, cancel and trace before the record is queued;
-// after that only its batch reads them, so they need no lock.
+// after that only its batch uses them, so they need no lock.
 type record struct {
 	mu   sync.Mutex
 	info JobInfo
