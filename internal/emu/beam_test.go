@@ -44,7 +44,9 @@ func expand(runs [][3]int32) []int32 {
 // randomBeam draws a beam over the given buffers: up to 40 pixels of
 // random batches, and each child's runs of up to 8 pixels, whose offsets
 // run up by one per pixel or are −1, as a merge beam's are. kind 1 draws
-// a beam all −1 and kind 2 an empty one.
+// a beam all −1, kind 2 an empty one, and kind 3 one of a stage-0 row's
+// shape: child 0 one run of samples, child 1 one run of −1 and a zero
+// third batch.
 func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind int) machine.Beam {
 	b := machine.Beam{Src: src, Dst: dst}
 	for k := range b.Pixel {
@@ -55,6 +57,9 @@ func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind in
 	if kind == 2 {
 		n = 0
 	}
+	if kind == 3 {
+		b.Pixel[2] = machine.Ops{}
+	}
 	b.Out = rng.Intn(len(dst.Data) - n + 1)
 	for k := range 2 {
 		b.Base[k] = rng.Intn((len(src[k].Data)-n)/2 + 1)
@@ -62,8 +67,11 @@ func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind in
 		for i := 0; i < n; {
 			run := min(n-i, 1+rng.Intn(8))
 			off := int32(-1)
-			if kind == 0 && rng.Intn(3) > 0 {
+			if kind == 0 && rng.Intn(3) > 0 || kind == 3 && k == 0 {
 				off = int32(rng.Intn(room + 1))
+			}
+			if kind == 3 {
+				run = n
 			}
 			b.Runs[k] = append(b.Runs[k], [3]int32{int32(i), int32(i + run - 1), off})
 			i += run
@@ -72,17 +80,44 @@ func randomBeam(rng *rand.Rand, src [2]*machine.BufC, dst *machine.BufC, kind in
 	return b
 }
 
-// beamChip runs the same seeded beams on every core of a 2x2 array of
-// 2x2-core chips, traced, with progress cells, a derated core and a
-// scaled off-chip channel, charging each beam with charge. Each core
-// draws its buffers from its own bank, a neighbour's, a core's on
-// another chip and external memory. It returns the chip and each core's
-// state after its beams, before the closing barrier.
-func beamChip(charge func(*Core, machine.Beam)) (*Chip, []string) {
+// A beamSetup is a chip that TestChargeBeamMatchesPerPixel charges beams
+// on: a 2x2 array of 2x2-core chips, traced with progress cells or not,
+// under a fault plan or none, with its clocks at 0 or late.
+type beamSetup struct {
+	name          string
+	watched, late bool
+	plan          *fault.Plan
+}
+
+// beamSetups are traced with progress cells, a derated core and a scaled
+// off-chip channel, where ChargeBeam adds every pixel; fault-free and
+// untraced, where it adds most of a segment in closed form; with the
+// channel scaled alone, whose 10⅔-cycle off-chip service is not an
+// integer; and fault-free with late clocks that are not integers, which
+// adding integers rounds as they pass 2^52. The last two add every pixel
+// again.
+var beamSetups = []beamSetup{
+	{"traced", true, false, &fault.Plan{Derates: []fault.Derate{{Core: 5, Factor: 1.5}}, ExtScale: 0.75}},
+	{"fault-free", false, false, nil},
+	{"ext-scale", false, false, &fault.Plan{ExtScale: 0.75}},
+	{"late-clock", false, true, nil},
+}
+
+// beamChip runs the same seeded beams on every core of the set-up's
+// chip, charging each beam with charge. Each core draws its buffers from
+// its own bank, a neighbour's, a core's on another chip and external
+// memory, and its fourth beam has a stage-0 row's shape. It returns the
+// chip, each core's state after its beams, before the closing barrier,
+// and the beams' segments of 3 or more pixels.
+func (bs beamSetup) beamChip(charge func(*Core, machine.Beam)) (*Chip, []string, int) {
 	ch := New(E16G3().WithMesh(2, 2).WithChips(2, 2))
-	ch.SetTracer(obs.NewTracer(ch.P.Clock))
-	ch.EnableProgress()
-	ch.SetFaults(fault.MustCompile(fault.Plan{Derates: []fault.Derate{{Core: 5, Factor: 1.5}}, ExtScale: 0.75}))
+	if bs.watched {
+		ch.SetTracer(obs.NewTracer(ch.P.Clock))
+		ch.EnableProgress()
+	}
+	if bs.plan != nil {
+		ch.SetFaults(fault.MustCompile(*bs.plan))
+	}
 	n := len(ch.Cores)
 	local := make([]*machine.BufC, n)
 	for i, c := range ch.Cores {
@@ -90,16 +125,28 @@ func beamChip(charge func(*Core, machine.Beam)) (*Chip, []string) {
 	}
 	ext, _ := machine.NewBufC(ch.Ext(), 1024)
 	beams := make([][]machine.Beam, n)
+	long := 0
 	for i := range beams {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
 		bufs := []*machine.BufC{local[i], local[i^1], local[(i+n/2)%n], ext}
 		pick := func() *machine.BufC { return bufs[rng.Intn(len(bufs))] }
 		for j := range 24 {
-			beams[i] = append(beams[i], randomBeam(rng, [2]*machine.BufC{pick(), pick()}, pick(), min(j, 3)%3))
+			b := randomBeam(rng, [2]*machine.BufC{pick(), pick()}, pick(), min(j, 4)%4)
+			w := b.Segments()
+			for s, ok := w.Next(); ok; s, ok = w.Next() {
+				if s.Len >= 3 {
+					long++
+				}
+			}
+			beams[i] = append(beams[i], b)
 		}
 	}
 	state := make([]string, n)
 	ch.Run(0, func(c *Core) {
+		if bs.late {
+			// Each core passes 2^52 at another point of its beams.
+			c.now = 1<<52 - 0.5 - 997*float64(c.ID+1)
+		}
 		for _, b := range beams[c.ID] {
 			charge(c, b)
 		}
@@ -107,47 +154,53 @@ func beamChip(charge func(*Core, machine.Beam)) (*Chip, []string) {
 			c.now, c.fpu, c.ialu, c.extBusy, c.dmaLast, c.Stats)
 		c.Barrier()
 	})
-	return ch, state
+	return ch, state, long
 }
 
 // TestChargeBeamMatchesPerPixel: ChargeBeam leaves every core as the
 // per-pixel calls do — its clock, pipe windows and off-chip channel
 // account as float64 bits, every counter, the phases, the metrics, the
 // progress cells and the trace spans — on local, remote, cross-chip and
-// external buffers, with a derated core and a scaled channel.
+// external buffers, on every set-up of beamSetups.
 func TestChargeBeamMatchesPerPixel(t *testing.T) {
-	want, wantState := beamChip(func(c *Core, b machine.Beam) { chargePixels(c, b) })
-	got, gotState := beamChip(func(c *Core, b machine.Beam) { c.ChargeBeam(b) })
-	for i := range wantState {
-		if gotState[i] != wantState[i] {
-			t.Errorf("core %d:\nbeam      %s\nper pixel %s", i, gotState[i], wantState[i])
-		}
-	}
-	if g, w := fmt.Sprintf("%+v", got.Phases()), fmt.Sprintf("%+v", want.Phases()); g != w {
-		t.Errorf("phases:\nbeam      %s\nper pixel %s", g, w)
-	}
-	if g, w := fmt.Sprintf("%+v", got.Metrics().Snapshot()), fmt.Sprintf("%+v", want.Metrics().Snapshot()); g != w {
-		t.Errorf("metrics:\nbeam      %s\nper pixel %s", g, w)
-	}
-	gp, _ := got.Progress()
-	wp, _ := want.Progress()
-	if g, w := fmt.Sprint(gp), fmt.Sprint(wp); g != w {
-		t.Errorf("progress: beam %s, per pixel %s", g, w)
-	}
-	spans := 0
-	for i := range got.Cores {
-		g, w := got.CoreTrack(i).Spans(), want.CoreTrack(i).Spans()
-		spans += len(w)
-		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Errorf("core %d: %d spans from the beam calls differ from the %d per-pixel spans", i, len(g), len(w))
-		}
-	}
-	// The beams must have stalled on remote and external reads, derated
-	// and drained the channel for the comparison to cover those paths.
-	s := want.TotalStats()
-	if spans == 0 || s.RemoteReads == 0 || s.ExtReads == 0 || s.ExtWrites == 0 || s.RemoteWrites == 0 ||
-		s.LocalLoads == 0 || s.LocalStores == 0 || s.DerateCycles == 0 {
-		t.Errorf("the beams missed a path: %d spans, stats %+v", spans, s)
+	for _, bs := range beamSetups {
+		t.Run(bs.name, func(t *testing.T) {
+			want, wantState, long := bs.beamChip(func(c *Core, b machine.Beam) { chargePixels(c, b) })
+			got, gotState, _ := bs.beamChip(func(c *Core, b machine.Beam) { c.ChargeBeam(b) })
+			for i := range wantState {
+				if gotState[i] != wantState[i] {
+					t.Errorf("core %d:\nbeam      %s\nper pixel %s", i, gotState[i], wantState[i])
+				}
+			}
+			if g, w := fmt.Sprintf("%+v", got.Phases()), fmt.Sprintf("%+v", want.Phases()); g != w {
+				t.Errorf("phases:\nbeam      %s\nper pixel %s", g, w)
+			}
+			if g, w := fmt.Sprintf("%+v", got.Metrics().Snapshot()), fmt.Sprintf("%+v", want.Metrics().Snapshot()); g != w {
+				t.Errorf("metrics:\nbeam      %s\nper pixel %s", g, w)
+			}
+			gp, _ := got.Progress()
+			wp, _ := want.Progress()
+			if g, w := fmt.Sprint(gp), fmt.Sprint(wp); g != w {
+				t.Errorf("progress: beam %s, per pixel %s", g, w)
+			}
+			spans := 0
+			for i := range got.Cores {
+				g, w := got.CoreTrack(i).Spans(), want.CoreTrack(i).Spans()
+				spans += len(w)
+				if fmt.Sprint(g) != fmt.Sprint(w) {
+					t.Errorf("core %d: %d spans from the beam calls differ from the %d per-pixel spans", i, len(g), len(w))
+				}
+			}
+			// The beams must have stalled on remote and external reads,
+			// drained the channel and held segments that the closed form
+			// could add, and the traced chip must have derated, for the
+			// comparison to cover those paths.
+			s := want.TotalStats()
+			if s.RemoteReads == 0 || s.ExtReads == 0 || s.ExtWrites == 0 || s.RemoteWrites == 0 ||
+				s.LocalLoads == 0 || s.LocalStores == 0 || long == 0 || bs.watched && (spans == 0 || s.DerateCycles == 0) {
+				t.Errorf("the beams missed a path: %d spans, %d segments of 3 or more pixels, stats %+v", spans, long, s)
+			}
+		})
 	}
 }
 
@@ -194,30 +247,39 @@ func paperRuns(base int32) [][3]int32 {
 	return runs
 }
 
-// BenchmarkChargeBeam prices one paper-scale merge beam per operation,
-// with the kernels' three per-pixel batches, storing to external memory.
-// local reads the children from the core's two upper banks, as ParFFBP's
-// first merge does, and external from external memory, as its later
-// merges do.
+// BenchmarkChargeBeam prices one paper-scale beam per operation, storing
+// to external memory. local, external and derated charge a merge beam of
+// the kernels' three per-pixel batches: local reads the children from the
+// core's two upper banks, as ParFFBP's first merge does, external from
+// external memory, as its later merges do, and derated does too, on a
+// core that a fault plan derates by 1.5, which adds every pixel. stage0
+// charges one pulse's stage-0 row from external memory, as SeqFFBP does.
 func BenchmarkChargeBeam(b *testing.B) {
 	ch := New(E16G3())
 	c := ch.Cores[0]
+	slow := New(E16G3())
+	slow.SetFaults(fault.MustCompile(fault.Plan{Derates: []fault.Derate{{Core: 0, Factor: 1.5}}}))
 	ext, _ := machine.NewBufC(ch.Ext(), 3*1001)
 	bankA, _ := machine.NewBufC(c.Bank(2), 1001)
 	bankB, _ := machine.NewBufC(c.Bank(3), 1001)
-	pixel := [3]machine.Ops{{FMA: 13, Flop: 2, IOp: 4, Div: 2, Sqrt: 2, Trig: 2}, {FMA: 2, Flop: 2, IOp: 4}, {Flop: 2}}
+	merge := [3]machine.Ops{{FMA: 13, Flop: 2, IOp: 4, Div: 2, Sqrt: 2, Trig: 2}, {FMA: 2, Flop: 2, IOp: 4}, {Flop: 2}}
 	for _, bc := range []struct {
-		name string
-		src  [2]*machine.BufC
-		runs [2][][3]int32
+		name  string
+		core  *Core
+		pixel [3]machine.Ops
+		src   [2]*machine.BufC
+		runs  [2][][3]int32
 	}{
-		{"local", [2]*machine.BufC{bankA, bankB}, [2][][3]int32{paperRuns(0), paperRuns(0)}},
-		{"external", [2]*machine.BufC{ext, ext}, [2][][3]int32{paperRuns(0), paperRuns(1001)}},
+		{"local", c, merge, [2]*machine.BufC{bankA, bankB}, [2][][3]int32{paperRuns(0), paperRuns(0)}},
+		{"external", c, merge, [2]*machine.BufC{ext, ext}, [2][][3]int32{paperRuns(0), paperRuns(1001)}},
+		{"derated", slow.Cores[0], merge, [2]*machine.BufC{ext, ext}, [2][][3]int32{paperRuns(0), paperRuns(1001)}},
+		{"stage0", c, [3]machine.Ops{{IOp: 2}, {FMA: 5, Trig: 1}, {}}, [2]*machine.BufC{ext, ext},
+			[2][][3]int32{{{0, 1000, 0}}, {{0, 1000, -1}}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			beam := machine.Beam{Pixel: pixel, Src: bc.src, Runs: bc.runs, Dst: ext, Out: 2 * 1001}
+			beam := machine.Beam{Pixel: bc.pixel, Src: bc.src, Runs: bc.runs, Dst: ext, Out: 2 * 1001}
 			for range b.N {
-				c.ChargeBeam(beam)
+				bc.core.ChargeBeam(beam)
 			}
 		})
 	}

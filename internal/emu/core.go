@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"sarmany/internal/machine"
@@ -286,40 +287,64 @@ func (c *Core) Store(addr uint32, n int) {
 // before each read that leaves the core, and the off-chip channel adds of
 // reads and stores, so the tracer, progress cell and derating factor see
 // the same commits and stalls. It prices each batch once, and each buffer
-// at its first access, whose classification panics as Load's does. The
-// counters are added once per beam, which is exact.
+// in the segment of its first access, whose classification panics as
+// Load's does. The counters are added once per segment or beam.
+//
+// From a segment's second pixel on, each pixel moves every accumulator by
+// the same amount. So where float64 adds exactly — no tracer or progress
+// cell, no derating, every price and every accumulator at the beam's
+// start an integer, and every sum below 2^53 — ChargeBeam adds a
+// segment's first two pixels one by one and the other L-2 as L-2 times
+// the second's change. Any other beam adds every pixel.
 func (c *Core) ChargeBeam(b machine.Beam) {
-	var fpu, ialu [3]float64
+	var fpu, ialu [3]float64 // integers, as they count operations
 	for k := range b.Pixel {
 		fpu[k], ialu[k] = c.chip.P.pipes(&b.Pixel[k])
 	}
 	var src [2]access
 	var loads [2]uint64
 	var dst access
-	cur := [2]machine.Cursor{b.Cursor(0), b.Cursor(1)}
-	n := b.Len()
-	for i := range n {
-		for k := range cur {
-			c.fpu += fpu[k]
-			c.ialu += ialu[k]
-			off := cur[k].Next()
-			if off < 0 {
-				continue
+	acc := c.accumulators()
+	exact := c.tr == nil && c.prog == nil && c.slow == 1 && whole(acc[:]...)
+	w := b.Segments()
+	for s, ok := w.Next(); ok; s, ok = w.Next() {
+		for k := range src {
+			if s.Off[k] >= 0 && loads[k] == 0 {
+				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+s.Off[k]), 8, false)
+				exact = exact && whole(src[k].cy, src[k].busy)
 			}
-			if loads[k] == 0 {
-				src[k] = c.price(b.Src[k].ElemAddr(b.Base[k]+off), 8, false)
-			}
-			loads[k]++
-			c.read(src[k])
 		}
-		c.fpu += fpu[2]
-		c.ialu += ialu[2]
-		if i == 0 {
+		if s.First == 0 {
 			dst = c.price(b.Dst.ElemAddr(b.Out), 8, true)
+			exact = exact && whole(dst.cy, dst.busy)
 		}
-		c.ialu += dst.cy
-		c.extBusy += dst.busy
+		for j := range s.Len {
+			for k := range 2 {
+				c.fpu += fpu[k]
+				c.ialu += ialu[k]
+				if s.Off[k] >= 0 {
+					c.read(src[k])
+				}
+			}
+			c.fpu += fpu[2]
+			c.ialu += ialu[2]
+			c.ialu += dst.cy
+			c.extBusy += dst.busy
+			if j < 2 && exact && s.Len > 2 {
+				if j == 0 {
+					acc = c.accumulators()
+				} else if c.repeat(&acc, s.Len-2) {
+					break
+				}
+			}
+		}
+		for k, off := range s.Off {
+			if off >= 0 {
+				loads[k] += uint64(s.Len)
+			}
+		}
 	}
+	n := b.Len()
 	for k := range b.Pixel {
 		c.Stats.count(&b.Pixel[k], uint64(n))
 	}
@@ -327,6 +352,40 @@ func (c *Core) ChargeBeam(b machine.Beam) {
 		c.Stats.traffic(src[k].loc, false, 8, loads[k])
 	}
 	c.Stats.traffic(dst.loc, true, 8, uint64(n))
+}
+
+// accumulators are the float accumulators that a beam's pixels add to.
+type accumulators [8]float64
+
+func (c *Core) accumulators() accumulators {
+	s := &c.Stats
+	return accumulators{c.now, c.fpu, c.ialu, c.extBusy,
+		s.ComputeCycles, s.StallCycles, s.ReadStallCycles, s.ExtStallCycles}
+}
+
+// whole reports whether every x is an integer.
+func whole(xs ...float64) bool {
+	for _, x := range xs {
+		if x != math.Trunc(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// repeat adds n times the accumulators' change since a to each of them,
+// unless a sum would reach 2^53, and reports whether it did.
+func (c *Core) repeat(a *accumulators, n int) bool {
+	b := c.accumulators()
+	for i := range b {
+		if b[i] += float64(n) * (b[i] - a[i]); b[i] >= 1<<53 {
+			return false
+		}
+	}
+	s := &c.Stats
+	c.now, c.fpu, c.ialu, c.extBusy = b[0], b[1], b[2], b[3]
+	s.ComputeCycles, s.StallCycles, s.ReadStallCycles, s.ExtStallCycles = b[4], b[5], b[6], b[7]
+	return true
 }
 
 // Cycles returns the core's elapsed cycles including the pending

@@ -12,11 +12,17 @@ import (
 )
 
 // ffbpPlan holds what the FFBP kernels share: every stage's apertures and
-// grids, from ffbp.Stages, and the stage-0 carrier row.
+// grids, from ffbp.Stages, and the stage-0 carrier row and charges.
 type ffbpPlan struct {
 	p       sar.Params
 	stages  []*ffbp.Stage
 	carrier []complex64 // ffbp.CarrierRow(p)
+	// stage0 charges a stage-0 pulse as a beam whose minus child is the
+	// pulse and whose plus child loads nothing. A pixel charges its
+	// sample's address (IOp 2), loads the sample, charges the range
+	// r = R0 + c*DR, the complex multiply (FMA 1+4) and one sincos, then
+	// a zero batch, which adds nothing, and stores its result.
+	stage0 machine.Beam
 }
 
 func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error) {
@@ -24,7 +30,11 @@ func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error
 	if err != nil {
 		return nil, err
 	}
-	return &ffbpPlan{p: p, stages: st, carrier: ffbp.CarrierRow(p)}, nil
+	last := int32(p.NumBins - 1)
+	return &ffbpPlan{p: p, stages: st, carrier: ffbp.CarrierRow(p), stage0: machine.Beam{
+		Pixel: [3]machine.Ops{{IOp: 2}, {FMA: 1 + 4, Trig: 1}, {}},
+		Runs:  [2][][3]int32{{{0, last, 0}}, {{0, last, -1}}},
+	}}, nil
 }
 
 // numMerges returns the number of merge iterations (10 for 1024 pulses).
@@ -36,16 +46,15 @@ func (pl *ffbpPlan) imageOff(s, i int) int { return i * pl.stages[s].Grids[0].NT
 
 // stage0Row computes (and charges) the carrier removal of one pulse,
 // a_0(r_c) = d(r_c) * exp(+i*k*r_c) as ffbp.InitialStage forms it, from
-// element so+c of src to element do+c of dst for every bin c.
+// element so+c of src to element do+c of dst for every bin c. The host
+// multiplies the row, and the machine is charged for it in one beam.
 func (pl *ffbpPlan) stage0Row(m machine.Machine, src *machine.BufC, so int, dst *machine.BufC, do int) {
 	for c, w := range pl.carrier {
-		m.Charge(machine.Ops{IOp: 2})
-		v := src.Load(m, so+c)
-		// The modeled core computes r = R0 + c*DR and the complex multiply
-		// (FMA 1+4) and one sincos per pixel; the host reads the row.
-		m.Charge(machine.Ops{FMA: 1 + 4, Trig: 1})
-		dst.Store(m, do+c, v*w)
+		dst.Data[do+c] = src.Data[so+c] * w
 	}
+	b := pl.stage0
+	b.Src, b.Base, b.Dst, b.Out = [2]*machine.BufC{src, src}, [2]int{so, so}, dst, do
+	m.ChargeBeam(b)
 }
 
 // runs sets r to the child sample runs of beam bt of parent j at merge s,

@@ -17,8 +17,8 @@
 // gbp.ImageRef's math.Hypot, RangeIndex and cf.Expi calls. The kernels
 // add the charges and the modeled loads and stores. An FFBP merge beam
 // is gathered first and then charged, loads and stores included, in one
-// machine.Machine.ChargeBeam call, which walks the same runs pixel by
-// pixel as the per-pixel calls would.
+// machine.Machine.ChargeBeam call over the same runs, which costs what
+// the per-pixel calls would; a stage-0 pulse is charged the same way.
 // The operation charges follow the paper's described implementation: the
 // cosine-theorem index generation with fused multiply-adds and the
 // simplified square root, nearest-neighbour interpolation for FFBP, and

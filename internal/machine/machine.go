@@ -16,13 +16,16 @@
 // Kernels charge arithmetic in batches: an FFBP merge pixel charges three
 // precomputed Ops, one before each of its memory accesses. Each machine's
 // Charge says when a batch costs the same cycles, to the bit, as its
-// operations charged one kind at a time. The FFBP merges go one step
-// further and charge a whole beam of pixels in one ChargeBeam call, which
-// costs the same cycles, to the bit, as the per-pixel Charge, Load and
-// Store calls that Beam lists: a machine may compute once what is fixed
-// for the beam (each batch's price, each buffer's address class) and add
-// its integer counters once, but it walks the beam's runs with a Cursor
-// and repeats every pixel's float additions in the per-pixel order.
+// operations charged one kind at a time. The FFBP kernels go one step
+// further and charge a whole merge beam, or a stage-0 row, in one
+// ChargeBeam call, which costs the same cycles, to the bit, as the
+// per-pixel Charge, Load and Store calls that Beam lists: a machine may
+// compute once what is fixed for the beam (each batch's price, each
+// buffer's address class) and add its integer counters once. It walks
+// the beam's Segments, over which every pixel makes the same calls, and
+// makes the per-pixel order's float additions one by one, or a segment's
+// in closed form where every addend and partial sum is an integer below
+// 2^53, which float64 adds exactly in any order.
 //
 // The same kernel source therefore yields both the computed result and a
 // per-machine execution-time estimate, which is exactly the comparison the
@@ -66,7 +69,9 @@ type Machine interface {
 // when o is -1, for a sample outside its child's grid. Both children's
 // runs cover the pixels 0..Len()-1 in order. Every access moves one
 // 8-byte element, and each buffer lies in one region of the address
-// space, as the buffers NewBufC allocates do.
+// space, as the buffers NewBufC allocates do. A stage-0 row is a beam
+// too: one run of its pulse for child 0, one run of -1 for child 1, and
+// a zero Pixel[2], which adds nothing.
 type Beam struct {
 	Pixel [3]Ops
 	Src   [2]*BufC
@@ -84,24 +89,43 @@ func (b *Beam) Len() int {
 	return 0
 }
 
-// A Cursor walks one child's runs of a Beam pixel by pixel.
-type Cursor struct {
-	runs      [][3]int32
-	left, off int32 // the run's pixels after the last one Next returned, and its offset or -1
+// A Segment is a maximal range of a beam's pixels over which neither
+// child's run ends: pixels First..First+Len-1, which load the elements
+// Base[k]+Off[k], Base[k]+Off[k]+1, ... of Src[k], or nothing from child
+// k when Off[k] is -1. Every pixel of a segment makes the same calls.
+type Segment struct {
+	First, Len int
+	Off        [2]int
 }
 
-// Cursor returns a cursor before child k's first pixel.
-func (b *Beam) Cursor(k int) Cursor { return Cursor{runs: b.Runs[k]} }
+// Segments walks a beam's segments in pixel order.
+type Segments struct {
+	runs  [2][][3]int32 // each child's runs from the one holding pixel next on
+	first int32         // the first pixel not walked yet
+}
 
-// Next returns the next pixel's offset, or -1 if it loads nothing.
-func (c *Cursor) Next() int {
-	if c.left == 0 {
-		r := c.runs[0]
-		c.runs, c.left, c.off = c.runs[1:], r[1]-r[0], r[2]
-	} else if c.left--; c.off >= 0 {
-		c.off++
+// Segments returns a walk before b's first segment.
+func (b *Beam) Segments() Segments { return Segments{runs: b.Runs} }
+
+// Next returns the next segment, or false after the last.
+func (w *Segments) Next() (Segment, bool) {
+	if len(w.runs[0]) == 0 {
+		return Segment{}, false
 	}
-	return int(c.off)
+	last := min(w.runs[0][0][1], w.runs[1][0][1])
+	s := Segment{First: int(w.first), Len: int(last-w.first) + 1}
+	for k, runs := range w.runs {
+		r := runs[0]
+		s.Off[k] = -1
+		if r[2] >= 0 {
+			s.Off[k] = int(r[2] + w.first - r[0])
+		}
+		if r[1] == last {
+			w.runs[k] = runs[1:]
+		}
+	}
+	w.first = last + 1
+	return s, true
 }
 
 // Alloc hands out address ranges in some region of a machine's address

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -100,5 +101,69 @@ func TestNewBufTooLarge(t *testing.T) {
 	}
 	if _, err := NewBufF(NewBump(0, 8), 10); err == nil {
 		t.Error("oversized BufF accepted")
+	}
+}
+
+// TestSegments walks seeded random runs: the segments cover the pixels
+// 0..Len()-1 in order, end exactly where a run of either child ends, and
+// give each pixel its run's offset, or -1.
+func TestSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 500 {
+		n := rng.Intn(60)
+		var b Beam
+		var offs [2][]int // each pixel's offset, from the runs
+		ends := map[int]bool{}
+		for k := range 2 {
+			for i := 0; i < n; {
+				run := min(n-i, 1+rng.Intn(9))
+				o := int32(-1)
+				if rng.Intn(3) > 0 {
+					o = int32(rng.Intn(100))
+				}
+				b.Runs[k] = append(b.Runs[k], [3]int32{int32(i), int32(i + run - 1), o})
+				for p := range run {
+					if o < 0 {
+						offs[k] = append(offs[k], -1)
+					} else {
+						offs[k] = append(offs[k], int(o)+p)
+					}
+				}
+				i += run
+				ends[i-1] = true
+			}
+		}
+		if b.Len() != n {
+			t.Fatalf("trial %d: Len %d, want %d", trial, b.Len(), n)
+		}
+		next := 0
+		w := b.Segments()
+		for s, ok := w.Next(); ok; s, ok = w.Next() {
+			if s.First != next || s.Len < 1 {
+				t.Fatalf("trial %d: segment %+v after pixel %d", trial, s, next-1)
+			}
+			for p := s.First; p < s.First+s.Len; p++ {
+				if p < s.First+s.Len-1 && ends[p] {
+					t.Fatalf("trial %d: segment %+v spans the run end at pixel %d", trial, s, p)
+				}
+				for k := range 2 {
+					got := s.Off[k]
+					if got >= 0 {
+						got += p - s.First
+					}
+					if got != offs[k][p] {
+						t.Fatalf("trial %d: segment %+v gives child %d pixel %d offset %d, want %d",
+							trial, s, k, p, got, offs[k][p])
+					}
+				}
+			}
+			if last := s.First + s.Len - 1; !ends[last] {
+				t.Fatalf("trial %d: segment %+v ends at pixel %d, where no run ends", trial, s, last)
+			}
+			next = s.First + s.Len
+		}
+		if next != n {
+			t.Fatalf("trial %d: segments end at pixel %d of %d", trial, next, n)
+		}
 	}
 }

@@ -237,7 +237,9 @@ func (c *CPU) pay(lvl Level, cy float64) {
 // ChargeBeam makes the float additions of the calls b lists in their
 // order, pixel by pixel: each batch's non-integer part then its IOp part,
 // and each access's cache walk and level cost. It prices each batch and
-// level once and adds the counters once per beam, which is exact.
+// level once and adds the counters once per beam, which is exact. Unlike
+// emu's, it has no closed form for a segment: an IOp's 0.4 cycles is not
+// a float64, so a sum of them depends on its order.
 func (c *CPU) ChargeBeam(b machine.Beam) {
 	var fp, iop [3]float64
 	for k := range b.Pixel {
@@ -249,25 +251,27 @@ func (c *CPU) ChargeBeam(b machine.Beam) {
 	}
 	var served [4]uint64
 	var loads uint64
-	cur := [2]machine.Cursor{b.Cursor(0), b.Cursor(1)}
-	n := b.Len()
-	for i := range n {
-		for k := range cur {
-			c.cycles += fp[k]
-			c.cycles += iop[k]
-			if off := cur[k].Next(); off >= 0 {
-				lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+off), 8)
-				served[lvl]++
-				loads++
-				c.pay(lvl, cost[lvl])
+	w := b.Segments()
+	for s, ok := w.Next(); ok; s, ok = w.Next() {
+		for j := range s.Len {
+			for k := range 2 {
+				c.cycles += fp[k]
+				c.cycles += iop[k]
+				if s.Off[k] >= 0 {
+					lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+s.Off[k]+j), 8)
+					served[lvl]++
+					loads++
+					c.pay(lvl, cost[lvl])
+				}
 			}
+			c.cycles += fp[2]
+			c.cycles += iop[2]
+			lvl := c.hier.Access(b.Dst.ElemAddr(b.Out+s.First+j), 8)
+			served[lvl]++
+			c.pay(lvl, cost[lvl])
 		}
-		c.cycles += fp[2]
-		c.cycles += iop[2]
-		lvl := c.hier.Access(b.Dst.ElemAddr(b.Out+i), 8)
-		served[lvl]++
-		c.pay(lvl, cost[lvl])
 	}
+	n := b.Len()
 	for k := range b.Pixel {
 		c.Stats.count(&b.Pixel[k], uint64(n))
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"sarmany/internal/obs"
 )
 
 // QueueFullError is the typed admission failure for a saturated batcher
@@ -49,6 +51,9 @@ type batcherOptions struct {
 	// including those whose context ended while they were queued.
 	// Required.
 	Exec func(batch []*record)
+	// Depth, if set, holds the queued plus in-flight record count: an
+	// admitted record adds to it and a batch leaves it once Exec returns.
+	Depth *obs.Gauge
 }
 
 // batcher coalesces admitted records into bounded batches: a batch
@@ -108,6 +113,7 @@ func (b *batcher) submit(r *record) error {
 		return &QueueFullError{Depth: depth, Limit: b.opt.QueueLimit, RetryAfter: b.opt.RetryAfter()}
 	}
 	b.pending = append(b.pending, r)
+	b.publishLocked()
 	switch {
 	case len(b.pending) >= b.opt.BatchSize:
 		b.flushLocked()
@@ -145,9 +151,17 @@ func (b *batcher) flushLocked() {
 		b.opt.Exec(batch)
 		b.mu.Lock()
 		b.inflight -= len(batch)
+		b.publishLocked()
 		b.maybeIdleLocked()
 		b.mu.Unlock()
 	}()
+}
+
+// publishLocked sets the Depth gauge to the queued plus in-flight count.
+func (b *batcher) publishLocked() {
+	if b.opt.Depth != nil {
+		b.opt.Depth.Set(float64(len(b.pending) + b.inflight))
+	}
 }
 
 // maybeIdleLocked closes the idle channel once the batcher is closed and

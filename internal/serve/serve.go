@@ -133,7 +133,6 @@ type Options struct {
 type serveMetrics struct {
 	accepted, completed, failed, cacheHits     *obs.Counter
 	rejQuota, rejQueue, rejDraining, dupAttach *obs.Counter
-	queueDepth                                 *obs.Gauge
 	batchJobs, jobSeconds, requestSeconds      *obs.Histogram
 }
 
@@ -184,7 +183,6 @@ func NewServer(opt Options) *Server {
 			rejQueue:       reg.Counter("serve.jobs.rejected.queue"),
 			rejDraining:    reg.Counter("serve.jobs.rejected.draining"),
 			dupAttach:      reg.Counter("serve.jobs.deduplicated"),
-			queueDepth:     reg.Gauge("serve.queue.depth"),
 			batchJobs:      reg.Histogram("serve.batch.jobs"),
 			jobSeconds:     reg.Histogram("serve.job.seconds"),
 			requestSeconds: reg.Histogram("serve.request.seconds"),
@@ -196,6 +194,7 @@ func NewServer(opt Options) *Server {
 		QueueLimit: opt.QueueLimit,
 		RetryAfter: s.retryAfterHint,
 		Exec:       s.execBatch,
+		Depth:      reg.Gauge("serve.queue.depth"),
 	})
 	return s
 }
@@ -392,7 +391,6 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 		return JobInfo{}, err
 	}
 	s.m.accepted.Add(1)
-	s.m.queueDepth.Set(float64(s.batcher.depth()))
 	s.log.Debug("job accepted",
 		"trace_id", tid, "tenant", tenant, "job_id", id, "exp", spec.Exp, "queue_depth", s.batcher.depth())
 	return rec.snapshot(), nil
@@ -464,7 +462,6 @@ func (s *Server) execBatch(batch []*record) {
 		}
 		s.finish(r, res, flushed)
 	}
-	s.m.queueDepth.Set(float64(s.batcher.depth()))
 }
 
 // finish completes the record, updates counters, seals the request

@@ -257,6 +257,31 @@ func TestServerCapsBodySize(t *testing.T) {
 	}
 }
 
+// TestServerQueueDepthIdle: once its jobs complete, an idle server's
+// serve.queue.depth reads 0. Each batch leaves the depth just after its
+// records complete, so the test waits a moment for that.
+func TestServerQueueDepthIdle(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{
+		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		Run: stubRunner(&execs, 0),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tag := range []string{"a", "b"} {
+		if status, info, _ := postJob(t, ts, `{"exp": "gbp", "tag": "`+tag+`"}`, true); status != http.StatusOK || info.Status != StatusDone {
+			t.Fatalf("job %s: status %d, %+v", tag, status, info)
+		}
+	}
+	depth := s.Registry().Gauge("serve.queue.depth")
+	for deadline := time.Now().Add(2 * time.Second); depth.Value() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if v := depth.Value(); v != 0 {
+		t.Errorf("serve.queue.depth of an idle server = %v, want 0", v)
+	}
+}
+
 // TestServerDrain: draining flips readyz to 503, rejects new jobs with
 // 503 + Retry-After, completes in-flight work, and appends per-job plus
 // summary ledger entries.
