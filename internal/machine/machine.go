@@ -23,9 +23,12 @@
 // compute once what is fixed for the beam (each batch's price, each
 // buffer's address class) and add its integer counters once. It walks
 // the beam's Segments, over which every pixel makes the same calls, and
-// makes the per-pixel order's float additions one by one, or a segment's
-// in closed form where every addend and partial sum is an integer below
-// 2^53, which float64 adds exactly in any order.
+// makes the per-pixel order's float additions one by one, or in closed
+// form where float64 adds exactly in any order: emu adds a segment's
+// pixels as integers, where every addend and partial sum is an integer
+// below 2^53, and refcpu a beam's pixels as multiples of its clock's
+// binade spacing, where no sum leaves the binade [2^e, 2^(e+1)) and no
+// addend rounds to it with a tie.
 //
 // The same kernel source therefore yields both the computed result and a
 // per-machine execution-time estimate, which is exactly the comparison the

@@ -12,6 +12,8 @@
 package refcpu
 
 import (
+	"math"
+
 	"sarmany/internal/machine"
 	"sarmany/internal/obs"
 )
@@ -234,12 +236,26 @@ func (c *CPU) pay(lvl Level, cy float64) {
 	c.cycles += cy
 }
 
-// ChargeBeam makes the float additions of the calls b lists in their
-// order, pixel by pixel: each batch's non-integer part then its IOp part,
-// and each access's cache walk and level cost. It prices each batch and
-// level once and adds the counters once per beam, which is exact. Unlike
-// emu's, it has no closed form for a segment: an IOp's 0.4 cycles is not
-// a float64, so a sum of them depends on its order.
+// ChargeBeam leaves the CPU as the calls b lists do, in their order: each
+// batch's non-integer part then its IOp part, and each access's cache walk
+// and level cost. It prices each batch and level once and adds the
+// counters once per beam. Two facts let it skip work:
+//
+//   - The cache model never reads the clock. A pixel whose access streams
+//     stay in the lines of the pixel before hits L1 on every access and
+//     leaves the hierarchy as it was, if L1 has 3 or more ways and no
+//     access straddles two lines. So it walks the hierarchy at a segment's
+//     first pixel and where a stream enters a new line, and counts the
+//     pixels between as L1 hits.
+//   - While the clock c stays in its binade [2^e, 2^(e+1)), float64 rounds
+//     c+x to c+r(x), x rounded to a multiple of 2^(e-52), the same at
+//     every such c unless x is a tie, which rounds to even. So with no
+//     tracer, c > 0, no addend negative or tied, and no way for the beam
+//     to leave the binade, it adds n r(batches) and each level's count
+//     times r(its cost) in closed form, exactly.
+//
+// Other beams (traced, a run's first few, one that crosses a power of two)
+// make every pixel's additions one by one, a counted hit's L1 cost too.
 func (c *CPU) ChargeBeam(b machine.Beam) {
 	var fp, iop [3]float64
 	for k := range b.Pixel {
@@ -249,29 +265,71 @@ func (c *CPU) ChargeBeam(b machine.Beam) {
 	for l := range cost {
 		cost[l] = c.P.levelCycles(Level(l))
 	}
+	n := b.Len()
+	pixel, rcost, exact := c.binade(n, &fp, &iop, &cost)
 	var served [4]uint64
 	var loads uint64
+	l1 := c.hier.L1
+	mask := uint32(l1.p.LineBytes - 1)
 	w := b.Segments()
 	for s, ok := w.Next(); ok; s, ok = w.Next() {
-		for j := range s.Len {
-			for k := range 2 {
-				c.cycles += fp[k]
-				c.cycles += iop[k]
-				if s.Off[k] >= 0 {
-					lvl := c.hier.Access(b.Src[k].ElemAddr(b.Base[k]+s.Off[k]+j), 8)
+		// A pixel's accesses in order: streams 0 and 1 load each child's
+		// sample, if it has one, and stream 2 stores the pixel.
+		on := [3]bool{s.Off[0] >= 0, s.Off[1] >= 0, true}
+		addr := [3]uint32{2: b.Dst.ElemAddr(b.Out + s.First)}
+		accesses := 1
+		for k := range 2 {
+			if on[k] {
+				addr[k] = b.Src[k].ElemAddr(b.Base[k] + s.Off[k])
+				loads += uint64(s.Len)
+				accesses++
+			}
+		}
+		repeats := l1.p.Ways >= 3 && (addr[0]|addr[1]|addr[2])&7 == 0
+		for j := 0; j < s.Len; {
+			// Pixel j walks the hierarchy, and the r pixels after it
+			// stay in its lines.
+			r := s.Len - 1 - j
+			for k := range 3 {
+				if !exact {
+					c.cycles += fp[k]
+					c.cycles += iop[k]
+				}
+				if on[k] {
+					a := addr[k] + uint32(8*j)
+					lvl := c.hier.Access(a, 8)
 					served[lvl]++
-					loads++
-					c.pay(lvl, cost[lvl])
+					if !exact {
+						c.pay(lvl, cost[lvl])
+					}
+					r = min(r, int((mask-a&mask)>>3))
 				}
 			}
-			c.cycles += fp[2]
-			c.cycles += iop[2]
-			lvl := c.hier.Access(b.Dst.ElemAddr(b.Out+s.First+j), 8)
-			served[lvl]++
-			c.pay(lvl, cost[lvl])
+			if !repeats {
+				r = 0
+			}
+			hits := uint64(r * accesses)
+			served[ServedL1] += hits
+			l1.Hits += hits
+			for i := 0; i < r && !exact; i++ {
+				for k := range 3 {
+					c.cycles += fp[k]
+					c.cycles += iop[k]
+					if on[k] {
+						c.cycles += cost[ServedL1]
+					}
+				}
+			}
+			j += 1 + r
 		}
 	}
-	n := b.Len()
+	if exact {
+		cy := float64(n) * pixel
+		for l, k := range served {
+			cy += float64(k) * rcost[l]
+		}
+		c.cycles += cy
+	}
 	for k := range b.Pixel {
 		c.Stats.count(&b.Pixel[k], uint64(n))
 	}
@@ -280,6 +338,29 @@ func (c *CPU) ChargeBeam(b machine.Beam) {
 	for l, k := range served {
 		c.Stats.Served[l] += k
 	}
+}
+
+// binade reports whether a beam of n pixels, each adding the batch cycles
+// fp and iop and up to three access costs, takes ChargeBeam's closed form,
+// and returns a pixel's r(fp)+r(iop) sum and each cost's r.
+func (c *CPU) binade(n int, fp, iop *[3]float64, cost *[4]float64) (pixel float64, rcost [4]float64, ok bool) {
+	cy := c.cycles
+	lo := math.Float64frombits(math.Float64bits(cy) &^ (1<<52 - 1)) // 2^e
+	ok = c.tr == nil && cy > 0
+	r := func(x float64) float64 {
+		rx := float64(cy+x) - cy
+		ok = ok && x >= 0 && 2*math.Abs(x-rx) != lo*0x1p-52
+		return rx
+	}
+	for k := range fp {
+		pixel += r(fp[k]) + r(iop[k])
+	}
+	var worst float64
+	for l, x := range cost {
+		rcost[l] = r(x)
+		worst = max(worst, rcost[l])
+	}
+	return pixel, rcost, ok && cy+float64(n)*(pixel+3*worst) < 2*lo
 }
 
 // Cycles returns the elapsed cycle count.
